@@ -8,6 +8,7 @@ homogeneous evanescent identities of that type.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .magma import Variable, monomials_of_type, normalize_type
@@ -91,18 +92,64 @@ def nullspace(matrix) -> list[tuple]:
     return [vec for _, vec in basis]
 
 
-def solve_unique(rows, rhs) -> tuple:
-    """Solve A x = b requiring exactly one solution."""
+@dataclass(frozen=True)
+class FactoredSystem:
+    """A matrix A reduced once, to solve A x = b for many right-hand sides.
+
+    E [A | I] is the reduced row-echelon form of [A | I].  ``solution``
+    holds one (pivot column, row of E) pair per pivot of A, and
+    ``consistency`` the rows of E whose product with A is zero; they span
+    the left nullspace of A.  A row of E is kept as (d, ((j, n_j), ...)):
+    its nonzero entries are n_j / d with integer n_j.
+    """
+
+    ncols: int
+    solution: tuple
+    consistency: tuple
+
+
+def factor(rows) -> FactoredSystem:
+    """Reduce [A | I] once; see FactoredSystem."""
+    nrows = len(rows)
     ncols = len(rows[0])
-    augmented = [list(row) + [b] for row, b in zip(rows, rhs)]
+    augmented = [
+        list(row) + [ONE if j == i else ZERO for j in range(nrows)]
+        for i, row in enumerate(rows)
+    ]
     reduced, pivots = rref(augmented)
-    if ncols in pivots:
-        raise LinearSolveError("inconsistent linear system")
-    if len(pivots) < ncols:
+
+    def left_part(row):
+        entries = [(j, c) for j, c in enumerate(row[ncols:]) if c]
+        d = math.lcm(*(c.denominator for _, c in entries))
+        return d, tuple((j, int(c * d)) for j, c in entries)
+
+    rank = sum(1 for pc in pivots if pc < ncols)
+    solution = tuple((pc, left_part(row)) for pc, row in zip(pivots, reduced[:rank]))
+    consistency = tuple(left_part(row) for row in reduced[rank:])
+    return FactoredSystem(ncols, solution, consistency)
+
+
+def _dot(row, vec):
+    d, entries = row
+    return Q(sum(n * vec[j] for j, n in entries)) / d
+
+
+def solve_unique(system, rhs) -> tuple:
+    """Solve A x = b requiring exactly one solution.
+
+    ``system`` is either the rows of A or ``factor(rows)``; pass the
+    factored form to reuse one elimination for many right-hand sides.
+    """
+    if not isinstance(system, FactoredSystem):
+        system = factor(system)
+    for row in system.consistency:
+        if _dot(row, rhs):
+            raise LinearSolveError("inconsistent linear system")
+    if len(system.solution) < system.ncols:
         raise LinearSolveError("underdetermined linear system")
-    solution = [ZERO] * ncols
-    for i, pc in enumerate(pivots):
-        solution[pc] = reduced[i][ncols]
+    solution = [ZERO] * system.ncols
+    for pc, row in system.solution:
+        solution[pc] = _dot(row, rhs)
     return tuple(solution)
 
 

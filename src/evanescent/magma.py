@@ -257,63 +257,29 @@ def monomials_of_type(ty) -> tuple[Monomial, ...]:
 
 
 @functools.cache
-def _w_pow(n: int) -> int:
-    if n == 0:
-        return 0
-    if n == 1:
+def _w(ty: tuple[int, ...]) -> int:
+    """w_number of a type given as its sorted nonzero entries."""
+    if sum(ty) == 1:
         return 1
-    p = n // 2
-    if n % 2:
-        return sum(_w_pow(i) * _w_pow(n - i) for i in range(1, p + 1))
-    s = sum(_w_pow(i) * _w_pow(n - i) for i in range(1, p))
-    wp = _w_pow(p)
-    return s + wp * (wp + 1) // 2
-
-
-@functools.cache
-def _w_n1(n: int) -> int:
-    if n == 0:
-        return 1
-    return sum(_w_pow(n - i) * _w_n1(i) for i in range(n))
-
-
-@functools.cache
-def _w_n2(n: int) -> int:
-    if n == 0:
-        return 1
-    total = sum(_w_pow(n - i) * _w_n2(i) for i in range(n))
-    half = n // 2
-    if n % 2:
-        total += sum(_w_n1(n - i) * _w_n1(i) for i in range(half + 1))
-    else:
-        total += sum(_w_n1(n - i) * _w_n1(i) for i in range(half))
-        w = _w_n1(half)
-        total += w * (w + 1) // 2
+    total = 0
+    for sub in itertools.product(*(range(c + 1) for c in ty)):
+        rest = tuple(a - b for a, b in zip(ty, sub))
+        # each unordered split {sub, rest} once: sub is the smaller vector
+        if not any(sub) or sub > rest:
+            continue
+        wa = _w(tuple(sorted(c for c in sub if c)))
+        if sub == rest:
+            total += wa * (wa + 1) // 2
+        else:
+            total += wa * _w(tuple(sorted(c for c in rest if c)))
     return total
-
-
-@functools.cache
-def _w_n11(n: int) -> int:
-    if n == 0:
-        return 1
-    return sum(_w_pow(n - i) * _w_n11(i) for i in range(n)) + sum(
-        _w_n1(n - i) * _w_n1(i) for i in range(n + 1)
-    )
 
 
 def w_number(ty) -> int:
     """Number of monomials of the given type.
 
-    Recurrences cover the shapes [n], [n,1], [n,2], [n,1,1]; anything
-    else falls back to the enumeration count.
+    A monomial of degree >= 2 is an unordered product of two monomials
+    whose types split the type, so w(ty) sums w(a) w(b) over the
+    unordered splits {a, b}, with w(a) (w(a) + 1) / 2 when a = b.
     """
-    ty = normalize_type(ty)
-    if len(ty) == 1:
-        return _w_pow(ty[0])
-    if len(ty) == 2 and ty[1] == 1:
-        return _w_n1(ty[0])
-    if len(ty) == 2 and ty[1] == 2:
-        return _w_n2(ty[0])
-    if len(ty) == 3 and ty[1] == 1 and ty[2] == 1:
-        return _w_n11(ty[0])
-    return len(monomials_of_type(ty))
+    return _w(tuple(sorted(c for c in normalize_type(ty) if c)))

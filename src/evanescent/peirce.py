@@ -9,6 +9,7 @@ monomial's tree; both algorithms are implemented.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import zip_longest
 
 from .magma import Monomial, T_FRESH, Variable, degree_in
 from .poly import Polynomial
@@ -144,30 +145,47 @@ class PeircePolynomial:
         return f"<{self.to_string()}>"
 
 
-_PEIRCE_CACHE: dict[tuple[Monomial, int], PeircePolynomial] = {}
+# (monomial, variable index) -> its Peirce coefficients as ints
+_PEIRCE_CACHE: dict[tuple[Monomial, int], tuple[int, ...]] = {}
 
 
 def peirce_recursive(f, v) -> PeircePolynomial:
     """Peirce polynomial by the defining recursion d(uv) = t(d(u)+d(v))."""
     idx = v.index if isinstance(v, Variable) else v
     if isinstance(f, Monomial):
-        return _peirce_monomial(f, idx)
-    acc = PeircePolynomial()
+        return PeircePolynomial(_peirce_counts(f, idx))
+    acc = []
     for m, c in f.terms.items():
-        acc = acc + _peirce_monomial(m, idx).scale(c)
-    return acc
+        counts = _peirce_counts(m, idx)
+        if len(counts) > len(acc):
+            acc.extend([ZERO] * (len(counts) - len(acc)))
+        for i, k in enumerate(counts):
+            if k:
+                acc[i] += c * k
+    return PeircePolynomial(acc)
 
 
-def _peirce_monomial(m: Monomial, idx: int) -> PeircePolynomial:
+def _peirce_counts(m: Monomial, idx: int) -> tuple[int, ...]:
     got = _PEIRCE_CACHE.get((m, idx))
     if got is not None:
         return got
-    if m.is_leaf:
-        res = PeircePolynomial.one() if m.var.index == idx else PeircePolynomial()
-    else:
-        res = (_peirce_monomial(m.left, idx) + _peirce_monomial(m.right, idx)).shift()
-    _PEIRCE_CACHE[(m, idx)] = res
-    return res
+    # post-order walk with an explicit stack, so deep trees do not recurse
+    stack = [m]
+    while stack:
+        node = stack.pop()
+        if (node, idx) in _PEIRCE_CACHE:
+            continue
+        if node.is_leaf:
+            _PEIRCE_CACHE[(node, idx)] = (1,) if node.var.index == idx else ()
+            continue
+        left = _PEIRCE_CACHE.get((node.left, idx))
+        right = _PEIRCE_CACHE.get((node.right, idx))
+        if left is None or right is None:
+            stack += [node, node.left, node.right]
+            continue
+        total = [a + b for a, b in zip_longest(left, right, fillvalue=0)]
+        _PEIRCE_CACHE[(node, idx)] = (0, *total) if total else ()
+    return _PEIRCE_CACHE[(m, idx)]
 
 
 def peirce_tree(w, v) -> PeircePolynomial:
@@ -178,6 +196,11 @@ def peirce_tree(w, v) -> PeircePolynomial:
         for m, c in w.terms.items():
             acc = acc + peirce_tree(m, idx).scale(c)
         return acc
+    return PeircePolynomial(height_counts(w, idx))
+
+
+def height_counts(w: Monomial, idx: int) -> list[int]:
+    """Number of t_idx leaves at each height: the Peirce coefficients as ints."""
     counts: list[int] = []
     stack = [(w, 0)]
     while stack:
@@ -190,7 +213,7 @@ def peirce_tree(w, v) -> PeircePolynomial:
         else:
             stack.append((node.left, h + 1))
             stack.append((node.right, h + 1))
-    return PeircePolynomial(counts)
+    return counts
 
 
 @dataclass(frozen=True, eq=False)

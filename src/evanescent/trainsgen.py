@@ -4,7 +4,8 @@ Two independent routes are implemented:
 
 * ``solve_Pw``: P(w) is the unique element of the span of the shape's
   basis family whose Peirce polynomials match those of w and whose
-  coefficient sum is 1, found by an exact linear solve.
+  coefficient sum is 1, found by an exact linear solve: one elimination
+  per type, reused for every monomial of that type.
 
 * ``reduce``: bottom-up normalization; the two children are normalized
   and the product of two normal-form basis monomials is rewritten by
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .homgen import solve_unique
+from .homgen import factor, solve_unique
 from .magma import (
     Monomial,
     Variable,
@@ -36,7 +37,7 @@ from .magma import (
     product,
     type_vector,
 )
-from .peirce import Identity, make_identity, peirce_tree
+from .peirce import Identity, height_counts, make_identity, peirce_tree
 from .poly import Polynomial
 from .rationals import ONE, Q
 
@@ -295,29 +296,38 @@ def span_basis(ty) -> list[Monomial]:
 # closed-form route: exact linear solve over the span
 
 
-def _active_vars(ty):
-    return [Variable(i + 1) for i, c in enumerate(ty) if c]
+def _peirce_vector(m: Monomial, ty) -> list[int]:
+    """Coefficients of t^0 .. t^(deg-1) in m's Peirce polynomial in x, y, z."""
+    vec = []
+    for v in [X, Y, Z][: len(ty)]:
+        counts = height_counts(m, v.index)
+        vec += counts + [0] * (sum(ty) - len(counts))
+    return vec
+
+
+# canonical type -> (span basis, factored system of its Peirce conditions)
+_SPAN_SYSTEMS: dict[tuple, tuple] = {}
+
+
+def _span_system(ty):
+    """The span basis of a canonical type and its system, factored once.
+
+    Column k of the system is the Peirce vector of basis monomial k over
+    a final 1 (the coefficient-sum condition).
+    """
+    got = _SPAN_SYSTEMS.get(ty)
+    if got is None:
+        basis = span_basis(ty)
+        columns = [_peirce_vector(m, ty) + [1] for m in basis]
+        got = _SPAN_SYSTEMS[ty] = (basis, factor(list(zip(*columns))))
+    return got
 
 
 def _solve_in_span(w: Monomial) -> Polynomial:
     """Unique P in the span with matching Peirce polynomials and sum 1."""
     ty = type_vector(w)
-    basis = span_basis(ty)
-    total_degree = sum(ty)
-    variables = [X, Y, Z][: len(ty)]
-    rows = []
-    rhs = []
-    basis_peirce = {
-        (v, m): peirce_tree(m, v) for v in variables for m in basis
-    }
-    for v in variables:
-        target = peirce_tree(w, v)
-        for power in range(total_degree):
-            rows.append([basis_peirce[(v, m)].coefficient(power) for m in basis])
-            rhs.append(target.coefficient(power))
-    rows.append([ONE] * len(basis))
-    rhs.append(ONE)
-    solution = solve_unique(rows, rhs)
+    basis, system = _span_system(ty)
+    solution = solve_unique(system, _peirce_vector(w, ty) + [1])
     return Polynomial({m: c for m, c in zip(basis, solution) if c})
 
 
@@ -563,9 +573,11 @@ def reduce(w: Monomial, shape=None) -> Polynomial:
 def solve_Pw(w: Monomial, shape=None) -> Polynomial:
     """P(w) by the direct exact linear solve over the span.
 
-    This is the independent cross-check of ``reduce`` on the monomials
-    that have a train identity; a basis monomial raises
-    BasisMonomialError.
+    The system depends only on the type of w, so it is one elimination
+    per type, reused for every monomial: solving for w costs one product
+    of the factored system with w's integer Peirce vector.  This is the
+    independent cross-check of ``reduce`` on the monomials that have a
+    train identity; a basis monomial raises BasisMonomialError.
     """
     wc, inverse = _prepare(w, shape)
     return relabel_polynomial(_solve_in_span(wc), inverse)

@@ -148,3 +148,12 @@ def test_usage_errors(capsys):
     assert run_cli(capsys, "wnumber", "--type", "bogus")[0] == 2
     assert run_cli(capsys, "check", "x +")[0] == 2
     assert run_cli(capsys, "train", "--of", "x + y")[0] == 2
+
+
+def test_deep_monomial(capsys):
+    code, out, err = run_cli(capsys, "peirce", "x^{1500} y")
+    assert code == 0
+    assert "d_y = t^1500" in out.splitlines()
+    code, out, err = run_cli(capsys, "check", "x^{1500} y")
+    assert code == 0
+    assert "Traceback" not in out + err

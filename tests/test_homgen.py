@@ -4,7 +4,9 @@ from evanescent import homgen
 from evanescent.homgen import (
     ExactMatrix,
     LinearSolveError,
+    FactoredSystem,
     SpanChecker,
+    factor,
     generate_homogeneous,
     homogeneous_dimension,
     homogeneous_nullspace,
@@ -13,7 +15,8 @@ from evanescent.homgen import (
     rref,
     solve_unique,
 )
-from evanescent.magma import w_number
+from evanescent import trainsgen
+from evanescent.magma import monomials_of_type, w_number
 from evanescent.peirce import PeircePolynomial, peirce_tree
 from evanescent.rationals import ONE, Q, ZERO
 from evanescent.syntax import parse, parse_monomial
@@ -61,6 +64,46 @@ def test_solve_unique():
         solve_unique([[1, 1]], [1])  # underdetermined
     with pytest.raises(LinearSolveError):
         solve_unique([[1], [1]], [1, 2])  # inconsistent
+
+
+def test_factored_system_answers_many_right_hand_sides():
+    rows = [[1, 2, 0], [0, 1, 1], [1, 0, 3], [2, 3, 1]]
+    system = factor(rows)
+    assert isinstance(system, FactoredSystem)
+    for x in [(1, 0, 0), (Q(1, 2), -3, 7), (0, 0, 0), (5, Q(2, 3), -1)]:
+        rhs = [sum(Q(a) * b for a, b in zip(row, x)) for row in rows]
+        assert solve_unique(system, rhs) == solve_unique(rows, rhs) == tuple(Q(c) for c in x)
+
+
+def test_factored_system_keeps_both_checks():
+    for rows, rhs, message in [
+        ([[1, 1]], [1], "underdetermined linear system"),
+        ([[1], [1]], [1, 2], "inconsistent linear system"),
+        # inconsistent wins over underdetermined, as in a single elimination
+        ([[1, 1], [2, 2]], [1, 3], "inconsistent linear system"),
+    ]:
+        system = factor(rows)
+        for target in (rows, system):
+            with pytest.raises(LinearSolveError, match=message):
+                solve_unique(target, rhs)
+    assert solve_unique(factor([[1, 1], [2, 2], [0, 1]]), [1, 2, 3]) == (-2, 3)
+
+
+def test_span_solve_factors_each_type_once(monkeypatch):
+    ty = (4, 1, 1)
+    calls = []
+    original = homgen.rref
+
+    def counted(rows):
+        calls.append(len(rows))
+        return original(rows)
+
+    monkeypatch.setattr(homgen, "rref", counted)
+    monkeypatch.setattr(trainsgen, "_SPAN_SYSTEMS", {})
+    basis = set(trainsgen.excluded_basis(ty))
+    solved = [trainsgen.solve_Pw(w) for w in monomials_of_type(ty) if w not in basis]
+    assert len(solved) > 1
+    assert len(calls) == 1
 
 
 def test_span_checker():

@@ -1,4 +1,6 @@
+import itertools
 import random
+import time
 
 import pytest
 
@@ -37,6 +39,16 @@ def test_w_number_tables():
         assert w_number((n, 2)) == expected
     for n, expected in W_N11.items():
         assert w_number((n, 1, 1)) == expected
+
+
+def test_w_number_recurrence_matches_enumeration():
+    start = time.perf_counter()
+    assert w_number((4, 4, 4)) == 2258025
+    assert time.perf_counter() - start < 1.0
+    for nvars in range(1, 4):
+        for ty in itertools.product(range(7), repeat=nvars):
+            if 1 <= sum(ty) <= 6 and ty[-1]:
+                assert w_number(ty) == len(monomials_of_type(ty)), ty
 
 
 def test_variable_validation():
