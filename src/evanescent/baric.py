@@ -4,6 +4,17 @@ A baric algebra is given by exact rational structure constants plus a
 nonzero algebra character (the weight).  Mutation algebras carry the
 product x*y = (w(y) M(x) + w(x) M(y)) / 2 for a linear map M fixing the
 weight; they satisfy every evanescent identity.
+
+Arithmetic is over Python ints, and exact.  The structure constants are
+stored once, as sparse int rows over one common denominator D: ``_pairs``
+holds (i, j, ((k, n), ...)) for i <= j, with c[i][j][k] = n / D.  A vector
+v is scaled to (den_v, V), an int vector V with v = V / den_v; ``_times``
+gives the numerator of a product over D * den_u * den_v.  So the int value
+N(m) of a monomial tree m stands for N(m) / (D^(deg m - 1) * prod over v
+of den_v^(count of v in m)).  Evaluation adds the terms over the lcm of
+their denominators: the int sum is zero exactly when the value is, and
+rationals come back only in what ``mul``, ``evaluate`` and
+``weighted_evaluate`` return.
 """
 
 from __future__ import annotations
@@ -11,74 +22,109 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from math import lcm, prod
 
-from .magma import Monomial, Variable
+from .magma import Monomial, Variable, leaf
 from .peirce import PeircePolynomial
 from .poly import Polynomial, UnboundVariableError
-from .rationals import ONE, Q, ZERO, qstr
+from .rationals import ONE, Q, ZERO, as_q
 
 
 class AlgebraError(ValueError):
     pass
 
 
+def _scaled(vec):
+    """(den, ints) with vec = ints / den, for rationals or ints."""
+    den = lcm(*(c.denominator for c in vec))
+    return den, [c.numerator * (den // c.denominator) for c in vec]
+
+
 class BaricAlgebra:
     """dim, structure constants c[i][j][k] (e_i e_j = sum c[i][j][k] e_k),
     and the weight functional on the basis."""
 
-    __slots__ = ("dim", "structure", "weight")
+    __slots__ = ("dim", "weight", "_den", "_pairs", "_weight_den", "_weight_ints")
 
     def __init__(self, dim, structure, weight):
-        self.dim = int(dim)
-        self.structure = tuple(
-            tuple(tuple(Q(c) for c in row) for row in plane) for plane in structure
-        )
-        self.weight = tuple(Q(c) for c in weight)
-        self._validate()
-
-    def _validate(self):
-        d = self.dim
-        if len(self.structure) != d or len(self.weight) != d:
+        d = int(dim)
+        planes = [[[as_q(c) for c in row] for row in plane] for plane in structure]
+        weight = tuple(as_q(c) for c in weight)
+        if len(planes) != d or len(weight) != d:
             raise AlgebraError("dimension mismatch in structure or weight")
-        for i in range(d):
-            if len(self.structure[i]) != d:
+        for plane in planes:
+            if len(plane) != d or any(len(row) != d for row in plane):
                 raise AlgebraError("dimension mismatch in structure")
-            for j in range(d):
-                if len(self.structure[i][j]) != d:
-                    raise AlgebraError("dimension mismatch in structure")
-                if self.structure[i][j] != self.structure[j][i]:
+        den = lcm(*(c.denominator for plane in planes for row in plane for c in row))
+        numerators = [
+            [[c.numerator * (den // c.denominator) for c in row] for row in plane]
+            for plane in planes
+        ]
+        self._setup(d, den, numerators, weight)
+
+    @classmethod
+    def _from_ints(cls, dim, den, numerators, weight):
+        """The algebra with c[i][j][k] = numerators[i][j][k] / den."""
+        algebra = object.__new__(cls)
+        algebra._setup(dim, den, numerators, weight)
+        return algebra
+
+    def _setup(self, dim, den, numerators, weight):
+        self.dim, self._den, self.weight = dim, den, weight
+        rows = [
+            [tuple((k, n) for k, n in enumerate(row) if n) for row in plane]
+            for plane in numerators
+        ]
+        self._weight_den, self._weight_ints = _scaled(weight)
+        self._validate(rows)
+        self._pairs = tuple(
+            (i, j, rows[i][j]) for i in range(dim) for j in range(i, dim) if rows[i][j]
+        )
+
+    def _validate(self, rows):
+        d, den = self.dim, self._den
+        wden, w = self._weight_den, self._weight_ints
+        for i in range(d):
+            for j in range(i + 1, d):
+                if rows[i][j] != rows[j][i]:
                     raise AlgebraError("structure constants are not commutative")
-        if not any(self.weight):
+        if not any(w):
             raise AlgebraError("weight must be nonzero")
+        # sum_k c[i][j][k] w_k = w_i w_j, multiplied through by den * wden^2
         for i in range(d):
             for j in range(d):
-                got = sum(
-                    (self.structure[i][j][k] * self.weight[k] for k in range(d)),
-                    ZERO,
-                )
-                if got != self.weight[i] * self.weight[j]:
+                got = wden * sum(n * w[k] for k, n in rows[i][j])
+                if got != den * w[i] * w[j]:
                     raise AlgebraError(
                         f"weight is not an algebra character at basis pair ({i}, {j})"
                     )
 
-    def mul(self, a, b):
+    @property
+    def structure(self):
+        """The structure constants c[i][j][k] as rationals."""
         d = self.dim
-        out = [ZERO] * d
-        for i in range(d):
-            ai = a[i]
-            if not ai:
-                continue
-            plane = self.structure[i]
-            for j in range(d):
-                bj = b[j]
-                if not bj:
-                    continue
-                coeff = ai * bj
-                row = plane[j]
-                for k in range(d):
-                    if row[k]:
-                        out[k] += coeff * row[k]
-        return tuple(out)
+        out = [[[ZERO] * d for _ in range(d)] for _ in range(d)]
+        for i, j, row in self._pairs:
+            for k, n in row:
+                out[i][j][k] = out[j][i][k] = Q(n, self._den)
+        return out
+
+    def _times(self, a, b):
+        """Numerator of the product of a / den_a and b / den_b over
+        D * den_a * den_b, for int vectors a and b."""
+        out = [0] * self.dim
+        for i, j, row in self._pairs:
+            p = a[i] * b[i] if i == j else a[i] * b[j] + a[j] * b[i]
+            if p:
+                for k, n in row:
+                    out[k] += p * n
+        return out
+
+    def mul(self, a, b):
+        den_a, a = _scaled(a)
+        den_b, b = _scaled(b)
+        den = self._den * den_a * den_b
+        return tuple(Q(n, den) for n in self._times(a, b))
 
     def omega(self, vec):
         return sum((w * c for w, c in zip(self.weight, vec)), ZERO)
@@ -118,32 +164,32 @@ class MutationSpec:
 
     @classmethod
     def make(cls, matrix, weight):
-        matrix = tuple(tuple(Q(c) for c in row) for row in matrix)
-        weight = tuple(Q(c) for c in weight)
+        matrix = tuple(tuple(as_q(c) for c in row) for row in matrix)
+        weight = tuple(as_q(c) for c in weight)
         return cls(dim=len(weight), matrix=matrix, weight=weight)
 
 
 def make_mutation(spec: MutationSpec) -> BaricAlgebra:
     """Structure constants of the mutation product for a validated spec."""
     d = spec.dim
-    m = spec.matrix
     w = spec.weight
-    if len(m) != d or any(len(row) != d for row in m):
+    if len(spec.matrix) != d or any(len(row) != d for row in spec.matrix):
         raise AlgebraError("mutation matrix dimension mismatch")
     if not any(w):
         raise AlgebraError("weight must be nonzero")
+    # M = m / mden and w = wi / wden over ints
+    mden, flat = _scaled([c for row in spec.matrix for c in row])
+    m = [flat[k * d : (k + 1) * d] for k in range(d)]
+    wden, wi = _scaled(w)
     for j in range(d):
-        if sum((w[k] * m[k][j] for k in range(d)), ZERO) != w[j]:
+        if sum(wi[k] * m[k][j] for k in range(d)) != wi[j] * mden:
             raise AlgebraError("weight is not fixed by the mutation map")
-    half = Q(1, 2)
-    structure = [
-        [
-            [half * (w[j] * m[k][i] + w[i] * m[k][j]) for k in range(d)]
-            for j in range(d)
-        ]
+    # c[i][j][k] = (w_j M_ki + w_i M_kj) / 2, over 2 * wden * mden
+    numerators = [
+        [[wi[j] * m[k][i] + wi[i] * m[k][j] for k in range(d)] for j in range(d)]
         for i in range(d)
     ]
-    return BaricAlgebra(d, structure, w)
+    return BaricAlgebra._from_ints(d, 2 * wden * mden, numerators, w)
 
 
 def spectrum_algebra(lambdas):
@@ -162,7 +208,8 @@ def spectrum_algebra(lambdas):
 
 
 def _check_bindings(f: Polynomial, algebra: BaricAlgebra, bindings: dict):
-    vecs = {}
+    """The bindings scaled to {variable: (den, int vector)}."""
+    scaled = {}
     for v, vec in bindings.items():
         v = v if isinstance(v, Variable) else Variable(v)
         vec = tuple(Q(c) for c in vec)
@@ -170,70 +217,82 @@ def _check_bindings(f: Polynomial, algebra: BaricAlgebra, bindings: dict):
             raise AlgebraError(
                 f"binding for {v.name} has dimension {len(vec)}, expected {algebra.dim}"
             )
-        vecs[v] = vec
+        scaled[v] = _scaled(vec)
     for v in f.variables():
-        if v not in vecs:
+        if v not in scaled:
             raise UnboundVariableError(v)
-    return vecs
+    return scaled
+
+
+def _tree_value(m: Monomial, cache: dict, times):
+    """N(m), walked post-order with an explicit stack so deep trees do not
+    recurse; ``cache`` holds the leaves' int vectors on entry."""
+    stack = [m]
+    while stack:
+        node = stack.pop()
+        if node in cache:
+            continue
+        left, right = cache.get(node.left), cache.get(node.right)
+        if left is None or right is None:
+            stack += [node, node.left, node.right]
+            continue
+        cache[node] = times(left, right)
+    return cache[m]
+
+
+def _value(f: Polynomial, algebra: BaricAlgebra, scaled: dict, weighted: bool):
+    """(ints, den) with f = ints / den at the scaled bindings, plain or
+    weighted.  A term c m is over c.den * D^(deg m - 1) * prod den_v^count;
+    weighting by omega(v) = Omega_v / (wden * den_v) to each deficit makes
+    that prod den_v^full for every term, so it is applied at the end."""
+    cache = {leaf(v): ints for v, (_, ints) in scaled.items()}
+    dens = {v.index: den for v, (den, _) in scaled.items()}
+    if weighted:
+        wden = algebra._weight_den
+        deficits = []  # (index, full degree, Omega_v) for each variable of f
+        for v in f.variables():
+            omega = sum(w * x for w, x in zip(algebra._weight_ints, scaled[v][1]))
+            deficits.append((v.index, f.degree_in(v), omega))
+    groups: dict[int, list] = {}
+    for m, c in f.terms.items():
+        num, den = c.numerator, c.denominator * algebra._den ** (m.degree - 1)
+        if weighted:
+            counts = dict(m.counts)
+            for idx, full, omega in deficits:
+                deficit = full - counts.get(idx, 0)
+                num *= omega**deficit
+                den *= wden**deficit
+            if not num:
+                continue
+        else:
+            for idx, cnt in m.counts:
+                den *= dens[idx] ** cnt
+        acc = groups.setdefault(den, [0] * algebra.dim)
+        for k, x in enumerate(_tree_value(m, cache, algebra._times)):
+            if x:
+                acc[k] += num * x
+    common = lcm(*groups)
+    total = [
+        sum(acc[k] * (common // den) for den, acc in groups.items())
+        for k in range(algebra.dim)
+    ]
+    if weighted:
+        common *= prod(dens[idx] ** full for idx, full, _ in deficits)
+    return total, common
 
 
 def evaluate(f: Polynomial, algebra: BaricAlgebra, bindings: dict):
     """Plain homomorphic evaluation of every monomial."""
-    vecs = _check_bindings(f, algebra, bindings)
-    cache: dict[Monomial, tuple] = {}
-
-    def walk(m: Monomial):
-        got = cache.get(m)
-        if got is not None:
-            return got
-        if m.is_leaf:
-            res = vecs[m.var]
-        else:
-            res = algebra.mul(walk(m.left), walk(m.right))
-        cache[m] = res
-        return res
-
-    total = list(algebra.zero_vector())
-    for m, c in f.terms.items():
-        vec = walk(m)
-        for k in range(algebra.dim):
-            total[k] += c * vec[k]
-    return tuple(total)
+    ints, den = _value(f, algebra, _check_bindings(f, algebra, bindings), False)
+    return tuple(Q(n, den) for n in ints)
 
 
 def weighted_evaluate(f: Polynomial, algebra: BaricAlgebra, bindings: dict):
     """Weighted evaluation: each term is scaled by the product of
     w(binding)^(full degree - term degree) over the variables, so the
     whole expression is homogeneous of full type."""
-    vecs = _check_bindings(f, algebra, bindings)
-    full = {v: f.degree_in(v) for v in f.variables()}
-    weights = {v: algebra.omega(vec) for v, vec in vecs.items()}
-    cache: dict[Monomial, tuple] = {}
-
-    def walk(m: Monomial):
-        got = cache.get(m)
-        if got is not None:
-            return got
-        if m.is_leaf:
-            res = vecs[m.var]
-        else:
-            res = algebra.mul(walk(m.left), walk(m.right))
-        cache[m] = res
-        return res
-
-    total = list(algebra.zero_vector())
-    for m, c in f.terms.items():
-        scale = c
-        for v, d in full.items():
-            deficit = d - sum(cnt for i, cnt in m.counts if i == v.index)
-            if deficit:
-                scale = scale * weights[v] ** deficit
-        if not scale:
-            continue
-        vec = walk(m)
-        for k in range(algebra.dim):
-            total[k] += scale * vec[k]
-    return tuple(total)
+    ints, den = _value(f, algebra, _check_bindings(f, algebra, bindings), True)
+    return tuple(Q(n, den) for n in ints)
 
 
 @dataclass(frozen=True)
@@ -252,12 +311,19 @@ class VerificationResult:
 _DENOMINATORS = (1, 1, 2)
 
 
+def _random_ratio(rng):
+    return rng.randint(-3, 3), rng.choice(_DENOMINATORS)
+
+
 def _random_q(rng):
-    return Q(rng.randint(-3, 3), rng.choice(_DENOMINATORS))
+    return Q(*_random_ratio(rng))
 
 
-def _random_vector(rng, dim):
-    return tuple(_random_q(rng) for _ in range(dim))
+def _draw(rng, n):
+    """n random rationals p/q, as (s, ints) over s = lcm of the q."""
+    draws = [_random_ratio(rng) for _ in range(n)]
+    s = lcm(*(q for _, q in draws))
+    return s, [p * (s // q) for p, q in draws]
 
 
 def verify_identity(
@@ -265,43 +331,41 @@ def verify_identity(
 ) -> VerificationResult:
     """Randomized refutation: weight-1 bindings through plain evaluation
     and general bindings through weighted evaluation.  A pass is
-    evidence, not proof."""
+    evidence, not proof.  The points are drawn as rationals p/q but built
+    and evaluated as int vectors; only a counterexample is converted back."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     variables = f.variables()
-    anchor = algebra.weight_one_anchor()
-    kernel = algebra.kernel_basis()
-    zero = algebra.zero_vector()
+    d = algebra.dim
+    # the weight-1 anchor and the kernel basis, as int vectors over frame_den
+    frame = (algebra.weight_one_anchor(), *algebra.kernel_basis())
+    frame_den, flat = _scaled([c for vec in frame for c in vec])
+    anchor, *kernel = [flat[i : i + d] for i in range(0, len(flat), d)]
     for trial in range(trials):
         rng = random.Random(seed * 1_000_003 + trial)
-        bindings = {}
+        weight_one = {}
         for v in variables:
-            vec = list(anchor)
-            for b in kernel:
-                c = _random_q(rng)
+            s, coeffs = _draw(rng, len(kernel))
+            vec = [s * a for a in anchor]
+            for c, b in zip(coeffs, kernel):
                 if c:
-                    for k in range(algebra.dim):
+                    for k in range(d):
                         vec[k] += c * b[k]
-            bindings[v] = tuple(vec)
-        if evaluate(f, algebra, bindings) != zero:
-            return VerificationResult(
-                passed=False,
-                trials=trials,
-                seed=seed,
-                failed_trial=trial,
-                mode="weight-1",
-                counterexample={v.name: bindings[v] for v in variables},
-            )
-        general = {v: _random_vector(rng, algebra.dim) for v in variables}
-        if weighted_evaluate(f, algebra, general) != zero:
-            return VerificationResult(
-                passed=False,
-                trials=trials,
-                seed=seed,
-                failed_trial=trial,
-                mode="weighted",
-                counterexample={v.name: general[v] for v in variables},
-            )
+            weight_one[v] = (s * frame_den, vec)
+        general = {v: _draw(rng, d) for v in variables}
+        for mode, bindings in (("weight-1", weight_one), ("weighted", general)):
+            if any(_value(f, algebra, bindings, mode == "weighted")[0]):
+                return VerificationResult(
+                    passed=False,
+                    trials=trials,
+                    seed=seed,
+                    failed_trial=trial,
+                    mode=mode,
+                    counterexample={
+                        v.name: tuple(Q(n, den) for n in ints)
+                        for v, (den, ints) in bindings.items()
+                    },
+                )
     return VerificationResult(passed=True, trials=trials, seed=seed)
 
 
@@ -387,10 +451,7 @@ def rational_roots(p: PeircePolynomial):
             return None
         return list(reversed(out[:-1]))
 
-    denominators = 1
-    for c in coeffs:
-        denominators = _lcm(denominators, int(c.denominator))
-    ints = [int(c * denominators) for c in coeffs]
+    _, ints = _scaled(coeffs)
     candidates = set()
     if ints:
         a0, an = ints[0], ints[-1]
@@ -410,12 +471,6 @@ def rational_roots(p: PeircePolynomial):
             roots.append((cand, mult))
     roots.sort(key=lambda rm: rm[0])
     return roots, PeircePolynomial(coeffs)
-
-
-def _lcm(a, b):
-    from math import gcd
-
-    return a * b // gcd(a, b)
 
 
 def _divisors(n):
@@ -443,14 +498,12 @@ def random_mutation_algebra(rng: random.Random, dim: int) -> BaricAlgebra:
 def random_baric_algebra(rng: random.Random, dim: int) -> BaricAlgebra:
     """Random commutative baric algebra with weight (1, 0, ..., 0); the
     e_0 coordinates of products are pinned by the character condition."""
-    structure = [[[ZERO] * dim for _ in range(dim)] for _ in range(dim)]
+    structure = [[None] * dim for _ in range(dim)]
     for i in range(dim):
         for j in range(i, dim):
             column = [_random_q(rng) for _ in range(dim)]
             column[0] = ONE if i == 0 and j == 0 else ZERO
-            for k in range(dim):
-                structure[i][j][k] = column[k]
-                structure[j][i][k] = column[k]
+            structure[i][j] = structure[j][i] = column
     weight = [ONE] + [ZERO] * (dim - 1)
     return BaricAlgebra(dim, structure, weight)
 

@@ -15,7 +15,7 @@ import sys
 from . import baric, homgen, magma, syntax, trainsgen
 from .peirce import is_evanescent, peirce_recursive
 from .poly import Polynomial
-from .rationals import Q, qstr
+from .rationals import Q
 
 _FAMILIES = {"n": ("n",), "n,1": ("n", 1), "n,2": ("n", 2), "n,1,1": ("n", 1, 1)}
 
@@ -52,7 +52,7 @@ def cmd_peirce(args, out) -> int:
         if args.format == "jsonl":
             obj = {
                 "variable": v.name,
-                "coeffs": [qstr(c) for c in p.coeffs],
+                "coeffs": [str(c) for c in p.coeffs],
                 "pretty": p.to_string(),
             }
             out.write(json.dumps(obj, sort_keys=True) + "\n")
@@ -67,7 +67,7 @@ def cmd_check(args, out) -> int:
     if args.format == "jsonl":
         obj = {
             "polynomial": syntax.format_polynomial(f),
-            "at_ones": qstr(report.at_ones),
+            "at_ones": str(report.at_ones),
             "peirce": {
                 v.name: p.to_string() for v, p in sorted(report.peirce.items())
             },
@@ -79,7 +79,7 @@ def cmd_check(args, out) -> int:
         out.write(f"polynomial: {syntax.format_polynomial(f)}\n")
         for v, p in sorted(report.peirce.items()):
             out.write(f"d_{v.name} = {p.to_string()}\n")
-        out.write(f"value at ones = {qstr(report.at_ones)}\n")
+        out.write(f"value at ones = {report.at_ones}\n")
         if report.is_evanescent_identity:
             out.write("verdict: evanescent identity\n")
         elif report.is_peirce_evanescent:
@@ -154,8 +154,9 @@ def cmd_wnumber(args, out) -> int:
 def cmd_verify(args, out) -> int:
     algebra = baric.load_algebra(args.algebra)
     f = syntax.parse(args.identity)
-    out.write(f"# seed={args.seed} trials={args.trials}\n")
+    # verify before writing, so a rejected --trials leaves stdout empty
     result = baric.verify_identity(f, algebra, trials=args.trials, seed=args.seed)
+    out.write(f"# seed={args.seed} trials={args.trials}\n")
     if args.format == "jsonl":
         obj = {
             "passed": result.passed,
@@ -164,7 +165,7 @@ def cmd_verify(args, out) -> int:
             "failed_trial": result.failed_trial,
             "mode": result.mode,
             "counterexample": {
-                name: [qstr(c) for c in vec]
+                name: [str(c) for c in vec]
                 for name, vec in (result.counterexample or {}).items()
             }
             or None,
@@ -175,7 +176,7 @@ def cmd_verify(args, out) -> int:
     else:
         out.write(f"FAIL ({result.mode} evaluation, trial {result.failed_trial})\n")
         for name, vec in sorted(result.counterexample.items()):
-            out.write(f"  {name} = ({', '.join(qstr(c) for c in vec)})\n")
+            out.write(f"  {name} = ({', '.join(str(c) for c in vec)})\n")
     return 0 if result.passed else 1
 
 
@@ -188,15 +189,15 @@ def cmd_spectrum(args, out) -> int:
     if args.format == "jsonl":
         obj = {
             "dim": algebra.dim,
-            "char_poly": [qstr(c) for c in poly.coeffs],
-            "roots": [[qstr(r), m] for r, m in roots],
-            "unfactored": [qstr(c) for c in remainder.coeffs],
+            "char_poly": [str(c) for c in poly.coeffs],
+            "roots": [[str(r), m] for r, m in roots],
+            "unfactored": [str(c) for c in remainder.coeffs],
         }
         out.write(json.dumps(obj, sort_keys=True) + "\n")
     else:
         out.write(f"dim = {algebra.dim}\n")
         out.write(f"char poly = {poly.to_string(sym='X')}\n")
-        rendered = ", ".join(f"{qstr(r)} (x{m})" for r, m in roots)
+        rendered = ", ".join(f"{r} (x{m})" for r, m in roots)
         out.write(f"roots = {rendered}\n")
         if remainder.degree() > 0:
             out.write(f"unfactored = {remainder.to_string(sym='X')}\n")

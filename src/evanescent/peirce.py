@@ -13,7 +13,7 @@ from itertools import zip_longest
 
 from .magma import Monomial, T_FRESH, Variable, degree_in
 from .poly import Polynomial
-from .rationals import ONE, Q, ZERO
+from .rationals import ONE, ZERO, as_q
 
 
 class PeircePolynomial:
@@ -22,7 +22,7 @@ class PeircePolynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        coeffs = [Q(c) for c in coeffs]
+        coeffs = [as_q(c) for c in coeffs]
         while coeffs and not coeffs[-1]:
             coeffs.pop()
         self.coeffs = tuple(coeffs)
@@ -100,7 +100,7 @@ class PeircePolynomial:
         return self.scale(other)
 
     def scale(self, c):
-        c = Q(c)
+        c = as_q(c)
         if not c:
             return PeircePolynomial()
         return PeircePolynomial([c * v for v in self.coeffs])
@@ -112,7 +112,7 @@ class PeircePolynomial:
         return PeircePolynomial((0,) * k + tuple(self.coeffs))
 
     def __call__(self, value):
-        value = Q(value)
+        value = as_q(value)
         acc = ZERO
         for c in reversed(self.coeffs):
             acc = acc * value + c

@@ -14,14 +14,6 @@ ZERO = Q(0)
 ONE = Q(1)
 
 
-def qstr(q) -> str:
-    """Exact serialization: "p" or "p/q"."""
-    return str(q)
-
-
-def parse_q(text):
-    """Parse "p" or "p/q", optionally signed."""
-    try:
-        return Q(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"bad rational literal {text!r}") from exc
+def as_q(c):
+    """c as Q, without reconverting a Q (Fraction(Fraction) is slow)."""
+    return c if type(c) is Q else Q(c)

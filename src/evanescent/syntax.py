@@ -33,7 +33,7 @@ from .magma import (
     var_name,
 )
 from .poly import Polynomial
-from .rationals import ONE, Q, qstr
+from .rationals import ONE, Q
 
 
 class ParseError(ValueError):
@@ -250,10 +250,6 @@ def _wrap(m: Monomial) -> str:
     return f"({s})"
 
 
-def format_coefficient(c) -> str:
-    return qstr(c)
-
-
 def format_polynomial(f: Polynomial) -> str:
     """Canonical rendering: terms in descending canonical monomial order."""
     if not f.terms:
@@ -262,7 +258,7 @@ def format_polynomial(f: Polynomial) -> str:
     for m, c in f.items_ordered(reverse=True):
         mono = format_monomial(m)
         mag = abs(c)
-        body = mono if mag == 1 else f"{qstr(mag)} {mono}"
+        body = mono if mag == 1 else f"{mag} {mono}"
         if not parts:
             parts.append(body if c > 0 else f"-{body}")
         else:
@@ -275,7 +271,7 @@ def polynomial_to_json(f: Polynomial, ty=None) -> dict:
     obj = {
         "type": list(ty) if ty is not None else None,
         "terms": [
-            {"coeff": qstr(c), "monomial": format_monomial(m)}
+            {"coeff": str(c), "monomial": format_monomial(m)}
             for m, c in f.items_ordered(reverse=True)
         ],
     }

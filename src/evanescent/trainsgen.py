@@ -169,17 +169,6 @@ def classify(m: Monomial):
     return None
 
 
-def _x_wrapped(m: Monomial):
-    """(r, core) after peeling r leading x-leaf multiplications."""
-    r = 0
-    while not m.is_leaf and (m.left is leaf(X) or m.right is leaf(X)):
-        rest = m.right if m.left is leaf(X) else m.left
-        # x * x would peel forever; callers never pass pure powers
-        m = rest
-        r += 1
-    return r, m
-
-
 def _classify_mixed(m: Monomial, t: Variable):
     if m.is_leaf:
         return TrainBasisElement("imix", 0, (t,)) if m.var == t else None

@@ -22,9 +22,9 @@ from evanescent.baric import (
     verify_identity,
     weighted_evaluate,
 )
-from evanescent.magma import X, Y
+from evanescent.magma import X, Y, degree_in
 from evanescent.peirce import PeircePolynomial
-from evanescent.poly import Polynomial, UnboundVariableError
+from evanescent.poly import Polynomial, UnboundVariableError, standard_baric_identity
 from evanescent.rationals import ONE, Q, ZERO
 from evanescent.syntax import parse
 
@@ -257,3 +257,225 @@ def test_load_algebra_inconsistent():
     }
     with pytest.raises(AlgebraError):
         load_algebra(obj)
+
+
+# Oracle: evaluation as a recursive tree walk in Fraction arithmetic,
+# with the product given independently of the algebra under test.
+
+
+def _tensor_mul(structure):
+    def mul(a, b):
+        d = len(a)
+        out = [ZERO] * d
+        for i in range(d):
+            for j in range(d):
+                coeff = a[i] * b[j]
+                if coeff:
+                    for k in range(d):
+                        out[k] += coeff * structure[i][j][k]
+        return tuple(out)
+
+    return mul
+
+
+def _mutation_mul(matrix, weight):
+    # x*y = (w(y) M(x) + w(x) M(y)) / 2
+    def apply(vec):
+        return [sum((row[j] * vec[j] for j in range(len(vec))), ZERO) for row in matrix]
+
+    def mul(a, b):
+        wa, wb = _omega(weight, a), _omega(weight, b)
+        return tuple(
+            (wb * ma + wa * mb) / 2 for ma, mb in zip(apply(a), apply(b))
+        )
+
+    return mul
+
+
+def _omega(weight, vec):
+    return sum((w * x for w, x in zip(weight, vec)), ZERO)
+
+
+def _oracle_evaluate(f, mul, weight, bindings, weighted):
+    cache = {}
+
+    def walk(m):
+        if m not in cache:
+            cache[m] = (
+                bindings[m.var] if m.is_leaf else mul(walk(m.left), walk(m.right))
+            )
+        return cache[m]
+
+    total = [ZERO] * len(weight)
+    for m, c in f.terms.items():
+        scale = c
+        if weighted:
+            for v in f.variables():
+                deficit = f.degree_in(v) - degree_in(m, v)
+                scale *= _omega(weight, bindings[v]) ** deficit
+        if scale:
+            for k, x in enumerate(walk(m)):
+                total[k] += scale * x
+    return tuple(total)
+
+
+def _oracle_verify(f, algebra, mul, weight, trials, seed):
+    def draw(rng):
+        return Q(rng.randint(-3, 3), rng.choice((1, 1, 2)))
+
+    variables = f.variables()
+    anchor = algebra.weight_one_anchor()
+    kernel = algebra.kernel_basis()
+    for trial in range(trials):
+        rng = random.Random(seed * 1_000_003 + trial)
+        bindings = {}
+        for v in variables:
+            vec = list(anchor)
+            for b in kernel:
+                c = draw(rng)
+                for k in range(algebra.dim):
+                    vec[k] += c * b[k]
+            bindings[v] = tuple(vec)
+        general = {v: tuple(draw(rng) for _ in range(algebra.dim)) for v in variables}
+        for mode, point, weighted in (
+            ("weight-1", bindings, False),
+            ("weighted", general, True),
+        ):
+            if any(_oracle_evaluate(f, mul, weight, point, weighted)):
+                return VerificationResult(
+                    passed=False,
+                    trials=trials,
+                    seed=seed,
+                    failed_trial=trial,
+                    mode=mode,
+                    counterexample={v.name: point[v] for v in variables},
+                )
+    return VerificationResult(passed=True, trials=trials, seed=seed)
+
+
+_ORACLE_DENOMINATORS = (1, 2, 3, 7, 12)
+
+
+def _rational(rng):
+    return Q(rng.randint(-5, 5), rng.choice(_ORACLE_DENOMINATORS))
+
+
+def _oracle_algebra(rng, kind, dim):
+    """A random algebra of the kind with a random weight, its product as
+    an independent function, and the weight."""
+    weight = [_rational(rng) for _ in range(dim)]
+    pivot = rng.randrange(dim)
+    weight[pivot] = Q(rng.choice((1, -2, 3)), rng.choice((1, 7, 12)))
+    if kind == "mutation":
+        matrix = [[_rational(rng) for _ in range(dim)] for _ in range(dim)]
+        for j in range(dim):  # solve the pivot row so that w M = w
+            matrix[pivot][j] = ZERO
+            rest = sum((weight[k] * matrix[k][j] for k in range(dim)), ZERO)
+            matrix[pivot][j] = (weight[j] - rest) / weight[pivot]
+        algebra = make_mutation(MutationSpec.make(matrix, weight))
+        return algebra, _mutation_mul(matrix, weight), weight
+    structure = [[None] * dim for _ in range(dim)]
+    for i in range(dim):
+        for j in range(i, dim):  # solve the pivot coordinate of e_i e_j
+            col = [_rational(rng) for _ in range(dim)]
+            col[pivot] = ZERO
+            col[pivot] = (weight[i] * weight[j] - _omega(weight, col)) / weight[pivot]
+            structure[i][j] = structure[j][i] = col
+    return BaricAlgebra(dim, structure, weight), _tensor_mul(structure), weight
+
+
+@pytest.mark.parametrize("kind", ["baric", "mutation"])
+def test_evaluation_matches_fraction_oracle(kind):
+    rng = random.Random(1907 if kind == "baric" else 2137)
+    denominators = set()
+    weight_zero = 0
+    for dim in (1, 2, 3, 4, 5):
+        for _ in range(4):
+            algebra, mul, weight = _oracle_algebra(rng, kind, dim)
+            denominators |= {
+                c.denominator for p in algebra.structure for r in p for c in r
+            }
+            for _ in range(6):
+                f = random_polynomial(rng, max_degree=5).scale(Q(rng.randint(1, 9), 7))
+                bindings = {
+                    v: tuple(_rational(rng) for _ in range(dim)) for v in f.variables()
+                }
+                if dim > 1 and f and rng.random() < 0.5:  # move one binding into ker(w)
+                    v = rng.choice(f.variables())
+                    w = _omega(weight, bindings[v])
+                    anchor = algebra.weight_one_anchor()
+                    bindings[v] = tuple(x - w * a for x, a in zip(bindings[v], anchor))
+                    assert algebra.omega(bindings[v]) == 0
+                    weight_zero += 1
+                a, b = (tuple(_rational(rng) for _ in range(dim)) for _ in "ab")
+                assert algebra.mul(a, b) == mul(a, b)
+                assert evaluate(f, algebra, bindings) == _oracle_evaluate(
+                    f, mul, weight, bindings, False
+                )
+                assert weighted_evaluate(f, algebra, bindings) == _oracle_evaluate(
+                    f, mul, weight, bindings, True
+                )
+    assert all(any(den % p == 0 for den in denominators) for p in (3, 7, 4))
+    assert weight_zero > 10
+
+
+@pytest.mark.parametrize("kind", ["baric", "mutation"])
+def test_verify_identity_matches_fraction_oracle(kind):
+    rng = random.Random(5 if kind == "baric" else 6)
+    verdicts = set()
+    for dim in (1, 2, 3, 4, 5):
+        for _ in range(3):
+            algebra, mul, weight = _oracle_algebra(rng, kind, dim)
+            for f in (
+                random_polynomial(rng, max_degree=4),
+                parse("x^2 x^2 - 2 x^3 + x^2"),
+                parse("x^2 - x"),
+                standard_baric_identity(2),
+            ):
+                seed = rng.randrange(100)
+                got = verify_identity(f, algebra, trials=6, seed=seed)
+                assert got == _oracle_verify(f, algebra, mul, weight, 6, seed)
+                verdicts.add(got.passed)
+    assert verdicts == {True, False}
+
+
+def test_verify_identity_refutation_order_matches_fraction_oracle():
+    # x^2 - x vanishes at the weight-1 idempotent of a spectrum algebra, so
+    # a trial can pass in one mode and fail in the other
+    f = parse("x^2 - x")
+    seen = set()
+    for lam in (Q(2), Q(-1, 3), Q(5, 7)):
+        algebra, _ = spectrum_algebra([lam])
+        mul = _mutation_mul([[ONE, ZERO], [ZERO, 2 * lam]], [ONE, ZERO])
+        for seed in range(150):
+            got = verify_identity(f, algebra, trials=3, seed=seed)
+            assert got == _oracle_verify(f, algebra, mul, [ONE, ZERO], 3, seed)
+            seen.add((got.mode, got.failed_trial))
+    assert {("weight-1", 0), ("weighted", 0), ("weight-1", 1), ("weighted", 1)} <= seen
+
+
+def test_verify_refutations_are_pinned():
+    algebra, _ = spectrum_algebra([2])
+    f = parse("x^2 - x")
+    pinned = {
+        0: (0, "weight-1", {"x": (Q(1), Q(3))}),
+        2: (0, "weighted", {"x": (Q(1, 2), Q(1))}),
+        58: (1, "weight-1", {"x": (Q(1), Q(1))}),
+        71: (1, "weighted", {"x": (Q(-3, 2), Q(-3))}),
+    }
+    for seed, (trial, mode, point) in pinned.items():
+        assert verify_identity(f, algebra, trials=16, seed=seed) == VerificationResult(
+            False, 16, seed, trial, mode, point
+        )
+
+    algebra = random_baric_algebra(random.Random(0), 3)
+    f = standard_baric_identity(2)
+    pinned = {
+        0: {"x": (1, 3, 3), "y": (1, -3, 1), "z": (1, 0, 0)},
+        1: {"x": (1, Q(1, 2), Q(-1, 2)), "y": (1, -1, 3), "z": (1, 0, -2)},
+        3: {"x": (1, -3, 1), "y": (1, -1, 0), "z": (1, Q(3, 2), 3)},
+    }
+    for seed, point in pinned.items():
+        assert verify_identity(f, algebra, trials=16, seed=seed) == VerificationResult(
+            False, 16, seed, 0, "weight-1", point
+        )

@@ -157,3 +157,44 @@ def test_deep_monomial(capsys):
     code, out, err = run_cli(capsys, "check", "x^{1500} y")
     assert code == 0
     assert "Traceback" not in out + err
+
+
+def _write_algebra(tmp_path, name, matrix, weight):
+    path = tmp_path / name
+    spec = {"dim": len(weight), "mutation": {"matrix": matrix, "weight": weight}}
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    return str(path)
+
+
+def test_verify_deep_identity(capsys, tmp_path):
+    # a field satisfies it; the 3-dimensional mutation algebra does not
+    identity = "x^{1500} y - x^{1499} y^2"
+    field = _write_algebra(tmp_path, "field.json", [["1"]], ["1"])
+    code, out, err = run_cli(
+        capsys, "verify", "--algebra", field, "--identity", identity, "--trials", "8"
+    )
+    assert (code, out) == (0, "# seed=0 trials=8\nPASS\n")
+    assert "Traceback" not in err
+    mutation = _write_algebra(
+        tmp_path,
+        "mutation.json",
+        [["1", "0", "0"], ["0", "2", "1/2"], ["0", "0", "-1"]],
+        ["1", "0", "0"],
+    )
+    code, out, err = run_cli(
+        capsys, "verify", "--algebra", mutation, "--identity", identity, "--trials", "8"
+    )
+    assert code == 1
+    assert out.splitlines()[:2] == [
+        "# seed=0 trials=8",
+        "FAIL (weight-1 evaluation, trial 0)",
+    ]
+    assert "Traceback" not in err
+
+
+def test_verify_rejects_zero_trials(capsys, tmp_path):
+    field = _write_algebra(tmp_path, "field.json", [["1"]], ["1"])
+    code, out, err = run_cli(
+        capsys, "verify", "--algebra", field, "--identity", "x^2 - x", "--trials", "0"
+    )
+    assert (code, out, err) == (2, "", "error: trials must be >= 1\n")
