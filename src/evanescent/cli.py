@@ -9,12 +9,12 @@ on usage errors, 1 on a failed verification or a failed
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
 from . import baric, homgen, magma, syntax, trainsgen
 from .peirce import is_evanescent, peirce_recursive
-from .poly import Polynomial
 from .rationals import Q
 
 _FAMILIES = {"n": ("n",), "n,1": ("n", 1), "n,2": ("n", 2), "n,1,1": ("n", 1, 1)}
@@ -204,7 +204,9 @@ def cmd_spectrum(args, out) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing does not change it."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format", choices=("text", "jsonl"), default="text", help="output format"

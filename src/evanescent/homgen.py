@@ -12,9 +12,9 @@ import math
 from dataclasses import dataclass
 
 from .magma import Variable, monomials_of_type, normalize_type
-from .peirce import Identity, PeircePolynomial, make_identity, peirce_tree
+from .peirce import Identity, make_identity, peirce_tree
 from .poly import Polynomial
-from .rationals import ONE, Q, ZERO
+from .rationals import ONE, Q, ZERO, as_q
 
 
 class LinearSolveError(ValueError):
@@ -37,8 +37,17 @@ def rref(rows):
 
     Deterministic: scans columns left to right and picks the first row
     with a nonzero entry.  Returns (new rows, pivot column list).
+
+    The elimination runs in Python ints: each row is scaled to integers
+    by the lcm of its denominators and kept primitive (the gcd of its
+    entries divided out), and each pivot row is divided by its pivot
+    only at the end.
     """
-    m = [[Q(c) for c in row] for row in rows]
+    m = []
+    for row in rows:
+        row = [c if type(c) is int else as_q(c) for c in row]
+        d = math.lcm(*(c.denominator for c in row))
+        m.append(_primitive([c.numerator * (d // c.denominator) for c in row]))
     nrows = len(m)
     ncols = len(m[0]) if m else 0
     pivots = []
@@ -52,17 +61,26 @@ def rref(rows):
         if pivot_row is None:
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = ONE / m[r][col]
-        m[r] = [c * inv for c in m[r]]
+        pivot = m[r]
+        p = pivot[col]
         for i in range(nrows):
-            if i != r and m[i][col]:
-                factor = m[i][col]
-                m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
+            a = m[i][col]
+            if a and i != r:
+                g = math.gcd(p, a)
+                pg, ag = p // g, a // g
+                m[i] = _primitive([pg * u - ag * v for u, v in zip(m[i], pivot)])
         pivots.append(col)
         r += 1
         if r == nrows:
             break
-    return m, pivots
+    reduced = [[Q(c, row[pc]) if c else ZERO for c in row] for row, pc in zip(m, pivots)]
+    reduced += [[ZERO] * ncols for _ in m[r:]]
+    return reduced, pivots
+
+
+def _primitive(row):
+    g = math.gcd(*row)
+    return [c // g for c in row] if g > 1 else row
 
 
 def nullspace(matrix) -> list[tuple]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 
 from .magma import Monomial, Variable, leaf, product
-from .rationals import ONE, Q, ZERO
+from .rationals import ZERO, as_q
 
 
 class UnboundVariableError(KeyError):
@@ -31,7 +31,7 @@ class Polynomial:
         cleaned = {}
         if terms:
             for m, c in terms.items():
-                c = Q(c)
+                c = as_q(c)
                 if c:
                     cleaned[m] = c
         self.terms = cleaned
@@ -48,7 +48,7 @@ class Polynomial:
 
     @classmethod
     def monomial(cls, m: Monomial, coeff=1) -> "Polynomial":
-        c = Q(coeff)
+        c = as_q(coeff)
         return cls._raw({m: c} if c else {})
 
     @classmethod
@@ -109,7 +109,7 @@ class Polynomial:
         return self.scale(other)
 
     def scale(self, c) -> "Polynomial":
-        c = Q(c)
+        c = as_q(c)
         if not c:
             return Polynomial.zero()
         return Polynomial._raw({m: c * v for m, v in self.terms.items()})

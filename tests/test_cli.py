@@ -1,9 +1,6 @@
-import io
 import json
 
-import pytest
-
-from evanescent.cli import main
+from evanescent.cli import build_parser, main
 from evanescent.syntax import parse
 
 
@@ -198,3 +195,30 @@ def test_verify_rejects_zero_trials(capsys, tmp_path):
         capsys, "verify", "--algebra", field, "--identity", "x^2 - x", "--trials", "0"
     )
     assert (code, out, err) == (2, "", "error: trials must be >= 1\n")
+
+
+def test_main_calls_share_one_parser(capsys):
+    calls = [
+        ("wnumber", "--type", "4,1"),
+        ("nonsense",),  # rejected by the parser
+        ("train", "--of", "x^2 x^2"),
+        ("peirce", "x^2 y", "--var", "x y"),  # ValueError
+        ("train", "--type", "n,1"),  # rejected by the command
+        ("enum", "--type", "4", "--format", "jsonl"),
+        ("check", "x^2 - x", "--expect-evanescent"),
+        ("wnumber", "--type", "4,1"),
+    ]
+    shared = [run_cli(capsys, *argv) for argv in calls]
+    assert build_parser() is build_parser()
+    # each call on a parser of its own, as when every call built one
+    fresh = []
+    for argv in calls:
+        build_parser.cache_clear()
+        fresh.append(run_cli(capsys, *argv))
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 2, 0, 2, 2, 0, 1, 0]
+    assert shared[0] == shared[-1] == (0, "9\n", "")
+    assert shared[1][2].startswith("usage: evanescent")
+    assert shared[2] == (0, "x^2 x^2 - 2 x^3 + x^2\n", "")
+    assert shared[3] == (2, "", "error: --var takes a single variable name\n")
+    assert shared[4] == (2, "", "error: family types like 'n,1' need --all MAXDEG\n")

@@ -1,8 +1,9 @@
+import random
+
 import pytest
 
 from evanescent import homgen
 from evanescent.homgen import (
-    ExactMatrix,
     LinearSolveError,
     FactoredSystem,
     SpanChecker,
@@ -17,9 +18,9 @@ from evanescent.homgen import (
 )
 from evanescent import trainsgen
 from evanescent.magma import monomials_of_type, w_number
-from evanescent.peirce import PeircePolynomial, peirce_tree
-from evanescent.rationals import ONE, Q, ZERO
-from evanescent.syntax import parse, parse_monomial
+from evanescent.peirce import peirce_tree
+from evanescent.rationals import ONE, Q
+from evanescent.syntax import parse
 
 # exact dimensions, frozen after a first run; the paper proves only the
 # lower bounds asserted in test_dimension_bounds
@@ -39,6 +40,76 @@ def test_rref_identity():
     m, pivots = rref([[1, 0], [0, 1]])
     assert pivots == [0, 1]
     assert m == [[1, 0], [0, 1]]
+
+
+def fraction_rref(rows):
+    """The reference: Gauss-Jordan elimination in Fractions, normalizing
+    each pivot row as it goes."""
+    m = [[Q(c) for c in row] for row in rows]
+    nrows = len(m)
+    ncols = len(m[0]) if m else 0
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        pivot_row = None
+        for i in range(r, nrows):
+            if m[i][col]:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        inv = ONE / m[r][col]
+        m[r] = [c * inv for c in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][col]:
+                factor = m[i][col]
+                m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
+        pivots.append(col)
+        r += 1
+        if r == nrows:
+            break
+    return m, pivots
+
+
+def random_rational_matrix(rng):
+    nrows, ncols = rng.randint(1, 7), rng.randint(1, 8)
+
+    def entry():
+        if rng.random() < 0.4:
+            return 0
+        return Q(rng.randint(-9, 9), rng.choice([1, 1, 2, 3, 7, 6, 21]))
+
+    rows = [[entry() for _ in range(ncols)] for _ in range(nrows)]
+    for _ in range(rng.randint(0, 2)):
+        kind = rng.choice(["duplicate", "multiple", "combination", "zero column"])
+        if kind == "zero column":
+            col = rng.randrange(ncols)
+            for row in rows:
+                row[col] = 0
+        elif kind == "combination" and nrows > 1:
+            a, b = rng.sample(range(len(rows)), 2)
+            s, t = Q(rng.randint(-3, 3), 7), Q(rng.randint(-3, 3), 2)
+            rows.append([s * u + t * v for u, v in zip(rows[a], rows[b])])
+        else:
+            row = rng.choice(rows)
+            scale = 1 if kind == "duplicate" else Q(rng.choice([-3, 2, 5]), rng.choice([2, 3, 7]))
+            rows.insert(rng.randrange(len(rows) + 1), [scale * c for c in row])
+    return rows
+
+
+def test_rref_matches_fraction_elimination():
+    rng = random.Random(7)
+    for _ in range(600):
+        rows = random_rational_matrix(rng)
+        assert rref(rows) == fraction_rref(rows), rows
+    assert rref([]) == fraction_rref([]) == ([], [])
+    assert rref([[0, 0], [0, 0]]) == ([[0, 0], [0, 0]], [])
+    for ty in [(5, 1, 1), (6, 2)]:
+        rows = peirce_matrix(ty).rows
+        got, pivots = rref(rows)
+        assert (got, pivots) == fraction_rref(rows)
+        assert all(type(c) is Q for row in got for c in row)
 
 
 def test_nullspace_trivial_cases():

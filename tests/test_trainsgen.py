@@ -16,17 +16,16 @@ from evanescent.magma import (
     type_vector,
     w_number,
 )
-from evanescent.peirce import is_evanescent
+from evanescent.peirce import is_evanescent, peirce_tree
 from evanescent.poly import Polynomial
-from evanescent.rationals import Q
 from evanescent.syntax import format_polynomial, parse, parse_monomial
 from evanescent.trainsgen import (
     BasisMonomialError,
     ShapeError,
-    classify,
     classify_type,
     excluded_basis,
     generate_train_basis,
+    is_basis_monomial,
     reduce,
     solve_Pw,
     train_identity,
@@ -159,27 +158,226 @@ def test_uniqueness_perturbation():
             assert not is_evanescent(perturbed).is_evanescent_identity
 
 
-def test_classify_basis_shapes():
-    assert classify(principal_power(X, 4)).kind == "xpow"
-    assert classify(product(principal_power(X, 3), leaf(Y))).kind == "pmix"
-    assert classify(left_iterate(X, 2, leaf(Y))).kind == "imix"
-    assert classify(product(leaf(X), leaf(Y))).kind == "imix"
-    assert classify(product(left_iterate(X, 2, leaf(Y)), leaf(Y))).kind == "pair"
-    assert classify(left_iterate(X, 1, product(leaf(Y), leaf(Y)))).kind == "square"
-    assert classify(left_iterate(X, 2, product(leaf(Y), leaf(Z)))).kind == "prodyz"
-    tri = left_iterate(X, 1, product(product(leaf(X), leaf(Z)), leaf(Y)))
-    got = classify(tri)
-    assert got.kind == "triple" and got.letters == (Z, Y)
-    assert classify(parse_monomial("x^2 x^2")) is None
-    assert classify(parse_monomial("x (x^2 y)")) is None
+def test_basis_predicate_shapes():
+    basis = [
+        principal_power(X, 4),
+        product(principal_power(X, 3), leaf(Y)),
+        left_iterate(X, 2, leaf(Y)),
+        product(leaf(X), leaf(Y)),
+        product(left_iterate(X, 2, leaf(Y)), leaf(Y)),
+        left_iterate(X, 1, product(leaf(Y), leaf(Y))),
+        left_iterate(X, 2, product(leaf(Y), leaf(Z))),
+        left_iterate(X, 1, product(product(leaf(X), leaf(Z)), leaf(Y))),
+    ]
+    basis += [parse_monomial(t) for t in ["x^3 z", "x (x z)", "y z", "(x z) y"]]
+    for w in basis:
+        assert is_basis_monomial(w), w
+    for text in ["x^2 x^2", "x (x^2 y)", "x^2 (x z)"]:
+        assert not is_basis_monomial(parse_monomial(text)), text
 
 
-def test_rule_sources_mostly_family():
-    # force a few reductions, then inspect how rules were obtained
-    generate_train_basis((4, 1, 1))
-    sources = trainsgen.rule_sources()
-    derived = {k for k, v in sources.items() if v == "derived"}
-    # only the product of two principal-mixed factors in different
-    # variables lacks a usable closed form
-    for key in derived:
-        assert key[0] == "pmix" and key[3] == "pmix" and key[2] != key[5]
+# ---------------------------------------------------------------------------
+# the paper's closed forms for the product of two basis monomials, kept as
+# an independent check of the rules that reduce derives by the solve
+
+
+def _P(k):
+    return principal_power(X, k)
+
+
+def _PM(k, t):
+    return product(_P(k), leaf(t))
+
+
+def _IM(r, t):
+    return left_iterate(X, r, leaf(t))
+
+
+def _PAIR(r):
+    return product(_IM(r, Y), leaf(Y))
+
+
+def _SQ(s):
+    return left_iterate(X, s, product(leaf(Y), leaf(Y)))
+
+
+def _YZ(r):
+    return left_iterate(X, r, product(leaf(Y), leaf(Z)))
+
+
+def _TRI(r, t1, t2):
+    return left_iterate(X, r, product(product(leaf(X), leaf(t1)), leaf(t2)))
+
+
+def _combo(*terms) -> Polynomial:
+    total = {}
+    for coeff, monomial in terms:
+        total[monomial] = total.get(monomial, 0) + coeff
+    return Polynomial(total)
+
+
+def _family_expansion(kind1, p1, l1, kind2, p2, l2):
+    """Closed-form right-hand side for a product of two basis monomials,
+    or None where the paper gives none."""
+    pair = (kind1, kind2)
+    if pair == ("xpow", "xpow"):
+        return _combo((1, _P(p1 + 1)), (1, _P(p2 + 1)), (-1, _P(2)))
+    if pair == ("xpow", "pmix"):
+        t = l2[0]
+        if p1 == 1:
+            return _combo((1, _IM(2, t)), (1, _PM(p2 + 1, t)), (-1, _PM(2, t)))
+        return _combo(
+            (1, _IM(2, t)),
+            (1, _PM(p1, t)),
+            (1, _PM(p2 + 1, t)),
+            (-1, _PM(2, t)),
+            (-1, _IM(1, t)),
+        )
+    if pair == ("xpow", "imix"):
+        t = l2[0]
+        if p1 == 1:
+            return Polynomial.monomial(_IM(p2 + 1, t))
+        return _combo((1, _PM(p1, t)), (1, _IM(p2 + 1, t)), (-1, _IM(1, t)))
+    if pair == ("xpow", "pair"):
+        if p1 == 1:
+            return _combo((1, _PAIR(p2 + 1)), (-1, _PAIR(1)), (1, _SQ(1)))
+        return _combo(
+            (2, _PAIR(p1 - 1)),
+            (1, _PAIR(p2 + 1)),
+            (-1, _SQ(p1 - 1)),
+            (-1, _PAIR(1)),
+            (1, _SQ(1)),
+            (-1, _SQ(0)),
+        )
+    if pair == ("xpow", "square"):
+        if p1 == 1:
+            return Polynomial.monomial(_SQ(p2 + 1))
+        return _combo(
+            (2, _PAIR(p1 - 1)),
+            (-1, _SQ(p1 - 1)),
+            (1, _SQ(p2 + 1)),
+            (-1, _SQ(0)),
+        )
+    if pair == ("xpow", "prodyz"):
+        if p1 == 1:
+            return Polynomial.monomial(_YZ(p2 + 1))
+        terms = []
+        for i in range(p1 - 1):
+            terms += [(1, _TRI(i, Y, Z)), (1, _TRI(i, Z, Y)), (-2, _YZ(i))]
+        terms += [(-1, _YZ(p1 - 1)), (1, _YZ(p2 + 1)), (1, _YZ(0))]
+        return _combo(*terms)
+    if pair == ("xpow", "triple"):
+        t1, t2 = l2
+        if p1 == 1:
+            return Polynomial.monomial(_TRI(p2 + 1, t1, t2))
+        terms = []
+        for i in range(p1 - 1):
+            terms += [(1, _TRI(i, Y, Z)), (1, _TRI(i, Z, Y)), (-2, _YZ(i))]
+        terms += [(1, _TRI(p2 + 1, t1, t2)), (-1, _YZ(p1 - 1)), (1, _YZ(0))]
+        return _combo(*terms)
+    if pair == ("pmix", "pmix"):
+        if l1[0] == l2[0]:
+            return _combo(
+                (2, _PAIR(p1)),
+                (2, _PAIR(p2)),
+                (-1, _SQ(p1)),
+                (-1, _SQ(p2)),
+                (-2, _PAIR(1)),
+                (2, _SQ(1)),
+                (-1, _SQ(0)),
+            )
+        return None
+    if pair == ("pmix", "imix"):
+        if l1[0] == l2[0]:
+            return _combo(
+                (2, _PAIR(p1)),
+                (1, _PAIR(p2)),
+                (-1, _SQ(p1)),
+                (-1, _PAIR(1)),
+                (1, _SQ(1)),
+                (-1, _SQ(0)),
+            )
+        t1, t2 = l1[0], l2[0]
+        if p2 == 0:
+            terms = []
+            for i in range(1, p1):
+                terms += [(1, _TRI(i, t1, t2)), (1, _TRI(i, t2, t1)), (-2, _YZ(i))]
+            terms += [(-1, _YZ(p1)), (1, _TRI(0, t1, t2)), (1, _YZ(1))]
+            return _combo(*terms)
+        terms = []
+        for i in range(p1):
+            terms += [(1, _TRI(i, t1, t2)), (1, _TRI(i, t2, t1)), (-2, _YZ(i))]
+        for i in range(1, p2):
+            terms += [(1, _TRI(i, t2, t1)), (-1, _YZ(i))]
+        terms += [(-1, _YZ(p1)), (1, _YZ(1)), (1, _YZ(0))]
+        return _combo(*terms)
+    if pair == ("imix", "imix"):
+        if l1[0] == l2[0]:
+            return _combo((1, _PAIR(p1)), (1, _PAIR(p2)), (-1, _SQ(0)))
+        t1, t2 = l1[0], l2[0]
+        terms = []
+        for i in range(p1):
+            terms += [(1, _TRI(i, t1, t2)), (-1, _YZ(i))]
+        for i in range(p2):
+            terms += [(1, _TRI(i, t2, t1)), (-1, _YZ(i))]
+        terms += [(1, _YZ(0))]
+        return _combo(*terms)
+    return None
+
+
+_KIND_ORDER = {"xpow": 0, "pmix": 1, "imix": 2, "pair": 3, "square": 4,
+               "prodyz": 5, "triple": 6}
+
+
+def _basis_kinds(max_degree):
+    """Every basis monomial in the letters x, y, z up to max_degree,
+    mapped to its (kind, parameter, letters)."""
+    kinds = {}
+    for k in range(1, max_degree + 1):
+        kinds[_P(k)] = ("xpow", k, ())
+        for t in (Y, Z):
+            kinds[_IM(k - 1, t)] = ("imix", k - 1, (t,))
+            if k >= 2:
+                kinds[_PM(k, t)] = ("pmix", k, (t,))
+        kinds[_PAIR(k)] = ("pair", k, ())
+        kinds[_SQ(k - 1)] = ("square", k - 1, ())
+        kinds[_YZ(k - 1)] = ("prodyz", k - 1, ())
+        kinds[_TRI(k - 1, Y, Z)] = ("triple", k - 1, (Y, Z))
+        kinds[_TRI(k - 1, Z, Y)] = ("triple", k - 1, (Z, Y))
+    return kinds
+
+
+def test_closed_forms_equal_derived_rules(monkeypatch):
+    # every rule reached by the train types to degree 9, from empty caches
+    monkeypatch.setattr(trainsgen, "_RULES", {})
+    monkeypatch.setattr(trainsgen, "_REDUCE_CACHE", {})
+    for suffix in [(), (1,), (2,), (1, 1)]:
+        for n in range(1, 10 - sum(suffix)):
+            generate_train_basis((n,) + suffix)
+    kinds = _basis_kinds(9)
+    closed, without = 0, []
+    for pattern, rule in trainsgen._RULES.items():
+        diff = Polynomial.monomial(pattern) - rule
+        assert rule.at_ones() == 1
+        assert all(peirce_tree(diff, v).is_zero for v in diff.variables())
+        factors = sorted(
+            (kinds[pattern.left], kinds[pattern.right]),
+            key=lambda c: (_KIND_ORDER[c[0]], c[1]),
+        )
+        expected = _family_expansion(*factors[0], *factors[1])
+        if expected is None:
+            without.append(factors)
+            continue
+        assert expected == rule, pattern
+        closed += 1
+    # 363 products: counted per ordered pair of factors, as rules were
+    # once keyed, they are 356 closed forms and 12 without, because three
+    # imix x imix and two pmix x pmix products in y and z are reached in
+    # both orders
+    assert closed == 353
+    # only a product of two principal-mixed factors in different letters
+    # has no closed form
+    assert len(without) == 10
+    for (k1, _, l1), (k2, _, l2) in without:
+        assert k1 == k2 == "pmix" and l1 != l2
+    assert trainsgen.rule_sources() == dict.fromkeys(trainsgen._RULES, "derived")
