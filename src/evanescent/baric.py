@@ -27,17 +27,11 @@ from math import lcm, prod
 from .magma import Monomial, Variable, leaf
 from .peirce import PeircePolynomial
 from .poly import Polynomial, UnboundVariableError
-from .rationals import ONE, Q, ZERO, as_q
+from .rationals import ONE, Q, ZERO, as_ints, as_q
 
 
 class AlgebraError(ValueError):
     pass
-
-
-def _scaled(vec):
-    """(den, ints) with vec = ints / den, for rationals or ints."""
-    den = lcm(*(c.denominator for c in vec))
-    return den, [c.numerator * (den // c.denominator) for c in vec]
 
 
 class BaricAlgebra:
@@ -55,11 +49,9 @@ class BaricAlgebra:
         for plane in planes:
             if len(plane) != d or any(len(row) != d for row in plane):
                 raise AlgebraError("dimension mismatch in structure")
-        den = lcm(*(c.denominator for plane in planes for row in plane for c in row))
-        numerators = [
-            [[c.numerator * (den // c.denominator) for c in row] for row in plane]
-            for plane in planes
-        ]
+        den, flat = as_ints([c for plane in planes for row in plane for c in row])
+        rows = [flat[k * d : (k + 1) * d] for k in range(d * d)]
+        numerators = [rows[i * d : (i + 1) * d] for i in range(d)]
         self._setup(d, den, numerators, weight)
 
     @classmethod
@@ -75,7 +67,7 @@ class BaricAlgebra:
             [tuple((k, n) for k, n in enumerate(row) if n) for row in plane]
             for plane in numerators
         ]
-        self._weight_den, self._weight_ints = _scaled(weight)
+        self._weight_den, self._weight_ints = as_ints(weight)
         self._validate(rows)
         self._pairs = tuple(
             (i, j, rows[i][j]) for i in range(dim) for j in range(i, dim) if rows[i][j]
@@ -121,8 +113,8 @@ class BaricAlgebra:
         return out
 
     def mul(self, a, b):
-        den_a, a = _scaled(a)
-        den_b, b = _scaled(b)
+        den_a, a = as_ints(a)
+        den_b, b = as_ints(b)
         den = self._den * den_a * den_b
         return tuple(Q(n, den) for n in self._times(a, b))
 
@@ -178,9 +170,9 @@ def make_mutation(spec: MutationSpec) -> BaricAlgebra:
     if not any(w):
         raise AlgebraError("weight must be nonzero")
     # M = m / mden and w = wi / wden over ints
-    mden, flat = _scaled([c for row in spec.matrix for c in row])
+    mden, flat = as_ints([c for row in spec.matrix for c in row])
     m = [flat[k * d : (k + 1) * d] for k in range(d)]
-    wden, wi = _scaled(w)
+    wden, wi = as_ints(w)
     for j in range(d):
         if sum(wi[k] * m[k][j] for k in range(d)) != wi[j] * mden:
             raise AlgebraError("weight is not fixed by the mutation map")
@@ -217,7 +209,7 @@ def _check_bindings(f: Polynomial, algebra: BaricAlgebra, bindings: dict):
             raise AlgebraError(
                 f"binding for {v.name} has dimension {len(vec)}, expected {algebra.dim}"
             )
-        scaled[v] = _scaled(vec)
+        scaled[v] = as_ints(vec)
     for v in f.variables():
         if v not in scaled:
             raise UnboundVariableError(v)
@@ -339,7 +331,7 @@ def verify_identity(
     d = algebra.dim
     # the weight-1 anchor and the kernel basis, as int vectors over frame_den
     frame = (algebra.weight_one_anchor(), *algebra.kernel_basis())
-    frame_den, flat = _scaled([c for vec in frame for c in vec])
+    frame_den, flat = as_ints([c for vec in frame for c in vec])
     anchor, *kernel = [flat[i : i + d] for i in range(0, len(flat), d)]
     for trial in range(trials):
         rng = random.Random(seed * 1_000_003 + trial)
@@ -451,7 +443,7 @@ def rational_roots(p: PeircePolynomial):
             return None
         return list(reversed(out[:-1]))
 
-    _, ints = _scaled(coeffs)
+    _, ints = as_ints(coeffs)
     candidates = set()
     if ints:
         a0, an = ints[0], ints[-1]

@@ -4,6 +4,15 @@ For a type, the coefficients of t^k in every Peirce polynomial of the
 enumerated monomials, together with the coefficient-sum condition, form
 a linear system over Q; its nullspace is exactly the space of
 homogeneous evanescent identities of that type.
+
+The elimination is fraction-free: ``rref`` puts each row over the lcm of
+its denominators and eliminates in Python ints, keeping every row
+primitive (the gcd of its entries divided out).  It returns one int row
+per pivot, with no division; a row divided by its pivot entry is a row of
+the reduced row-echelon form over Q.  ``factor``, ``nullspace`` and
+``homogeneous_dimension`` read those int rows directly.  ``Q`` comes back
+only in ``_dot`` (one division per solution entry) and in the support of
+each nullspace vector.
 """
 
 from __future__ import annotations
@@ -11,10 +20,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .magma import Variable, monomials_of_type, normalize_type
-from .peirce import Identity, make_identity, peirce_tree
+from .magma import Monomial, Variable, monomials_of_type, normalize_type
+from .peirce import Identity, height_counts, make_identity
 from .poly import Polynomial
-from .rationals import ONE, Q, ZERO, as_q
+from .rationals import ONE, Q, ZERO, as_ints, as_q
 
 
 class LinearSolveError(ValueError):
@@ -33,21 +42,18 @@ class ExactMatrix:
 
 
 def rref(rows):
-    """Reduced row-echelon form over Q.
+    """Fraction-free reduced row-echelon form of rows of ints or rationals.
 
     Deterministic: scans columns left to right and picks the first row
-    with a nonzero entry.  Returns (new rows, pivot column list).
-
-    The elimination runs in Python ints: each row is scaled to integers
-    by the lcm of its denominators and kept primitive (the gcd of its
-    entries divided out), and each pivot row is divided by its pivot
-    only at the end.
+    with a nonzero entry.  Returns (int rows, pivot columns), one row per
+    pivot: row i is primitive, its entry at pivots[i] is positive, and
+    divided by that entry it is row i of the reduced row-echelon form
+    over Q.  Zero rows are dropped, so the rank is len(pivots).
     """
     m = []
     for row in rows:
-        row = [c if type(c) is int else as_q(c) for c in row]
-        d = math.lcm(*(c.denominator for c in row))
-        m.append(_primitive([c.numerator * (d // c.denominator) for c in row]))
+        _, ints = as_ints([c if type(c) is int else as_q(c) for c in row])
+        m.append(_primitive(ints))
     nrows = len(m)
     ncols = len(m[0]) if m else 0
     pivots = []
@@ -73,9 +79,7 @@ def rref(rows):
         r += 1
         if r == nrows:
             break
-    reduced = [[Q(c, row[pc]) if c else ZERO for c in row] for row, pc in zip(m, pivots)]
-    reduced += [[ZERO] * ncols for _ in m[r:]]
-    return reduced, pivots
+    return [row if row[pc] > 0 else [-c for c in row] for row, pc in zip(m, pivots)], pivots
 
 
 def _primitive(row):
@@ -86,8 +90,10 @@ def _primitive(row):
 def nullspace(matrix) -> list[tuple]:
     """Deterministic basis of the right nullspace.
 
-    Each vector is normalized so its first nonzero entry is 1; vectors
-    are ordered by the position of that entry.
+    One vector per free column f: 1 at f and -row[f] / row[pc] at the
+    pivot column pc of each int row of ``rref``, normalized so its first
+    nonzero entry is 1.  Vectors are dense tuples of Q, ordered by the
+    position of that entry, then as tuples.
     """
     rows = matrix.rows if isinstance(matrix, ExactMatrix) else matrix
     if not rows:
@@ -98,15 +104,18 @@ def nullspace(matrix) -> list[tuple]:
     free_cols = [c for c in range(ncols) if c not in pivot_set]
     basis = []
     for free in free_cols:
+        # the support: at most rank + 1 entries
+        support = {free: ONE}
+        for row, pc in zip(reduced, pivots):
+            if row[free]:
+                support[pc] = Q(-row[free], row[pc])
+        lead = min(support)
+        scale = support[lead]
         vec = [ZERO] * ncols
-        vec[free] = ONE
-        for i, pc in enumerate(pivots):
-            vec[pc] = -reduced[i][free]
-        lead = next(i for i, c in enumerate(vec) if c)
-        inv = ONE / vec[lead]
-        vec = tuple(c * inv for c in vec)
-        basis.append((lead, vec))
-    basis.sort(key=lambda lv: (lv[0], lv[1]))
+        for j, c in support.items():
+            vec[j] = c / scale
+        basis.append((lead, tuple(vec)))
+    basis.sort()
     return [vec for _, vec in basis]
 
 
@@ -118,7 +127,8 @@ class FactoredSystem:
     holds one (pivot column, row of E) pair per pivot of A, and
     ``consistency`` the rows of E whose product with A is zero; they span
     the left nullspace of A.  A row of E is kept as (d, ((j, n_j), ...)):
-    its nonzero entries are n_j / d with integer n_j.
+    its nonzero entries are n_j / d, where n_j is entry ncols + j of an
+    int row of ``rref`` and d is that row's pivot entry.
     """
 
     ncols: int
@@ -130,21 +140,14 @@ def factor(rows) -> FactoredSystem:
     """Reduce [A | I] once; see FactoredSystem."""
     nrows = len(rows)
     ncols = len(rows[0])
-    augmented = [
-        list(row) + [ONE if j == i else ZERO for j in range(nrows)]
-        for i, row in enumerate(rows)
-    ]
+    augmented = [list(row) + [int(j == i) for j in range(nrows)] for i, row in enumerate(rows)]
     reduced, pivots = rref(augmented)
-
-    def left_part(row):
-        entries = [(j, c) for j, c in enumerate(row[ncols:]) if c]
-        d = math.lcm(*(c.denominator for _, c in entries))
-        return d, tuple((j, int(c * d)) for j, c in entries)
-
+    left = [
+        (row[pc], tuple((j, n) for j, n in enumerate(row[ncols:]) if n))
+        for row, pc in zip(reduced, pivots)
+    ]
     rank = sum(1 for pc in pivots if pc < ncols)
-    solution = tuple((pc, left_part(row)) for pc, row in zip(pivots, reduced[:rank]))
-    consistency = tuple(left_part(row) for row in reduced[rank:])
-    return FactoredSystem(ncols, solution, consistency)
+    return FactoredSystem(ncols, tuple(zip(pivots, left[:rank])), tuple(left[rank:]))
 
 
 def _dot(row, vec):
@@ -171,47 +174,36 @@ def solve_unique(system, rhs) -> tuple:
     return tuple(solution)
 
 
-class SpanChecker:
-    """Membership test against the row span of a fixed set of vectors."""
+def peirce_column(m: Monomial, ty) -> list[int]:
+    """Column of m in the Peirce matrix of type ty, as ints.
 
-    def __init__(self, vectors):
-        self.ncols = len(vectors[0]) if vectors else 0
-        self.reduced, self.pivots = rref(vectors) if vectors else ([], [])
-
-    def residual(self, vec):
-        vec = [Q(c) for c in vec]
-        for row, pc in zip(self.reduced, self.pivots):
-            factor = vec[pc]
-            if factor:
-                vec = [a - factor * b for a, b in zip(vec, row)]
-        return tuple(vec)
-
-    def contains(self, vec) -> bool:
-        return not any(self.residual(vec))
+    For each variable of ty in turn, the coefficients of t^1 .. t^(d-1)
+    in m's Peirce polynomial (d = sum(ty)), then 1 for the coefficient
+    sum.  The t^0 coefficient is zero for every monomial of degree >= 2,
+    so it is left out.
+    """
+    degree = sum(ty)
+    column = []
+    for i, count in enumerate(ty):
+        if count:
+            column += (height_counts(m, i + 1) + [0] * degree)[1:degree]
+    column.append(1)
+    return column
 
 
 def peirce_matrix(ty) -> ExactMatrix:
     """Coefficient matrix of the evanescence conditions for a type.
 
-    One row per (variable, power of t) pair with powers 1..(degree-1),
-    plus a final all-ones row for the coefficient-sum condition;
-    columns follow the canonical enumeration of the type's monomials.
+    One int row per (variable, power of t) pair with powers
+    1..(degree-1), plus a final all-ones row for the coefficient-sum
+    condition; column k is ``peirce_column`` of monomial k in the
+    canonical enumeration of the type's monomials.
     """
     ty = normalize_type(ty)
     monomials = monomials_of_type(ty)
-    total_degree = sum(ty)
-    active = [Variable(i + 1) for i, c in enumerate(ty) if c]
-    rows = []
-    row_labels = []
-    ppolys = {
-        (v, m): peirce_tree(m, v) for v in active for m in monomials
-    }
-    for v in active:
-        for power in range(1, total_degree):
-            rows.append([ppolys[(v, m)].coefficient(power) for m in monomials])
-            row_labels.append((v.name, power))
-    rows.append([ONE] * len(monomials))
-    row_labels.append(("sum", 0))
+    rows = [list(row) for row in zip(*(peirce_column(m, ty) for m in monomials))]
+    active = [Variable(i + 1).name for i, count in enumerate(ty) if count]
+    row_labels = [(v, power) for v in active for power in range(1, sum(ty))] + [("sum", 0)]
     return ExactMatrix(rows=rows, row_labels=row_labels, col_labels=list(monomials))
 
 
@@ -233,4 +225,7 @@ def generate_homogeneous(ty) -> list[Identity]:
 
 
 def homogeneous_dimension(ty) -> int:
-    return len(homogeneous_nullspace(ty)[1])
+    """Dimension of the homogeneous evanescent identities of a type: the
+    nullity of its Peirce matrix, read from the rank alone."""
+    matrix = peirce_matrix(ty)
+    return matrix.shape[1] - len(rref(matrix.rows)[1])

@@ -1,14 +1,13 @@
 """Exact rational scalars used throughout the library.
 
-gmpy2's mpq is preferred (much faster under heavy arithmetic);
-fractions.Fraction is the fallback.  Both are always normalized,
-hashable, and mix freely with ints.
+``Q`` is ``fractions.Fraction``: always normalized, hashable, and mixing
+freely with ints.  The hot loops (elimination in ``homgen``, evaluation
+in ``baric``) run in Python ints instead: ``as_ints`` puts a vector over
+the lcm of its denominators, and ``Q`` comes back only in results.
 """
 
-try:
-    from gmpy2 import mpq as Q
-except ImportError:  # pragma: no cover
-    from fractions import Fraction as Q
+import math
+from fractions import Fraction as Q
 
 ZERO = Q(0)
 ONE = Q(1)
@@ -17,3 +16,10 @@ ONE = Q(1)
 def as_q(c):
     """c as Q, without reconverting a Q (Fraction(Fraction) is slow)."""
     return c if type(c) is Q else Q(c)
+
+
+def as_ints(vec):
+    """(den, ints) with vec = ints / den over the lcm den of the
+    denominators of vec's entries, which are ints or Q."""
+    den = math.lcm(*(c.denominator for c in vec))
+    return den, [c.numerator * (den // c.denominator) for c in vec]

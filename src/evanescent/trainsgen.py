@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import functools
 
-from .homgen import factor, solve_unique
+from .homgen import factor, peirce_column, solve_unique
 from .magma import (
     Monomial,
     Variable,
@@ -36,7 +36,7 @@ from .magma import (
     product,
     type_vector,
 )
-from .peirce import Identity, height_counts, make_identity
+from .peirce import Identity, make_identity
 from .poly import Polynomial
 
 SHAPES = ("n", "n1", "n2", "n11")
@@ -163,15 +163,6 @@ def _bases(ty):
 # exact linear solve over the span
 
 
-def _peirce_vector(m: Monomial, ty) -> list[int]:
-    """Coefficients of t^0 .. t^(deg-1) in m's Peirce polynomial in x, y, z."""
-    vec = []
-    for v in [X, Y, Z][: len(ty)]:
-        counts = height_counts(m, v.index)
-        vec += counts + [0] * (sum(ty) - len(counts))
-    return vec
-
-
 # canonical type -> (span basis, factored system of its Peirce conditions)
 _SPAN_SYSTEMS: dict[tuple, tuple] = {}
 
@@ -179,13 +170,13 @@ _SPAN_SYSTEMS: dict[tuple, tuple] = {}
 def _span_system(ty):
     """The span basis of a canonical type and its system, factored once.
 
-    Column k of the system is the Peirce vector of basis monomial k over
-    a final 1 (the coefficient-sum condition).
+    Column k of the system is the Peirce column of basis monomial k: its
+    Peirce coefficients and the coefficient-sum condition.
     """
     got = _SPAN_SYSTEMS.get(ty)
     if got is None:
         basis = span_basis(ty)
-        columns = [_peirce_vector(m, ty) + [1] for m in basis]
+        columns = [peirce_column(m, ty) for m in basis]
         got = _SPAN_SYSTEMS[ty] = (basis, factor(list(zip(*columns))))
     return got
 
@@ -194,7 +185,7 @@ def _solve_in_span(w: Monomial) -> Polynomial:
     """Unique P in the span with matching Peirce polynomials and sum 1."""
     ty = type_vector(w)
     basis, system = _span_system(ty)
-    solution = solve_unique(system, _peirce_vector(w, ty) + [1])
+    solution = solve_unique(system, peirce_column(w, ty))
     return Polynomial({m: c for m, c in zip(basis, solution) if c})
 
 

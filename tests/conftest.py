@@ -4,7 +4,7 @@ import random
 import pytest
 
 from evanescent import magma, poly
-from evanescent.rationals import Q
+from evanescent.rationals import ONE, Q
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
@@ -39,3 +39,52 @@ def rng():
 def corpus_lines(kind, name):
     path = CORPUS / kind / f"{name}.txt"
     return [l for l in path.read_text(encoding="utf-8").splitlines() if l.strip()]
+
+
+def fraction_rref(rows):
+    """The reference: Gauss-Jordan elimination in Fractions, normalizing
+    each pivot row as it goes.  Returns all rows, zero rows last."""
+    m = [[Q(c) for c in row] for row in rows]
+    nrows = len(m)
+    ncols = len(m[0]) if m else 0
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        pivot_row = None
+        for i in range(r, nrows):
+            if m[i][col]:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        inv = ONE / m[r][col]
+        m[r] = [c * inv for c in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][col]:
+                factor = m[i][col]
+                m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
+        pivots.append(col)
+        r += 1
+        if r == nrows:
+            break
+    return m, pivots
+
+
+class SpanChecker:
+    """Membership test against the row span of a fixed set of vectors,
+    by elimination in Fractions (``fraction_rref``)."""
+
+    def __init__(self, vectors):
+        self.reduced, self.pivots = fraction_rref(vectors)
+
+    def residual(self, vec):
+        vec = [Q(c) for c in vec]
+        for row, pc in zip(self.reduced, self.pivots):
+            factor = vec[pc]
+            if factor:
+                vec = [a - factor * b for a, b in zip(vec, row)]
+        return tuple(vec)
+
+    def contains(self, vec) -> bool:
+        return not any(self.residual(vec))

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -6,7 +7,6 @@ from evanescent import homgen
 from evanescent.homgen import (
     LinearSolveError,
     FactoredSystem,
-    SpanChecker,
     factor,
     generate_homogeneous,
     homogeneous_dimension,
@@ -19,8 +19,10 @@ from evanescent.homgen import (
 from evanescent import trainsgen
 from evanescent.magma import monomials_of_type, w_number
 from evanescent.peirce import peirce_tree
-from evanescent.rationals import ONE, Q
+from evanescent.rationals import ONE, Q, ZERO
 from evanescent.syntax import parse
+
+from conftest import SpanChecker, fraction_rref
 
 # exact dimensions, frozen after a first run; the paper proves only the
 # lower bounds asserted in test_dimension_bounds
@@ -40,36 +42,6 @@ def test_rref_identity():
     m, pivots = rref([[1, 0], [0, 1]])
     assert pivots == [0, 1]
     assert m == [[1, 0], [0, 1]]
-
-
-def fraction_rref(rows):
-    """The reference: Gauss-Jordan elimination in Fractions, normalizing
-    each pivot row as it goes."""
-    m = [[Q(c) for c in row] for row in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if m[i][col]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = ONE / m[r][col]
-        m[r] = [c * inv for c in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][col]:
-                factor = m[i][col]
-                m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
-        pivots.append(col)
-        r += 1
-        if r == nrows:
-            break
-    return m, pivots
 
 
 def random_rational_matrix(rng):
@@ -98,18 +70,68 @@ def random_rational_matrix(rng):
     return rows
 
 
+def assert_rref_matches_fraction_elimination(rows):
+    """rref's int rows, each divided by its pivot entry, are the nonzero
+    rows of the Fraction elimination, and each int row is primitive."""
+    got, pivots = rref(rows)
+    want, want_pivots = fraction_rref(rows)
+    assert pivots == want_pivots, rows
+    assert len(got) == len(pivots)
+    for row, pc in zip(got, pivots):
+        assert all(type(c) is int for c in row)
+        assert row[pc] > 0 and math.gcd(*row) == 1
+    assert [[Q(c, row[pc]) for c in row] for row, pc in zip(got, pivots)] == want[: len(pivots)]
+    assert not any(any(row) for row in want[len(pivots) :]), rows
+
+
 def test_rref_matches_fraction_elimination():
     rng = random.Random(7)
     for _ in range(600):
-        rows = random_rational_matrix(rng)
-        assert rref(rows) == fraction_rref(rows), rows
+        assert_rref_matches_fraction_elimination(random_rational_matrix(rng))
     assert rref([]) == fraction_rref([]) == ([], [])
-    assert rref([[0, 0], [0, 0]]) == ([[0, 0], [0, 0]], [])
+    assert rref([[0, 0], [0, 0]]) == ([], [])
     for ty in [(5, 1, 1), (6, 2)]:
-        rows = peirce_matrix(ty).rows
-        got, pivots = rref(rows)
-        assert (got, pivots) == fraction_rref(rows)
-        assert all(type(c) is Q for row in got for c in row)
+        assert_rref_matches_fraction_elimination(peirce_matrix(ty).rows)
+
+
+def fraction_nullspace(rows):
+    """The reference: a dense vector per free column of the Fraction
+    elimination, scaled so its first nonzero entry is 1, ordered by the
+    position of that entry, then as tuples."""
+    ncols = len(rows[0])
+    reduced, pivots = fraction_rref(rows)
+    basis = []
+    for free in (c for c in range(ncols) if c not in pivots):
+        vec = [ZERO] * ncols
+        vec[free] = ONE
+        for row, pc in zip(reduced, pivots):
+            vec[pc] = -row[free]
+        lead = next(i for i, c in enumerate(vec) if c)
+        basis.append((lead, tuple(c / vec[lead] for c in vec)))
+    basis.sort(key=lambda lv: (lv[0], lv[1]))
+    return [vec for _, vec in basis]
+
+
+def test_nullspace_matches_fraction_nullspace():
+    rng = random.Random(11)
+    for _ in range(400):
+        rows = random_rational_matrix(rng)
+        got = nullspace(rows)
+        assert got == fraction_nullspace(rows), rows
+        assert all(type(c) is Q for vec in got for c in vec)
+    for ty in [(5, 1, 1), (6, 2)]:
+        assert nullspace(peirce_matrix(ty)) == fraction_nullspace(peirce_matrix(ty).rows)
+    # leads 0, 0, 2: the lead goes first, and plain tuple order differs
+    rows = [[1, 1, 0, 0, Q(2, 3)], [0, 0, 0, 1, Q(-1, 7)]]
+    got = nullspace(rows)
+    assert got == fraction_nullspace(rows)
+    assert [next(i for i, c in enumerate(v) if c) for v in got] == [0, 0, 2]
+    assert got != sorted(got)
+
+
+def test_homogeneous_dimension_is_nullspace_size():
+    for ty in [(1,), (4,), (6,), (4, 1), (2, 2), (3, 2), (2, 1, 1), (3, 1, 1)]:
+        assert homogeneous_dimension(ty) == len(nullspace(peirce_matrix(ty)))
 
 
 def test_nullspace_trivial_cases():
@@ -144,6 +166,46 @@ def test_factored_system_answers_many_right_hand_sides():
     for x in [(1, 0, 0), (Q(1, 2), -3, 7), (0, 0, 0), (5, Q(2, 3), -1)]:
         rhs = [sum(Q(a) * b for a, b in zip(row, x)) for row in rows]
         assert solve_unique(system, rhs) == solve_unique(rows, rhs) == tuple(Q(c) for c in x)
+
+
+def fraction_solve(rows, rhs):
+    """The reference: solve A x = b from the Fraction elimination of [A | b]."""
+    ncols = len(rows[0])
+    reduced, pivots = fraction_rref([list(row) + [b] for row, b in zip(rows, rhs)])
+    if ncols in pivots:
+        raise LinearSolveError("inconsistent linear system")
+    if len(pivots) < ncols:
+        raise LinearSolveError("underdetermined linear system")
+    return tuple(row[ncols] for row in reduced[:ncols])
+
+
+def test_factor_on_rational_rows_matches_fraction_solve():
+    rng = random.Random(5)
+
+    def entry():
+        return Q(rng.randint(-9, 9), rng.choice([1, 2, 3, 7, 21]))
+
+    outcomes = {"solved": 0, "inconsistent linear system": 0, "underdetermined linear system": 0}
+    for _ in range(300):
+        ncols = rng.randint(1, 5)
+        rows = [[entry() for _ in range(ncols)] for _ in range(rng.randint(1, ncols + 3))]
+        if rng.random() < 0.3:
+            rows.append([Q(2, 3) * c for c in rng.choice(rows)])
+        system = factor(rows)
+        x = [entry() for _ in range(ncols)]
+        consistent = [sum(a * b for a, b in zip(row, x)) for row in rows]
+        for rhs in (consistent, [entry() for _ in rows]):
+            try:
+                want = fraction_solve(rows, rhs)
+            except LinearSolveError as exc:
+                outcomes[str(exc)] += 1
+                for target in (rows, system):
+                    with pytest.raises(LinearSolveError, match=str(exc)):
+                        solve_unique(target, rhs)
+            else:
+                outcomes["solved"] += 1
+                assert solve_unique(system, rhs) == solve_unique(rows, rhs) == want
+    assert min(outcomes.values()) > 50, outcomes
 
 
 def test_factored_system_keeps_both_checks():
