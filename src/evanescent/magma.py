@@ -204,18 +204,22 @@ def left_iterate(v, r: int, f: Monomial) -> Monomial:
 
 
 def principal_power_of(w: Monomial):
-    """(v, k) when w is the left-normed power v^k, else None."""
-    if w.is_leaf:
-        return (w.var, 1)
+    """(v, k) when w is the left-normed power v^k, else None.
+
+    In one variable, w is a principal power exactly when every node on
+    the way down has a leaf child; k is then the degree of w.
+    """
     if len(w.counts) != 1:
         return None
-    l, r = w.left, w.right
-    for a, b in ((l, r), (r, l)):
-        if a.is_leaf:
-            sub = principal_power_of(b)
-            if sub is not None and sub[0] == a.var:
-                return (a.var, sub[1] + 1)
-    return None
+    node = w
+    while not node.is_leaf:
+        if node.left.is_leaf:
+            node = node.right
+        elif node.right.is_leaf:
+            node = node.left
+        else:
+            return None
+    return (node.var, w.degree)
 
 
 def normalize_type(ty) -> tuple[int, ...]:

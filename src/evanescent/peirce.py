@@ -4,6 +4,13 @@ The Peirce polynomial of f in a variable v is the univariate image of f
 under d(t_j) = [j == v], d(uv) = t*(d(u) + d(v)).  Equivalently it is
 the height generating polynomial of the v-labelled leaves of each
 monomial's tree; both algorithms are implemented.
+
+On a polynomial, ``peirce_recursive`` and ``is_evanescent`` put the
+coefficients over one denominator once (``rationals.as_ints``), add the
+integer leaf counts of each monomial in ints, and build ``Q`` only for
+the nonzero coefficients they return; the coefficient sum is read from
+the same ints.  ``make_identity`` still checks every identity it wraps,
+including those that are evanescent by construction.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ from itertools import zip_longest
 
 from .magma import Monomial, T_FRESH, Variable, degree_in
 from .poly import Polynomial
-from .rationals import ONE, ZERO, as_q
+from .rationals import Q, ZERO, as_ints, as_q
 
 
 class PeircePolynomial:
@@ -154,15 +161,22 @@ def peirce_recursive(f, v) -> PeircePolynomial:
     idx = v.index if isinstance(v, Variable) else v
     if isinstance(f, Monomial):
         return PeircePolynomial(_peirce_counts(f, idx))
-    acc = []
-    for m, c in f.terms.items():
+    den, nums = as_ints(f.terms.values())
+    return _peirce_sum(f.terms, nums, den, idx)
+
+
+def _peirce_sum(monomials, nums, den, idx) -> PeircePolynomial:
+    """The Peirce polynomial in idx of sum(n m) / den over the monomials m
+    and ints n, added in ints; Q is built only for nonzero coefficients."""
+    acc: list[int] = []
+    for m, n in zip(monomials, nums):
         counts = _peirce_counts(m, idx)
         if len(counts) > len(acc):
-            acc.extend([ZERO] * (len(counts) - len(acc)))
+            acc.extend([0] * (len(counts) - len(acc)))
         for i, k in enumerate(counts):
             if k:
-                acc[i] += c * k
-    return PeircePolynomial(acc)
+                acc[i] += n * k
+    return PeircePolynomial([Q(a, den) if a else ZERO for a in acc])
 
 
 def _peirce_counts(m: Monomial, idx: int) -> tuple[int, ...]:
@@ -230,8 +244,9 @@ def is_evanescent(f: Polynomial) -> EvanescenceReport:
     Peirce-evanescent means f != 0 with every Peirce polynomial zero;
     an evanescent identity additionally has coefficient sum zero.
     """
-    ppolys = {v: peirce_recursive(f, v) for v in f.variables()}
-    total = f.at_ones()
+    den, nums = as_ints(f.terms.values())
+    ppolys = {v: _peirce_sum(f.terms, nums, den, v.index) for v in f.variables()}
+    total = Q(sum(nums), den)
     pe = bool(f.terms) and all(p.is_zero for p in ppolys.values())
     return EvanescenceReport(
         peirce=ppolys,

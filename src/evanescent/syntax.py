@@ -16,6 +16,11 @@ Grammar (whitespace insignificant between tokens):
 'x^{r} f' applies r-fold left multiplication by x to the factor that
 follows.  Juxtaposition associates to the LEFT: "a b c" parses as
 "(a b) c".  The input "0" denotes the zero polynomial.
+
+The printer renders each interned monomial once: ``_TEXT`` caches its
+text, and whether it is a principal power, per node.  The cache is
+filled bottom-up with an explicit stack, so printing a deep monomial
+does not recurse.
 """
 
 from __future__ import annotations
@@ -229,25 +234,52 @@ def _chain_prefix(m: Monomial):
     return r, v, m
 
 
+# monomial -> (its text, whether it is a principal power v^k)
+_TEXT: dict[Monomial, tuple[str, bool]] = {}
+
+
+def _render(m: Monomial) -> tuple[str, bool]:
+    """The cached (text, is principal power) of m, filling the cache
+    bottom-up with an explicit stack, so deep monomials do not recurse.
+
+    A principal power prints as v^k; a leading chain of r >= 2 left
+    multiplications by v as v^{r} followed by its core; any other node
+    as its larger child, then its smaller one.  A part that is not a
+    principal power is parenthesized.
+    """
+    got = _TEXT.get(m)
+    if got is not None:
+        return got
+    stack = [m]
+    while stack:
+        node = stack[-1]
+        if node in _TEXT:
+            stack.pop()
+            continue
+        pp = principal_power_of(node)
+        if pp is not None:
+            v, k = pp
+            _TEXT[node] = (v.name if k == 1 else f"{v.name}^{k}", True)
+            stack.pop()
+            continue
+        r, v, core = _chain_prefix(node)
+        if r >= 2:
+            parts = (core,)
+        else:
+            a, b = children(node)
+            parts = (b, a) if a.key < b.key else (a, b)
+        missing = [p for p in parts if p not in _TEXT]
+        if missing:
+            stack += missing
+            continue
+        text = " ".join(t if is_pp else f"({t})" for t, is_pp in map(_TEXT.get, parts))
+        _TEXT[node] = (f"{v.name}^{{{r}}} {text}" if r >= 2 else text, False)
+        stack.pop()
+    return _TEXT[m]
+
+
 def format_monomial(m: Monomial) -> str:
-    pp = principal_power_of(m)
-    if pp is not None:
-        v, k = pp
-        return v.name if k == 1 else f"{v.name}^{k}"
-    r, v, core = _chain_prefix(m)
-    if r >= 2:
-        return f"{v.name}^{{{r}}} {_wrap(core)}"
-    a, b = children(m)
-    if a.key < b.key:
-        a, b = b, a
-    return f"{_wrap(a)} {_wrap(b)}"
-
-
-def _wrap(m: Monomial) -> str:
-    s = format_monomial(m)
-    if principal_power_of(m) is not None:
-        return s
-    return f"({s})"
+    return _render(m)[0]
 
 
 def format_polynomial(f: Polynomial) -> str:

@@ -15,11 +15,20 @@ Two routes use it:
 
 On a product of two basis monomials the routes coincide; on deeper
 monomials ``reduce`` vs ``solve_Pw`` checks the rewriting.
+
+The rewriting runs in Python ints.  Each cached rule (``_RULES``) and
+each cached normal form (``_REDUCE_CACHE``) is a form (den, ((m, n),
+...)), the polynomial sum(n m) / den over one positive denominator.
+Rewriting a product accumulates its terms over the product of the two
+children's denominators and the lcm of the rules' denominators, then
+divides out the gcd once.  ``Q`` appears only at the public entry
+points, which turn a form into a ``Polynomial``.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 
 from .homgen import factor, peirce_column, solve_unique
 from .magma import (
@@ -38,6 +47,7 @@ from .magma import (
 )
 from .peirce import Identity, make_identity
 from .poly import Polynomial
+from .rationals import Q, as_ints
 
 SHAPES = ("n", "n1", "n2", "n11")
 
@@ -190,39 +200,58 @@ def _solve_in_span(w: Monomial) -> Polynomial:
 
 
 # ---------------------------------------------------------------------------
-# rewriting route
+# rewriting route, in ints: a form (den, ((m, n), ...)) is sum(n m) / den
+# with den > 0 and every n a nonzero int
 
-# product of two basis monomials -> its P, in the product's own letters
-_RULES: dict[Monomial, Polynomial] = {}
+# product of two basis monomials -> the form of its P, in the product's own letters
+_RULES: dict[Monomial, tuple] = {}
 
 
-def _rule(m1: Monomial, m2: Monomial) -> Polynomial:
+def _rule(m1: Monomial, m2: Monomial) -> tuple:
     pattern = product(m1, m2)
     got = _RULES.get(pattern)
     if got is None:
         _, pc, inverse = _canonical(pattern)
-        got = _RULES[pattern] = relabel_polynomial(_solve_in_span(pc), inverse)
+        rule = relabel_polynomial(_solve_in_span(pc), inverse)
+        den, nums = as_ints(rule.terms.values())
+        got = _RULES[pattern] = (den, tuple(zip(rule.terms, nums)))
     return got
 
 
-_REDUCE_CACHE: dict[Monomial, Polynomial] = {}
+def _rule_polynomial(pattern: Monomial) -> Polynomial:
+    """The cached rule pattern -> P(pattern), as a polynomial."""
+    return _polynomial(_RULES[pattern], {})
 
 
-def _reduce(w: Monomial) -> Polynomial:
+def _polynomial(form, inverse) -> Polynomial:
+    """The polynomial of an int form, relabelled by inverse."""
+    den, terms = form
+    return relabel_polynomial(Polynomial._raw({m: Q(n, den) for m, n in terms}), inverse)
+
+
+# monomial -> the form of its normal form
+_REDUCE_CACHE: dict[Monomial, tuple] = {}
+
+
+def _reduce(w: Monomial) -> tuple:
     got = _REDUCE_CACHE.get(w)
     if got is not None:
         return got
     if is_basis_monomial(w):
-        res = Polynomial.monomial(w)
+        res = (1, ((w, 1),))
     else:
-        fu = _reduce(w.left)
-        fv = _reduce(w.right)
-        acc: dict[Monomial, object] = {}
-        for m1, a in fu.terms.items():
-            for m2, b in fv.terms.items():
-                for m, c in _rule(m1, m2).terms.items():
-                    acc[m] = acc.get(m, 0) + a * b * c
-        res = Polynomial(acc)
+        du, fu = _reduce(w.left)
+        dv, fv = _reduce(w.right)
+        rules = [(a * b, _rule(m1, m2)) for m1, a in fu for m2, b in fv]
+        lcm = math.lcm(*(d for _, (d, _) in rules))
+        acc: dict[Monomial, int] = {}
+        for ab, (d, terms) in rules:
+            scale = ab * (lcm // d)
+            for m, c in terms:
+                acc[m] = acc.get(m, 0) + scale * c
+        den = du * dv * lcm
+        g = math.gcd(den, *acc.values())
+        res = (den // g, tuple((m, n // g) for m, n in acc.items() if n))
     _REDUCE_CACHE[w] = res
     return res
 
@@ -235,7 +264,7 @@ def _prepare(w: Monomial, shape=None, *, allow_basis=False):
     tag, wc, inverse = _canonical(w)
     if shape is not None and shape != tag:
         raise ShapeError(f"monomial has shape {tag!r}, not {shape!r}")
-    if not allow_basis and is_basis_monomial(wc):
+    if not allow_basis and wc in excluded_basis(type_vector(wc)):
         raise BasisMonomialError("basis monomial has no train identity")
     return wc, inverse
 
@@ -247,7 +276,7 @@ def reduce(w: Monomial, shape=None) -> Polynomial:
     monomial itself (in its own variable names).
     """
     wc, inverse = _prepare(w, shape, allow_basis=True)
-    return relabel_polynomial(_reduce(wc), inverse)
+    return _polynomial(_reduce(wc), inverse)
 
 
 def solve_Pw(w: Monomial, shape=None) -> Polynomial:
@@ -270,7 +299,9 @@ def train_identity(w: Monomial, shape=None) -> Identity:
     which is not an identity.
     """
     wc, inverse = _prepare(w, shape)
-    f = Polynomial.monomial(w) - relabel_polynomial(_reduce(wc), inverse)
+    den, terms = _reduce(wc)
+    # P(w) lies in the span of the basis, so w is not one of its terms
+    f = _polynomial((den, ((wc, den), *((m, -n) for m, n in terms))), inverse)
     return make_identity(f, train=True, ty=type_vector(w))
 
 
@@ -284,7 +315,11 @@ def generate_train_basis(ty, max_degree: int = 10) -> list[Identity]:
             f"total degree {sum(ty)} exceeds the cap {max_degree}; "
             "raise max_degree to override"
         )
-    return [train_identity(w) for w in monomials_of_type(ty) if not is_basis_monomial(w)]
+    monomials = monomials_of_type(ty)
+    # the type's basis monomials in its own letters, canonicalized once
+    _, wc, inverse = _canonical(monomials[0])
+    basis = {relabel_monomial(b, inverse) for b in excluded_basis(type_vector(wc))}
+    return [train_identity(w) for w in monomials if w not in basis]
 
 
 def rule_sources() -> dict:

@@ -1,6 +1,9 @@
 import json
 
+import pytest
+
 from evanescent.cli import build_parser, main
+from evanescent.peirce import is_evanescent
 from evanescent.syntax import parse
 
 
@@ -154,6 +157,20 @@ def test_deep_monomial(capsys):
     code, out, err = run_cli(capsys, "check", "x^{1500} y")
     assert code == 0
     assert "Traceback" not in out + err
+
+
+@pytest.mark.parametrize("expr", ["x^1200", " ".join(["x y"] * 600)], ids=["power", "word"])
+def test_check_deep_rendering(capsys, expr):
+    # x^1200 is a deep principal power; the 1,200-letter word nests as
+    # deeply with no power or chain to collapse it in print
+    code, out, err = run_cli(capsys, "check", expr)
+    assert code == 0
+    assert "Traceback" not in out + err
+    report = is_evanescent(parse(expr))
+    assert not report.is_peirce_evanescent
+    lines = out.splitlines()
+    assert lines[0].startswith("polynomial: ")
+    assert lines[-2:] == [f"value at ones = {report.at_ones}", "verdict: not evanescent"]
 
 
 def _write_algebra(tmp_path, name, matrix, weight):

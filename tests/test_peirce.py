@@ -14,6 +14,7 @@ from evanescent.magma import (
     monomials_of_type,
     principal_power,
     product,
+    type_vector,
 )
 from evanescent.peirce import (
     EvanescenceError,
@@ -29,7 +30,7 @@ from evanescent.poly import Polynomial
 from evanescent.rationals import Q
 from evanescent.syntax import parse, parse_monomial
 
-from conftest import random_monomial, random_polynomial
+from conftest import corpus_lines, random_monomial, random_polynomial
 
 
 def upoly(*coeffs):
@@ -286,3 +287,44 @@ def test_make_identity_validates():
     assert ident.train and ident.type == (4,)
     with pytest.raises(EvanescenceError):
         make_identity(parse("x^2 - x"))
+
+
+def test_integer_sums_match_fraction_oracle(rng):
+    # peirce_recursive and is_evanescent add in ints over one denominator;
+    # the oracle adds Fraction-scaled peirce_tree polynomials
+    dens = (1, 2, 3, 7, 21)
+    polys = [Polynomial.zero(), Polynomial.monomial(random_monomial(rng), Q(5, 21))]
+    for _ in range(300):
+        f = Polynomial.zero()
+        for _ in range(rng.randint(1, 4)):
+            c = Q(rng.randint(-9, 9), rng.choice(dens))
+            m = random_monomial(rng, max_degree=5)
+            f = f + Polynomial.monomial(m, c)
+            if rng.random() < 0.5:
+                # minus a monomial of the same type: the coefficient sum
+                # cancels, and often some Peirce coefficients do
+                f = f - Polynomial.monomial(rng.choice(monomials_of_type(type_vector(m))), c)
+        polys.append(f)
+    # evanescent identities, scaled: every Peirce coefficient cancels
+    for name in ("train_n1/4_1", "homog_n2/3_2", "train_n11/3_1_1"):
+        for line in corpus_lines(*name.split("/")):
+            polys.append(parse(line).scale(Q(rng.randint(1, 9), rng.choice(dens))))
+    polys.append(parse("x^2 x^2 - 2 x^3 + x^2").scale(Q(-1, 21)) + parse("1/2 x^2 y"))
+    cancelled = zero_sum = 0
+    for f in polys:
+        report = is_evanescent(f)
+        total = sum(f.terms.values(), Q(0))
+        assert report.at_ones == total and type(report.at_ones) is Q
+        zero_sum += bool(f.terms) and total == 0
+        assert list(report.peirce) == list(f.variables())
+        for v in f.variables():
+            expected = peirce_tree(f, v)
+            for got in (peirce_recursive(f, v), report.peirce[v]):
+                assert got == expected
+                assert all(type(c) is Q for c in got.coeffs)
+            cancelled += expected.is_zero
+        assert peirce_recursive(f, Variable(5)).is_zero
+        pe = bool(f.terms) and all(p.is_zero for p in report.peirce.values())
+        assert report.is_peirce_evanescent == pe
+        assert report.is_evanescent_identity == (pe and total == 0)
+    assert cancelled > 50 and zero_sum > 50

@@ -3,6 +3,7 @@ import pathlib
 
 import pytest
 
+from evanescent import syntax
 from evanescent.magma import X, Y, leaf, left_iterate, plenary_power, product
 from evanescent.poly import Polynomial
 from evanescent.rationals import Q
@@ -124,6 +125,28 @@ def test_roundtrip_corpus():
         for line in path.read_text(encoding="utf-8").splitlines():
             f = parse(line)
             assert parse(format_polynomial(f)) == f
+
+
+def test_format_monomial_cold_and_warm_cache(monkeypatch):
+    monomials = sorted(
+        {
+            m
+            for path in CORPUS.glob("*/*.txt")
+            for line in path.read_text(encoding="utf-8").splitlines()
+            for m in parse(line).terms
+        },
+        key=lambda m: m.key,
+    )
+    cold = []
+    for m in monomials:
+        monkeypatch.setattr(syntax, "_TEXT", {})
+        cold.append(format_monomial(m))
+    # warm: fill the cache from the largest monomials down, then read it
+    monkeypatch.setattr(syntax, "_TEXT", {})
+    for m in reversed(monomials):
+        format_monomial(m)
+    assert [format_monomial(m) for m in monomials] == cold
+    assert [parse_monomial(text) for text in cold] == monomials
 
 
 def test_json_roundtrip(rng):

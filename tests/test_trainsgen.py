@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -18,6 +19,7 @@ from evanescent.magma import (
 )
 from evanescent.peirce import is_evanescent, peirce_tree
 from evanescent.poly import Polynomial
+from evanescent.rationals import Q
 from evanescent.syntax import format_polynomial, parse, parse_monomial
 from evanescent.trainsgen import (
     BasisMonomialError,
@@ -145,6 +147,59 @@ def test_cross_algorithm_small():
             if wc in excluded_basis(type_vector(wc)):
                 continue
             assert reduce(w) == solve_Pw(w)
+
+
+def test_integer_rewriting_from_cold_caches(monkeypatch):
+    # rules and normal forms are cached as ints over one denominator;
+    # the public entry points give Q coefficients
+    monkeypatch.setattr(trainsgen, "_RULES", {})
+    monkeypatch.setattr(trainsgen, "_REDUCE_CACHE", {})
+    checked = 0
+    for ty in [(5, 1, 1), (6, 2)]:
+        for w in monomials_of_type(ty):
+            if is_basis_monomial(w):
+                continue
+            got = reduce(w)
+            assert got == solve_Pw(w)
+            assert all(type(c) is Q for c in got.terms.values())
+            identity = train_identity(w).polynomial
+            assert identity == Polynomial.monomial(w) - got
+            assert all(type(c) is Q for c in identity.terms.values())
+            checked += 1
+    assert checked == w_number((5, 1, 1)) - 3 + w_number((6, 2)) - 2
+
+
+def test_reduce_accumulates_rational_rules_in_ints(monkeypatch):
+    # every rule of the four shapes is integral, so rewrite with rational
+    # rules of the same support and compare with a Fraction rewriting
+    monkeypatch.setattr(trainsgen, "_RULES", {})
+    monkeypatch.setattr(trainsgen, "_REDUCE_CACHE", {})
+    derived = trainsgen._rule
+    scales = {}
+
+    def rational_rule(m1, m2):
+        den, terms = derived(m1, m2)
+        scale = scales.setdefault(product(m1, m2), (2, 3, 7, 21)[len(scales) % 4])
+        return scale * den, tuple((m, n * (1 + m.degree % 3)) for m, n in terms)
+
+    def fraction_reduce(w):
+        if is_basis_monomial(w):
+            return Polynomial.monomial(w)
+        total = Polynomial.zero()
+        for m1, a in fraction_reduce(w.left).terms.items():
+            for m2, b in fraction_reduce(w.right).terms.items():
+                den, terms = rational_rule(m1, m2)
+                for m, n in terms:
+                    total = total + Polynomial.monomial(m, a * b * Q(n, den))
+        return total
+
+    monkeypatch.setattr(trainsgen, "_rule", rational_rule)
+    for ty in [(7,), (4, 1, 1), (5, 2)]:
+        for w in monomials_of_type(ty):
+            den, terms = trainsgen._reduce(w)
+            assert den > 0 and math.gcd(den, *(n for _, n in terms)) == 1
+            assert all(type(n) is int and n for _, n in terms)
+            assert Polynomial({m: Q(n, den) for m, n in terms}) == fraction_reduce(w)
 
 
 def test_uniqueness_perturbation():
@@ -356,7 +411,8 @@ def test_closed_forms_equal_derived_rules(monkeypatch):
             generate_train_basis((n,) + suffix)
     kinds = _basis_kinds(9)
     closed, without = 0, []
-    for pattern, rule in trainsgen._RULES.items():
+    for pattern in trainsgen._RULES:
+        rule = trainsgen._rule_polynomial(pattern)
         diff = Polynomial.monomial(pattern) - rule
         assert rule.at_ones() == 1
         assert all(peirce_tree(diff, v).is_zero for v in diff.variables())
