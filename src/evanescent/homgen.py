@@ -10,9 +10,10 @@ its denominators and eliminates in Python ints, keeping every row
 primitive (the gcd of its entries divided out).  It returns one int row
 per pivot, with no division; a row divided by its pivot entry is a row of
 the reduced row-echelon form over Q.  ``factor``, ``nullspace`` and
-``homogeneous_dimension`` read those int rows directly.  ``Q`` comes back
-only in ``_dot`` (one division per solution entry) and in the support of
-each nullspace vector.
+``homogeneous_dimension`` read those int rows directly; ``nullspace``
+returns sparse int forms, which the evanescence check takes as they are.
+``Q`` comes back only in ``_dot`` (one division per solution entry) and
+in the coefficients of each generated identity.
 """
 
 from __future__ import annotations
@@ -21,9 +22,8 @@ import math
 from dataclasses import dataclass
 
 from .magma import Monomial, Variable, monomials_of_type, normalize_type
-from .peirce import Identity, height_counts, make_identity
-from .poly import Polynomial
-from .rationals import ONE, Q, ZERO, as_ints, as_q
+from .peirce import Identity, _identity_from_ints, height_counts
+from .rationals import Q, ZERO, as_ints, as_q
 
 
 class LinearSolveError(ValueError):
@@ -88,12 +88,13 @@ def _primitive(row):
 
 
 def nullspace(matrix) -> list[tuple]:
-    """Deterministic basis of the right nullspace.
+    """Deterministic basis of the right nullspace, as sparse int forms.
 
     One vector per free column f: 1 at f and -row[f] / row[pc] at the
-    pivot column pc of each int row of ``rref``, normalized so its first
-    nonzero entry is 1.  Vectors are dense tuples of Q, ordered by the
-    position of that entry, then as tuples.
+    pivot column pc of each int row of ``rref``, as the form (den, ((col,
+    n), ...)): its nonzero entries n / den by column, the ints n primitive
+    and the first equal to den > 0.  Ordered by that lead column, then as
+    the dense tuples of Q would be.
     """
     rows = matrix.rows if isinstance(matrix, ExactMatrix) else matrix
     if not rows:
@@ -102,21 +103,27 @@ def nullspace(matrix) -> list[tuple]:
     reduced, pivots = rref(rows)
     pivot_set = set(pivots)
     free_cols = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
+    forms = []
     for free in free_cols:
-        # the support: at most rank + 1 entries
-        support = {free: ONE}
-        for row, pc in zip(reduced, pivots):
-            if row[free]:
-                support[pc] = Q(-row[free], row[pc])
-        lead = min(support)
-        scale = support[lead]
-        vec = [ZERO] * ncols
-        for j, c in support.items():
-            vec[j] = c / scale
-        basis.append((lead, tuple(vec)))
-    basis.sort()
-    return [vec for _, vec in basis]
+        # an int row is zero left of its pivot, so every pc here is < free
+        entries = [(pc, row[free], row[pc]) for row, pc in zip(reduced, pivots) if row[free]]
+        lcm = math.lcm(*(p for _, _, p in entries))
+        support = [(pc, -a * (lcm // p)) for pc, a, p in entries] + [(free, lcm)]
+        g = math.gcd(*(n for _, n in support))
+        g = g if support[0][1] > 0 else -g  # so that the lead entry is den > 0
+        forms.append((support[0][1] // g, tuple((j, n // g) for j, n in support)))
+    scale = math.lcm(*(den for den, _ in forms))
+    forms.sort(key=lambda form: _dense_order(form, scale))
+    return forms
+
+
+def _dense_order(form, scale) -> list:
+    """Sort key of a form: the lead column, then each later entry, over the
+    denominator scale, as (0, j, n) if negative and (2, -j, n) if positive,
+    then (1,): a missing column, 0, sorts between a negative and a positive."""
+    den, terms = form
+    k = scale // den
+    return [terms[0][0], *((0, j, n * k) if n < 0 else (2, -j, n * k) for j, n in terms[1:]), (1,)]
 
 
 @dataclass(frozen=True)
@@ -208,7 +215,7 @@ def peirce_matrix(ty) -> ExactMatrix:
 
 
 def homogeneous_nullspace(ty):
-    """(monomials, nullspace basis vectors) for a type."""
+    """(monomials, nullspace forms over their columns) for a type."""
     matrix = peirce_matrix(ty)
     return matrix.col_labels, nullspace(matrix)
 
@@ -217,11 +224,10 @@ def generate_homogeneous(ty) -> list[Identity]:
     """One verified Identity per nullspace basis vector."""
     ty = normalize_type(ty)
     monomials, basis = homogeneous_nullspace(ty)
-    out = []
-    for vec in basis:
-        f = Polynomial({m: c for m, c in zip(monomials, vec) if c})
-        out.append(make_identity(f, train=False, ty=ty))
-    return out
+    return [
+        _identity_from_ints(den, [(monomials[k], n) for k, n in terms], train=False, ty=ty)
+        for den, terms in basis
+    ]
 
 
 def homogeneous_dimension(ty) -> int:

@@ -20,7 +20,7 @@ from itertools import zip_longest
 
 from .magma import Monomial, T_FRESH, Variable, degree_in
 from .poly import Polynomial
-from .rationals import Q, ZERO, as_ints, as_q
+from .rationals import Q, ZERO, as_ints, as_q, format_sum
 
 
 class PeircePolynomial:
@@ -126,24 +126,8 @@ class PeircePolynomial:
         return acc
 
     def to_string(self, sym: str = "t") -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        for power in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[power]
-            if not c:
-                continue
-            if power == 0:
-                body = str(abs(c))
-            else:
-                mag = abs(c)
-                head = "" if mag == 1 else f"{mag}"
-                body = f"{head}{sym}" if power == 1 else f"{head}{sym}^{power}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+        powers = ["", sym, *(f"{sym}^{k}" for k in range(2, len(self.coeffs)))][: len(self.coeffs)]
+        return format_sum(((c, p) for c, p in zip(self.coeffs[::-1], powers[::-1]) if c), sep="")
 
     def __str__(self):
         return self.to_string()
@@ -245,9 +229,15 @@ def is_evanescent(f: Polynomial) -> EvanescenceReport:
     an evanescent identity additionally has coefficient sum zero.
     """
     den, nums = as_ints(f.terms.values())
-    ppolys = {v: _peirce_sum(f.terms, nums, den, v.index) for v in f.variables()}
+    return _report(f.terms, nums, den)
+
+
+def _report(monomials, nums, den) -> EvanescenceReport:
+    """The report of sum(n m) / den, over distinct monomials m and ints n."""
+    variables = sorted({i for m in monomials for i, _ in m.counts})
+    ppolys = {Variable(i): _peirce_sum(monomials, nums, den, i) for i in variables}
     total = Q(sum(nums), den)
-    pe = bool(f.terms) and all(p.is_zero for p in ppolys.values())
+    pe = bool(monomials) and all(p.is_zero for p in ppolys.values())
     return EvanescenceReport(
         peirce=ppolys,
         at_ones=total,
@@ -323,9 +313,16 @@ class Identity:
 
 def make_identity(f: Polynomial, *, train: bool = False, ty=None) -> Identity:
     """Wrap a polynomial as an Identity, verifying evanescence."""
-    report = is_evanescent(f)
+    den, nums = as_ints(f.terms.values())
+    return _identity_from_ints(den, tuple(zip(f.terms, nums)), train=train, ty=ty)
+
+
+def _identity_from_ints(den: int, terms, *, train: bool, ty) -> Identity:
+    """The verified Identity of the int form sum(n m) / den, n nonzero:
+    checked in those ints, then one ``Q`` built per coefficient."""
+    report = _report([m for m, _ in terms], [n for _, n in terms], den)
     if not report.is_evanescent_identity:
         raise EvanescenceError("polynomial is not an evanescent identity", report)
-    if ty is not None:
-        ty = tuple(ty)
+    f = Polynomial._raw({m: Q(n, den) for m, n in terms})
+    ty = None if ty is None else tuple(ty)
     return Identity(polynomial=f, type=ty, train=train, report=report)

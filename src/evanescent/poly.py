@@ -120,9 +120,6 @@ class Polynomial:
     def items_ordered(self, reverse=False):
         return sorted(self.terms.items(), key=lambda mc: mc[0].key, reverse=reverse)
 
-    def monomials(self):
-        return sorted(self.terms, key=lambda m: m.key)
-
     def at_ones(self):
         """Coefficient sum, i.e. the value at (1, 1, ...)."""
         return sum(self.terms.values(), ZERO)
@@ -147,10 +144,6 @@ class Polynomial:
             for i, _ in m.counts:
                 seen.add(i)
         return tuple(Variable(i) for i in sorted(seen))
-
-    def is_homogeneous(self) -> bool:
-        types = {m.counts for m in self.terms}
-        return len(types) <= 1
 
     def homogeneous_type(self):
         """The common type vector, or None if mixed or zero."""

@@ -18,6 +18,20 @@ def as_q(c):
     return c if type(c) is Q else Q(c)
 
 
+def format_sum(terms, sep: str = " ") -> str:
+    """Render (c, text) pairs, c a nonzero int or Q, as a signed sum: each
+    as its magnitude, read from numerator and denominator as ``str`` prints
+    it, then sep and text; a magnitude 1 is left out unless text is empty."""
+    parts = []
+    for c, text in terms:
+        num, den = c.numerator, c.denominator
+        mag = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
+        body = text if mag == "1" and text else f"{mag}{sep}{text}" if text else mag
+        sign = ("" if num > 0 else "-") if not parts else ("+ " if num > 0 else "- ")
+        parts.append(sign + body)
+    return " ".join(parts) if parts else "0"
+
+
 def as_ints(vec):
     """(den, ints) with vec = ints / den over the lcm den of the
     denominators of vec's entries, which are ints or Q."""

@@ -38,7 +38,7 @@ from .magma import (
     var_name,
 )
 from .poly import Polynomial
-from .rationals import ONE, Q
+from .rationals import ONE, Q, format_sum
 
 
 class ParseError(ValueError):
@@ -284,18 +284,7 @@ def format_monomial(m: Monomial) -> str:
 
 def format_polynomial(f: Polynomial) -> str:
     """Canonical rendering: terms in descending canonical monomial order."""
-    if not f.terms:
-        return "0"
-    parts = []
-    for m, c in f.items_ordered(reverse=True):
-        mono = format_monomial(m)
-        mag = abs(c)
-        body = mono if mag == 1 else f"{mag} {mono}"
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(parts)
+    return format_sum((c, format_monomial(m)) for m, c in f.items_ordered(reverse=True))
 
 
 def polynomial_to_json(f: Polynomial, ty=None) -> dict:

@@ -21,8 +21,8 @@ each cached normal form (``_REDUCE_CACHE``) is a form (den, ((m, n),
 ...)), the polynomial sum(n m) / den over one positive denominator.
 Rewriting a product accumulates its terms over the product of the two
 children's denominators and the lcm of the rules' denominators, then
-divides out the gcd once.  ``Q`` appears only at the public entry
-points, which turn a form into a ``Polynomial``.
+divides out the gcd once.  ``Q`` appears only in the per-type solve and
+at the public entry points, which turn a form into a ``Polynomial``.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from .magma import (
     product,
     type_vector,
 )
-from .peirce import Identity, make_identity
+from .peirce import Identity, _identity_from_ints
 from .poly import Polynomial
 from .rationals import Q, as_ints
 
@@ -103,23 +103,26 @@ def relabel_monomial(m: Monomial, mapping: dict) -> Monomial:
     return walk(m)
 
 
-def relabel_polynomial(f: Polynomial, mapping: dict) -> Polynomial:
+def _relabel(terms, mapping: dict) -> tuple:
+    """The terms (m, n) of a form with each monomial m relabelled."""
     if all(k == v for k, v in mapping.items()):
-        return f
-    out: dict[Monomial, object] = {}
-    for m, c in f.terms.items():
-        key = relabel_monomial(m, mapping)
-        out[key] = out.get(key, 0) + c
-    return Polynomial(out)
+        return tuple(terms)
+    return tuple((relabel_monomial(m, mapping), n) for m, n in terms)
+
+
+@functools.cache
+def _letters(ty):
+    """(shape tag, roles, their inverse) of a type, as ``classify_type``."""
+    tag, roles = classify_type(ty)
+    if tag is None:
+        raise ShapeError(f"type {ty} is not one of the supported shapes")
+    return tag, roles, {v: k for k, v in roles.items()}
 
 
 def _canonical(w: Monomial):
     """(shape tag, w in canonical letters, map from those back to w's letters)."""
-    ty = type_vector(w)
-    tag, roles = classify_type(ty)
-    if tag is None:
-        raise ShapeError(f"type {ty} is not one of the supported shapes")
-    return tag, relabel_monomial(w, roles), {v: k for k, v in roles.items()}
+    tag, roles, inverse = _letters(type_vector(w))
+    return tag, relabel_monomial(w, roles), inverse
 
 
 # ---------------------------------------------------------------------------
@@ -138,8 +141,16 @@ def excluded_basis(ty) -> tuple[Monomial, ...]:
 
 def is_basis_monomial(w: Monomial) -> bool:
     """Whether w is a basis monomial of its type, in any letters."""
-    _, wc, _ = _canonical(w)
-    return wc in excluded_basis(type_vector(wc))
+    return w in _basis_of_type(type_vector(w))
+
+
+@functools.cache
+def _basis_of_type(ty) -> frozenset:
+    """The basis monomials of a type in its own letters, relabelled once
+    from its canonical type: the counts of the letters X, Y, Z stand for."""
+    _, _, inverse = _letters(ty)
+    canonical_ty = tuple(ty[inverse[t].index - 1] for t in (X, Y, Z) if t in inverse)
+    return frozenset(relabel_monomial(b, inverse) for b in excluded_basis(canonical_ty))
 
 
 @functools.cache
@@ -191,12 +202,12 @@ def _span_system(ty):
     return got
 
 
-def _solve_in_span(w: Monomial) -> Polynomial:
-    """Unique P in the span with matching Peirce polynomials and sum 1."""
+def _solve_in_span(w: Monomial) -> tuple:
+    """Form of the unique P in the span with w's Peirce polynomials and sum 1."""
     ty = type_vector(w)
     basis, system = _span_system(ty)
-    solution = solve_unique(system, peirce_column(w, ty))
-    return Polynomial({m: c for m, c in zip(basis, solution) if c})
+    den, nums = as_ints(solve_unique(system, peirce_column(w, ty)))
+    return den, tuple((m, n) for m, n in zip(basis, nums) if n)
 
 
 # ---------------------------------------------------------------------------
@@ -212,21 +223,15 @@ def _rule(m1: Monomial, m2: Monomial) -> tuple:
     got = _RULES.get(pattern)
     if got is None:
         _, pc, inverse = _canonical(pattern)
-        rule = relabel_polynomial(_solve_in_span(pc), inverse)
-        den, nums = as_ints(rule.terms.values())
-        got = _RULES[pattern] = (den, tuple(zip(rule.terms, nums)))
+        den, terms = _solve_in_span(pc)
+        got = _RULES[pattern] = (den, _relabel(terms, inverse))
     return got
-
-
-def _rule_polynomial(pattern: Monomial) -> Polynomial:
-    """The cached rule pattern -> P(pattern), as a polynomial."""
-    return _polynomial(_RULES[pattern], {})
 
 
 def _polynomial(form, inverse) -> Polynomial:
     """The polynomial of an int form, relabelled by inverse."""
     den, terms = form
-    return relabel_polynomial(Polynomial._raw({m: Q(n, den) for m, n in terms}), inverse)
+    return Polynomial._raw({m: Q(n, den) for m, n in _relabel(terms, inverse)})
 
 
 # monomial -> the form of its normal form
@@ -237,7 +242,7 @@ def _reduce(w: Monomial) -> tuple:
     got = _REDUCE_CACHE.get(w)
     if got is not None:
         return got
-    if is_basis_monomial(w):
+    if w in _basis_of_type(type_vector(w)):
         res = (1, ((w, 1),))
     else:
         du, fu = _reduce(w.left)
@@ -289,7 +294,7 @@ def solve_Pw(w: Monomial, shape=None) -> Polynomial:
     train identity; a basis monomial raises BasisMonomialError.
     """
     wc, inverse = _prepare(w, shape)
-    return relabel_polynomial(_solve_in_span(wc), inverse)
+    return _polynomial(_solve_in_span(wc), inverse)
 
 
 def train_identity(w: Monomial, shape=None) -> Identity:
@@ -301,25 +306,21 @@ def train_identity(w: Monomial, shape=None) -> Identity:
     wc, inverse = _prepare(w, shape)
     den, terms = _reduce(wc)
     # P(w) lies in the span of the basis, so w is not one of its terms
-    f = _polynomial((den, ((wc, den), *((m, -n) for m, n in terms))), inverse)
-    return make_identity(f, train=True, ty=type_vector(w))
+    form = ((wc, den), *((m, -n) for m, n in terms))
+    return _identity_from_ints(den, _relabel(form, inverse), train=True, ty=type_vector(w))
 
 
 def generate_train_basis(ty, max_degree: int = 10) -> list[Identity]:
     """All train identities of a type, one per non-basis monomial."""
     ty = normalize_type(ty)
-    if classify_type(ty)[0] is None:
-        raise ShapeError(f"type {ty} is not one of the supported shapes")
+    _letters(ty)  # ShapeError before the degree cap
     if sum(ty) > max_degree:
         raise ShapeError(
             f"total degree {sum(ty)} exceeds the cap {max_degree}; "
             "raise max_degree to override"
         )
-    monomials = monomials_of_type(ty)
-    # the type's basis monomials in its own letters, canonicalized once
-    _, wc, inverse = _canonical(monomials[0])
-    basis = {relabel_monomial(b, inverse) for b in excluded_basis(type_vector(wc))}
-    return [train_identity(w) for w in monomials if w not in basis]
+    basis = _basis_of_type(ty)
+    return [train_identity(w) for w in monomials_of_type(ty) if w not in basis]
 
 
 def rule_sources() -> dict:

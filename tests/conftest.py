@@ -4,7 +4,8 @@ import random
 import pytest
 
 from evanescent import magma, poly
-from evanescent.rationals import ONE, Q
+from evanescent.rationals import ONE, Q, ZERO
+from evanescent.syntax import format_monomial
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
@@ -69,6 +70,49 @@ def fraction_rref(rows):
         if r == nrows:
             break
     return m, pivots
+
+
+def fraction_nullspace(rows):
+    """The reference: a dense vector per free column of the Fraction
+    elimination, scaled so its first nonzero entry is 1, ordered by the
+    position of that entry, then as tuples."""
+    ncols = len(rows[0])
+    reduced, pivots = fraction_rref(rows)
+    basis = []
+    for free in (c for c in range(ncols) if c not in pivots):
+        vec = [ZERO] * ncols
+        vec[free] = ONE
+        for row, pc in zip(reduced, pivots):
+            vec[pc] = -row[free]
+        lead = next(i for i, c in enumerate(vec) if c)
+        basis.append((lead, tuple(c / vec[lead] for c in vec)))
+    basis.sort(key=lambda lv: (lv[0], lv[1]))
+    return [vec for _, vec in basis]
+
+
+def fraction_format(f):
+    """The reference rendering of a polynomial: terms in descending
+    canonical order, each coefficient printed by Fraction arithmetic."""
+    if not f.terms:
+        return "0"
+    parts = []
+    for m, c in f.items_ordered(reverse=True):
+        mono = format_monomial(m)
+        body = mono if abs(c) == 1 else f"{abs(c)} {mono}"
+        if not parts:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(parts)
+
+
+def dense(form, ncols):
+    """The dense tuple of Q of a sparse nullspace form (den, ((col, n), ...))."""
+    den, terms = form
+    vec = [ZERO] * ncols
+    for j, n in terms:
+        vec[j] = Q(n, den)
+    return tuple(vec)
 
 
 class SpanChecker:

@@ -27,7 +27,7 @@ from evanescent.poly import Polynomial
 from evanescent.rationals import ONE, Q, ZERO
 from evanescent.syntax import parse, parse_monomial
 
-from conftest import SpanChecker, corpus_lines, random_polynomial
+from conftest import SpanChecker, dense, corpus_lines, random_polynomial
 
 W_TABLES = {
     (): {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 46, 10: 98},
@@ -122,7 +122,7 @@ def test_criterion_4_homogeneous_lists():
     total = 0
     for key, ty in HOMOG_CORPUS.items():
         monomials, basis = homgen.homogeneous_nullspace(ty)
-        checker = SpanChecker(basis)
+        checker = SpanChecker([dense(form, len(monomials)) for form in basis])
         for line in corpus_lines(*key):
             f = parse(line)
             assert is_evanescent(f).is_evanescent_identity, line

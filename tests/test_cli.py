@@ -3,8 +3,12 @@ import json
 import pytest
 
 from evanescent.cli import build_parser, main
+from evanescent.homgen import peirce_matrix
 from evanescent.peirce import is_evanescent
+from evanescent.poly import Polynomial
 from evanescent.syntax import parse
+
+from conftest import fraction_format, fraction_nullspace
 
 
 def run_cli(capsys, *argv):
@@ -92,6 +96,18 @@ def test_homog_jsonl_reparses(capsys):
         obj = json.loads(jline)
         assert obj["type"] == [6]
         assert polynomial_from_json(obj) == parse(tline)
+
+
+@pytest.mark.parametrize("ty", [(5, 1, 1), (6, 2)], ids=str)
+def test_homog_matches_fraction_nullspace(capsys, ty):
+    # the reference: the dense Fraction nullspace, rendered by Fraction
+    # arithmetic
+    matrix = peirce_matrix(ty)
+    want = "".join(
+        fraction_format(Polynomial(dict(zip(matrix.col_labels, vec)))) + "\n"
+        for vec in fraction_nullspace(matrix.rows)
+    )
+    assert run_cli(capsys, "homog", "--type", ",".join(map(str, ty))) == (0, want, "")
 
 
 def test_verify_pass_and_fail(capsys, tmp_path):

@@ -9,7 +9,7 @@ from evanescent.magma import monomials_of_type, type_vector, w_number
 from evanescent.peirce import is_evanescent, peirce_recursive
 from evanescent.syntax import parse
 
-from conftest import CORPUS, SpanChecker, corpus_lines
+from conftest import CORPUS, SpanChecker, dense, corpus_lines
 
 TRAIN_FILES = {
     ("train_n", "4"): (4,),
@@ -68,7 +68,7 @@ def test_homog_corpus_in_nullspace(key):
     ty = HOMOG_FILES[key]
     lines = corpus_lines(*key)
     monomials, basis = homgen.homogeneous_nullspace(ty)
-    checker = SpanChecker(basis)
+    checker = SpanChecker([dense(form, len(monomials)) for form in basis])
     for line in lines:
         f = parse(line)
         report = is_evanescent(f)

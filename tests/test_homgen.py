@@ -22,7 +22,7 @@ from evanescent.peirce import peirce_tree
 from evanescent.rationals import ONE, Q, ZERO
 from evanescent.syntax import parse
 
-from conftest import SpanChecker, fraction_rref
+from conftest import SpanChecker, dense, fraction_nullspace, fraction_rref
 
 # exact dimensions, frozen after a first run; the paper proves only the
 # lower bounds asserted in test_dimension_bounds
@@ -94,39 +94,98 @@ def test_rref_matches_fraction_elimination():
         assert_rref_matches_fraction_elimination(peirce_matrix(ty).rows)
 
 
-def fraction_nullspace(rows):
-    """The reference: a dense vector per free column of the Fraction
-    elimination, scaled so its first nonzero entry is 1, ordered by the
-    position of that entry, then as tuples."""
-    ncols = len(rows[0])
-    reduced, pivots = fraction_rref(rows)
-    basis = []
-    for free in (c for c in range(ncols) if c not in pivots):
-        vec = [ZERO] * ncols
-        vec[free] = ONE
-        for row, pc in zip(reduced, pivots):
-            vec[pc] = -row[free]
-        lead = next(i for i, c in enumerate(vec) if c)
-        basis.append((lead, tuple(c / vec[lead] for c in vec)))
-    basis.sort(key=lambda lv: (lv[0], lv[1]))
-    return [vec for _, vec in basis]
+def assert_nullspace_form(form):
+    """A nullspace form (den, ((col, n), ...)): nonzero primitive ints by
+    increasing column, the first equal to den > 0."""
+    den, terms = form
+    assert type(den) is int and den > 0
+    assert terms[0][1] == den
+    assert all(type(n) is int and n for _, n in terms)
+    assert [j for j, _ in terms] == sorted({j for j, _ in terms})
+    assert math.gcd(*(n for _, n in terms)) == 1
+
+
+TIE_BREAKS = (
+    "same column, different value",
+    "negative against missing",
+    "positive against missing",
+    "prefix",
+)
+
+
+def tie_break(a, b):
+    """What decides the dense order of two nullspace forms with the same
+    lead: the first column where their values differ holds entries of
+    both, or of one only; "prefix" when the other form has no entries
+    left, so that its support is a prefix of the first's."""
+    va, vb = ({j: Q(n, den) for j, n in terms} for den, terms in (a, b))
+    j = min(k for k in va.keys() | vb.keys() if va.get(k, 0) != vb.get(k, 0))
+    if j in va and j in vb:
+        return "same column, different value"
+    present, missing = (va, vb) if j in va else (vb, va)
+    if max(missing) < j:
+        return "prefix"
+    return "negative against missing" if present[j] < 0 else "positive against missing"
 
 
 def test_nullspace_matches_fraction_nullspace():
     rng = random.Random(11)
+    tie_breaks = dict.fromkeys(TIE_BREAKS, 0)
     for _ in range(400):
         rows = random_rational_matrix(rng)
         got = nullspace(rows)
-        assert got == fraction_nullspace(rows), rows
-        assert all(type(c) is Q for vec in got for c in vec)
+        assert [dense(form, len(rows[0])) for form in got] == fraction_nullspace(rows), rows
+        for form in got:
+            assert_nullspace_form(form)
+        for a, b in zip(got, got[1:]):
+            if a[1][0][0] == b[1][0][0]:
+                tie_breaks[tie_break(a, b)] += 1
+    # the order is read from the sparse entries: each way a comparison of
+    # two basis vectors with the same lead can be decided occurs.  No
+    # support is a prefix of another's: each ends at its own free column,
+    # where every other basis vector is 0 (test_dense_order_on_prefixes).
+    prefixes = tie_breaks.pop("prefix")
+    assert prefixes == 0 and min(tie_breaks.values()) >= 20, tie_breaks
     for ty in [(5, 1, 1), (6, 2)]:
-        assert nullspace(peirce_matrix(ty)) == fraction_nullspace(peirce_matrix(ty).rows)
+        matrix = peirce_matrix(ty)
+        got = nullspace(matrix)
+        assert [dense(form, matrix.shape[1]) for form in got] == fraction_nullspace(matrix.rows)
     # leads 0, 0, 2: the lead goes first, and plain tuple order differs
     rows = [[1, 1, 0, 0, Q(2, 3)], [0, 0, 0, 1, Q(-1, 7)]]
-    got = nullspace(rows)
+    got = [dense(form, 5) for form in nullspace(rows)]
     assert got == fraction_nullspace(rows)
     assert [next(i for i, c in enumerate(v) if c) for v in got] == [0, 0, 2]
     assert got != sorted(got)
+
+
+def test_dense_order_on_prefixes():
+    """The nullspace sort key orders random forms (den, ((col, n), ...))
+    as their dense tuples, including forms whose support is a prefix of
+    another's, which no nullspace basis has."""
+    rng = random.Random(13)
+    values = [Q(-2), Q(-1), Q(-1, 2), Q(1, 3), ONE, Q(2)]
+    tie_breaks = dict.fromkeys(TIE_BREAKS, 0)
+    for _ in range(200):
+        vectors = []
+        for _ in range(rng.randint(2, 8)):
+            lead = rng.randint(0, 1)
+            vec = [ZERO] * lead + [ONE] + [ZERO] * (5 - lead)
+            for j in range(lead + 1, rng.randint(lead + 1, 6)):
+                if rng.random() < 0.6:
+                    vec[j] = rng.choice(values)
+            vectors.append(tuple(vec))
+        forms = []
+        for vec in vectors:
+            den = math.lcm(*(c.denominator for c in vec)) * rng.choice([1, 2])
+            forms.append((den, tuple((j, int(c * den)) for j, c in enumerate(vec) if c)))
+        scale = math.lcm(*(den for den, _ in forms))
+        got = sorted(forms, key=lambda form: homgen._dense_order(form, scale))
+        want = sorted(vectors, key=lambda v: (next(i for i, c in enumerate(v) if c), v))
+        assert [dense(form, 6) for form in got] == want, vectors
+        for a, b in zip(got, got[1:]):
+            if a[1][0][0] == b[1][0][0] and dense(a, 6) != dense(b, 6):
+                tie_breaks[tie_break(a, b)] += 1
+    assert min(tie_breaks.values()) >= 20, tie_breaks
 
 
 def test_homogeneous_dimension_is_nullspace_size():
@@ -137,18 +196,20 @@ def test_homogeneous_dimension_is_nullspace_size():
 def test_nullspace_trivial_cases():
     assert nullspace([[1, 0], [0, 1]]) == []
     basis = nullspace([[0, 0, 0], [0, 0, 0]])
-    assert len(basis) == 3
-    for i, vec in enumerate(basis):
-        assert vec[i] == 1
+    assert basis == [(1, ((0, 1),)), (1, ((1, 1),)), (1, ((2, 1),))]
 
 
 def test_nullspace_normalization():
     # kernel of (1, 1, 1) is 2-dimensional; leading entries must be 1
     basis = nullspace([[1, 1, 1]])
     assert len(basis) == 2
-    for vec in basis:
+    for vec in (dense(form, 3) for form in basis):
         lead = next(c for c in vec if c)
         assert lead == 1
+    # leads on a pivot column, with entry -2 before the sign is turned:
+    # the form's lead entry is den > 0
+    assert nullspace([[2, 0, 4], [0, 1, 0]]) == [(2, ((0, 2), (2, -1)))]
+    assert nullspace([[1, 0, 2], [0, 1, -3]]) == [(2, ((0, 2), (1, -3), (2, -1)))]
 
 
 def test_solve_unique():
@@ -277,14 +338,14 @@ def test_type6_span_contains_paper_generator():
     monomials, basis = homogeneous_nullspace((6,))
     g = parse("x^3 x^3 + ((x^2 x^2) x) x - x^4 x^2 - (x^3 x^2) x")
     vec = [g.coefficient(m) for m in monomials]
-    assert SpanChecker(basis).contains(vec)
+    assert SpanChecker([dense(form, len(monomials)) for form in basis]).contains(vec)
 
 
 def test_type22_span_contains_paper_generator():
     monomials, basis = homogeneous_nullspace((2, 2))
     g = parse("x^2 y^2 - (x y)(x y)")
     vec = [g.coefficient(m) for m in monomials]
-    assert SpanChecker(basis).contains(vec)
+    assert SpanChecker([dense(form, len(monomials)) for form in basis]).contains(vec)
 
 
 def test_generated_identities_verify():

@@ -16,8 +16,10 @@ from evanescent.magma import (
     product,
     type_vector,
 )
+from evanescent import homgen, trainsgen
 from evanescent.peirce import (
     EvanescenceError,
+    _identity_from_ints,
     PeircePolynomial,
     delta,
     is_evanescent,
@@ -58,6 +60,9 @@ class TestPeircePolynomial:
         assert upoly(0, 1, 0, 3).to_string() == "3t^3 + t"
         assert upoly(-1, Q(3, 4)).to_string() == "3/4t - 1"
         assert upoly(0, 0, 1).to_string("X") == "X^2"
+        assert upoly(1, -1).to_string() == "-t + 1"
+        assert upoly(-1, 0, Q(-5, 21), Q(1, 7)).to_string() == "1/7t^3 - 5/21t^2 - 1"
+        assert upoly(Q(2, 3)).to_string() == "2/3" and upoly(0, -1).to_string("X") == "-X"
 
 
 def test_worked_example_both_algorithms():
@@ -328,3 +333,44 @@ def test_integer_sums_match_fraction_oracle(rng):
         assert report.is_peirce_evanescent == pe
         assert report.is_evanescent_identity == (pe and total == 0)
     assert cancelled > 50 and zero_sum > 50
+
+
+def test_identity_from_ints_checks_int_forms():
+    # nullspace forms and train forms are checked in their ints; a
+    # perturbed form is rejected exactly when its Fraction polynomial is
+    # not an evanescent identity
+    forms = []
+    for ty in [(6,), (5, 1), (3, 2)]:
+        monomials, basis = homgen.homogeneous_nullspace(ty)
+        forms += [(den, [(monomials[k], n) for k, n in terms], ty) for den, terms in basis]
+    for ty in [(5, 1), (3, 2), (3, 1, 1)]:
+        for w in monomials_of_type(ty):
+            if not trainsgen.is_basis_monomial(w):
+                den, terms = trainsgen._reduce(w)
+                forms.append((den, [(w, den)] + [(m, -n) for m, n in terms], ty))
+    rejected = 0
+    for den, terms, ty in forms:
+        identity = _identity_from_ints(den, terms, train=False, ty=ty)
+        f = Polynomial({m: Q(n, den) for m, n in terms})
+        assert identity.polynomial == f and identity.type == ty
+        assert all(type(c) is Q for c in identity.polynomial.terms.values())
+        assert identity.report.is_evanescent_identity
+        # one coefficient moved: the coefficient sum is no longer zero
+        bumped = [(terms[0][0], terms[0][1] + 1)] + terms[1:]
+        with pytest.raises(EvanescenceError):
+            _identity_from_ints(den, [(m, n) for m, n in bumped if n], train=False, ty=ty)
+        # one unit moved between two coefficients: the sum stays zero, and
+        # only the Peirce conditions can reject it
+        for i in range(1, len(terms)):
+            moved = list(terms)
+            moved[0] = (terms[0][0], terms[0][1] + 1)
+            moved[i] = (terms[i][0], terms[i][1] - 1)
+            moved = [(m, n) for m, n in moved if n]
+            oracle = Polynomial({m: Q(n, den) for m, n in moved})
+            if is_evanescent(oracle).is_evanescent_identity:
+                assert _identity_from_ints(den, moved, train=True, ty=ty).polynomial == oracle
+            else:
+                rejected += 1
+                with pytest.raises(EvanescenceError):
+                    _identity_from_ints(den, moved, train=True, ty=ty)
+    assert len(forms) > 50 and rejected > 200

@@ -17,7 +17,7 @@ from evanescent.syntax import (
     polynomial_to_json,
 )
 
-from conftest import CORPUS, random_polynomial
+from conftest import CORPUS, fraction_format, random_monomial, random_polynomial
 
 
 def test_parse_backcrossing():
@@ -147,6 +147,25 @@ def test_format_monomial_cold_and_warm_cache(monkeypatch):
         format_monomial(m)
     assert [format_monomial(m) for m in monomials] == cold
     assert [parse_monomial(text) for text in cold] == monomials
+
+
+def test_format_polynomial_coefficients(rng):
+    # magnitudes are read from numerator and denominator; the reference
+    # prints them by Fraction arithmetic, as str(Q) does
+    assert (
+        format_polynomial(parse("x^2 - 1/2 x y + 3/7 y - 5/21 x + 1/3 (x y) y"))
+        == "1/3 y^{2} x + x^2 - 1/2 x y - 5/21 x + 3/7 y"
+    )
+    assert format_polynomial(parse("-x^2 + 2 y")) == "-x^2 + 2 y"
+    assert format_polynomial(parse("-1/21 x")) == "-1/21 x"
+    assert format_polynomial(parse("-7/7 x - 42/21 y")) == "-x - 2 y"
+    monomials = [random_monomial(rng) for _ in range(40)]
+    for _ in range(2000):
+        f = Polynomial.zero()
+        for _ in range(rng.randint(1, 4)):
+            c = Q(rng.choice([-1, 1]) * rng.randint(1, 50), rng.choice([1, 1, 2, 3, 7, 21]))
+            f = f + Polynomial.monomial(rng.choice(monomials), c)
+        assert format_polynomial(f) == fraction_format(f)
 
 
 def test_json_roundtrip(rng):

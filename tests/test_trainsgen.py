@@ -86,6 +86,24 @@ def test_shape_errors():
     assert generate_train_basis((11,), max_degree=11)
 
 
+def test_basis_of_type_matches_canonical_membership():
+    # the basis set of a type, relabelled once into its letters, holds
+    # exactly the monomials whose canonical form is a canonical basis monomial
+    for ty, count in [((4,), 1), ((0, 0, 4), 1), ((3, 1), 2), ((1, 3), 2), ((2, 2), 2),
+                      ((0, 2, 3), 2), ((3, 1, 1), 3), ((1, 3, 1), 3), ((1, 1, 3), 3)]:
+        want = set()
+        for w in monomials_of_type(ty):
+            _, wc, _ = trainsgen._canonical(w)
+            if wc in excluded_basis(type_vector(wc)):
+                want.add(w)
+        assert trainsgen._basis_of_type(ty) == want and len(want) == count, ty
+        assert {w for w in monomials_of_type(ty) if is_basis_monomial(w)} == want
+    with pytest.raises(ShapeError):
+        is_basis_monomial(parse_monomial("x^2 y^2 z"))
+    with pytest.raises(ShapeError):
+        trainsgen._basis_of_type((2, 2, 1))
+
+
 def test_classify_type_roles():
     tag, roles = classify_type((3, 1))
     assert tag == "n1" and roles == {X: X, Y: Y}
@@ -412,7 +430,7 @@ def test_closed_forms_equal_derived_rules(monkeypatch):
     kinds = _basis_kinds(9)
     closed, without = 0, []
     for pattern in trainsgen._RULES:
-        rule = trainsgen._rule_polynomial(pattern)
+        rule = trainsgen._polynomial(trainsgen._RULES[pattern], {})
         diff = Polynomial.monomial(pattern) - rule
         assert rule.at_ones() == 1
         assert all(peirce_tree(diff, v).is_zero for v in diff.variables())
