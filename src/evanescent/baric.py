@@ -24,7 +24,7 @@ import random
 from dataclasses import dataclass
 from math import lcm, prod
 
-from .magma import Monomial, Variable, leaf
+from .magma import Variable, fold, leaf
 from .peirce import PeircePolynomial
 from .poly import Polynomial, UnboundVariableError
 from .rationals import ONE, Q, ZERO, as_ints, as_q
@@ -216,22 +216,6 @@ def _check_bindings(f: Polynomial, algebra: BaricAlgebra, bindings: dict):
     return scaled
 
 
-def _tree_value(m: Monomial, cache: dict, times):
-    """N(m), walked post-order with an explicit stack so deep trees do not
-    recurse; ``cache`` holds the leaves' int vectors on entry."""
-    stack = [m]
-    while stack:
-        node = stack.pop()
-        if node in cache:
-            continue
-        left, right = cache.get(node.left), cache.get(node.right)
-        if left is None or right is None:
-            stack += [node, node.left, node.right]
-            continue
-        cache[node] = times(left, right)
-    return cache[m]
-
-
 def _value(f: Polynomial, algebra: BaricAlgebra, scaled: dict, weighted: bool):
     """(ints, den) with f = ints / den at the scaled bindings, plain or
     weighted.  A term c m is over c.den * D^(deg m - 1) * prod den_v^count;
@@ -260,7 +244,7 @@ def _value(f: Polynomial, algebra: BaricAlgebra, scaled: dict, weighted: bool):
             for idx, cnt in m.counts:
                 den *= dens[idx] ** cnt
         acc = groups.setdefault(den, [0] * algebra.dim)
-        for k, x in enumerate(_tree_value(m, cache, algebra._times)):
+        for k, x in enumerate(fold(m, cache, algebra._times)):
             if x:
                 acc[k] += num * x
     common = lcm(*groups)

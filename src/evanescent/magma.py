@@ -4,6 +4,9 @@ Monomials are rooted binary trees with variable-labelled leaves, kept
 in a canonical form and interned, so two equal monomials are the same
 object.  The canonical total order compares (degree, type vector, then
 recursively the two children); node children are stored smaller-first.
+Interning makes a per-node cache sound: :func:`fold` is the one bottom-up
+walk, behind Peirce counts, substitution, ``delta``, relabelling,
+rewriting and evaluation, and it does not recurse on deep trees.
 """
 
 from __future__ import annotations
@@ -158,8 +161,35 @@ def degree_in(w: Monomial, v) -> int:
     return 0
 
 
-def variables(w: Monomial) -> tuple[Variable, ...]:
-    return tuple(Variable(i) for i, _ in w.counts)
+def leaves(w: Monomial) -> list[Monomial]:
+    """The distinct leaves of w, by variable index."""
+    return [_LEAVES[i] for i, _ in w.counts]
+
+
+def fold(m: Monomial, cache: dict, combine, base=None):
+    """The value of m, computed bottom-up with an explicit stack and kept
+    per node in ``cache``, which holds the values of m's leaves on entry.
+    A node not in ``cache`` is answered by ``base(node)`` when that is not
+    None, and its children are not visited; otherwise its value is
+    ``combine(value of left, value of right)``, computed once."""
+    stack = [m]
+    while stack:
+        node = stack.pop()
+        if node in cache:
+            continue
+        if base is not None:
+            value = base(node)
+            if value is not None:
+                cache[node] = value
+                continue
+        left, right = cache.get(node.left), cache.get(node.right)
+        if left is not None and right is not None:
+            cache[node] = combine(left, right)
+        elif node.var is not None:
+            raise KeyError(node)
+        else:
+            stack += (node, node.right, node.left)
+    return cache[m]
 
 
 def type_vector(w: Monomial) -> tuple[int, ...]:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import zip_longest
 
-from .magma import Monomial, T_FRESH, Variable, degree_in
+from .magma import Monomial, T_FRESH, Variable, degree_in, fold, leaves, product
 from .poly import Polynomial
 from .rationals import Q, ZERO, as_ints, as_q, format_sum
 
@@ -33,18 +33,6 @@ class PeircePolynomial:
         while coeffs and not coeffs[-1]:
             coeffs.pop()
         self.coeffs = tuple(coeffs)
-
-    @classmethod
-    def zero(cls):
-        return cls()
-
-    @classmethod
-    def one(cls):
-        return cls((1,))
-
-    @classmethod
-    def term(cls, power: int, coeff=1):
-        return cls((0,) * power + (coeff,))
 
     @property
     def is_zero(self) -> bool:
@@ -136,8 +124,8 @@ class PeircePolynomial:
         return f"<{self.to_string()}>"
 
 
-# (monomial, variable index) -> its Peirce coefficients as ints
-_PEIRCE_CACHE: dict[tuple[Monomial, int], tuple[int, ...]] = {}
+# variable index -> {monomial: its Peirce coefficients in that variable as ints}
+_PEIRCE_CACHE: dict[int, dict[Monomial, tuple[int, ...]]] = {}
 
 
 def peirce_recursive(f, v) -> PeircePolynomial:
@@ -160,30 +148,26 @@ def _peirce_sum(monomials, nums, den, idx) -> PeircePolynomial:
         for i, k in enumerate(counts):
             if k:
                 acc[i] += n * k
+    if not any(acc):
+        return PeircePolynomial()
     return PeircePolynomial([Q(a, den) if a else ZERO for a in acc])
 
 
 def _peirce_counts(m: Monomial, idx: int) -> tuple[int, ...]:
-    got = _PEIRCE_CACHE.get((m, idx))
+    cache = _PEIRCE_CACHE.setdefault(idx, {})
+    got = cache.get(m)
     if got is not None:
         return got
-    # post-order walk with an explicit stack, so deep trees do not recurse
-    stack = [m]
-    while stack:
-        node = stack.pop()
-        if (node, idx) in _PEIRCE_CACHE:
-            continue
-        if node.is_leaf:
-            _PEIRCE_CACHE[(node, idx)] = (1,) if node.var.index == idx else ()
-            continue
-        left = _PEIRCE_CACHE.get((node.left, idx))
-        right = _PEIRCE_CACHE.get((node.right, idx))
-        if left is None or right is None:
-            stack += [node, node.left, node.right]
-            continue
-        total = [a + b for a, b in zip_longest(left, right, fillvalue=0)]
-        _PEIRCE_CACHE[(node, idx)] = (0, *total) if total else ()
-    return _PEIRCE_CACHE[(m, idx)]
+    for x in leaves(m):
+        cache[x] = (1,) if x.var.index == idx else ()
+    return fold(m, cache, _shifted_sum)
+
+
+def _shifted_sum(left, right):
+    """d(uv) = t (d(u) + d(v)) on coefficient tuples."""
+    if not (left or right):
+        return ()
+    return (0, *[a + b for a, b in zip_longest(left, right, fillvalue=0)])
 
 
 def peirce_tree(w, v) -> PeircePolynomial:
@@ -198,7 +182,8 @@ def peirce_tree(w, v) -> PeircePolynomial:
 
 
 def height_counts(w: Monomial, idx: int) -> list[int]:
-    """Number of t_idx leaves at each height: the Peirce coefficients as ints."""
+    """Number of t_idx leaves at each height: the Peirce coefficients as ints,
+    by a top-down walk of its own: the independent check of ``peirce_recursive``."""
     counts: list[int] = []
     stack = [(w, 0)]
     while stack:
@@ -251,25 +236,21 @@ def delta(f, v, h: Polynomial) -> Polynomial:
     if isinstance(f, Monomial):
         f = Polynomial.monomial(f)
     idx = v.index if isinstance(v, Variable) else v
-    cache: dict[Monomial, Polynomial] = {}
-
-    def walk(m: Monomial) -> Polynomial:
-        got = cache.get(m)
-        if got is not None:
-            return got
-        if m.is_leaf:
-            res = h if m.var.index == idx else Polynomial.zero()
-        else:
-            res = walk(m.left) * Polynomial.monomial(m.right) + Polynomial.monomial(
-                m.left
-            ) * walk(m.right)
-        cache[m] = res
-        return res
-
+    # each node's value is the pair (the node, its image)
+    cache = {}
+    for m in f.terms:
+        for x in leaves(m):
+            cache[x] = (x, h if x.var.index == idx else Polynomial.zero())
     total = Polynomial.zero()
     for m, c in f.terms.items():
-        total = total + walk(m).scale(c)
+        total = total + fold(m, cache, _product_rule)[1].scale(c)
     return total
+
+
+def _product_rule(left, right):
+    """(uv, delta(u) v + u delta(v)) from (u, delta(u)) and (v, delta(v))."""
+    (u, du), (v, dv) = left, right
+    return product(u, v), du * Polynomial.monomial(v) + Polynomial.monomial(u) * dv
 
 
 def linearize(f: Polynomial, v) -> list[Polynomial]:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 
-from .magma import Monomial, Variable, leaf, product
+from .magma import Monomial, Variable, fold, leaf, product
 from .rationals import ZERO, as_q
 
 
@@ -155,26 +155,16 @@ class Polynomial:
         return None
 
     def substitute(self, bindings: dict) -> "Polynomial":
-        """Homomorphic image replacing every variable by a polynomial."""
-        cache: dict[Monomial, Polynomial] = {}
-
-        def walk(m: Monomial) -> Polynomial:
-            got = cache.get(m)
-            if got is not None:
-                return got
-            if m.is_leaf:
-                try:
-                    res = bindings[m.var]
-                except KeyError:
-                    raise UnboundVariableError(m.var) from None
-            else:
-                res = walk(m.left) * walk(m.right)
-            cache[m] = res
-            return res
-
+        """Homomorphic image replacing every variable by a polynomial; the
+        first unbound variable of ``variables()`` raises UnboundVariableError."""
+        cache = {}
+        for v in self.variables():
+            if v not in bindings:
+                raise UnboundVariableError(v)
+            cache[leaf(v)] = bindings[v]
         total = Polynomial.zero()
         for m, c in self.terms.items():
-            total = total + walk(m).scale(c)
+            total = total + fold(m, cache, Polynomial.__mul__).scale(c)
         return total
 
     def __repr__(self):

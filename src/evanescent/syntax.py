@@ -241,6 +241,9 @@ _TEXT: dict[Monomial, tuple[str, bool]] = {}
 def _render(m: Monomial) -> tuple[str, bool]:
     """The cached (text, is principal power) of m, filling the cache
     bottom-up with an explicit stack, so deep monomials do not recurse.
+    It is a walk of its own rather than a ``magma.fold``: a chain descends
+    to its core, not to both children, so a fold would render (and cache)
+    every inner node of the chain.
 
     A principal power prints as v^k; a leading chain of r >= 2 left
     multiplications by v as v^{r} followed by its core; any other node

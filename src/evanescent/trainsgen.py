@@ -37,7 +37,9 @@ from .magma import (
     X,
     Y,
     Z,
+    fold,
     leaf,
+    leaves,
     left_iterate,
     monomials_of_type,
     normalize_type,
@@ -87,20 +89,8 @@ def classify_type(ty):
 def relabel_monomial(m: Monomial, mapping: dict) -> Monomial:
     if all(k == v for k, v in mapping.items()):
         return m
-    cache: dict[Monomial, Monomial] = {}
-
-    def walk(node):
-        got = cache.get(node)
-        if got is not None:
-            return got
-        if node.is_leaf:
-            res = leaf(mapping.get(node.var, node.var))
-        else:
-            res = product(walk(node.left), walk(node.right))
-        cache[node] = res
-        return res
-
-    return walk(m)
+    cache = {x: leaf(mapping.get(x.var, x.var)) for x in leaves(m)}
+    return fold(m, cache, product)
 
 
 def _relabel(terms, mapping: dict) -> tuple:
@@ -242,23 +232,28 @@ def _reduce(w: Monomial) -> tuple:
     got = _REDUCE_CACHE.get(w)
     if got is not None:
         return got
-    if w in _basis_of_type(type_vector(w)):
-        res = (1, ((w, 1),))
-    else:
-        du, fu = _reduce(w.left)
-        dv, fv = _reduce(w.right)
-        rules = [(a * b, _rule(m1, m2)) for m1, a in fu for m2, b in fv]
-        lcm = math.lcm(*(d for _, (d, _) in rules))
-        acc: dict[Monomial, int] = {}
-        for ab, (d, terms) in rules:
-            scale = ab * (lcm // d)
-            for m, c in terms:
-                acc[m] = acc.get(m, 0) + scale * c
-        den = du * dv * lcm
-        g = math.gcd(den, *acc.values())
-        res = (den // g, tuple((m, n // g) for m, n in acc.items() if n))
-    _REDUCE_CACHE[w] = res
-    return res
+    return fold(w, _REDUCE_CACHE, _rewrite, _basis_form)
+
+
+def _basis_form(w: Monomial):
+    """The form of w when it is a basis monomial, its own normal form."""
+    return (1, ((w, 1),)) if w in _basis_of_type(type_vector(w)) else None
+
+
+def _rewrite(left: tuple, right: tuple) -> tuple:
+    """The normal form of a product from the normal forms of its factors:
+    each product m1 m2 of their terms is rewritten by its rule."""
+    (du, fu), (dv, fv) = left, right
+    rules = [(a * b, _rule(m1, m2)) for m1, a in fu for m2, b in fv]
+    lcm = math.lcm(*(d for _, (d, _) in rules))
+    acc: dict[Monomial, int] = {}
+    for ab, (d, terms) in rules:
+        scale = ab * (lcm // d)
+        for m, c in terms:
+            acc[m] = acc.get(m, 0) + scale * c
+    den = du * dv * lcm
+    g = math.gcd(den, *acc.values())
+    return den // g, tuple((m, n // g) for m, n in acc.items() if n)
 
 
 # ---------------------------------------------------------------------------

@@ -189,6 +189,21 @@ def test_check_deep_rendering(capsys, expr):
     assert lines[-2:] == [f"value at ones = {report.at_ones}", "verdict: not evanescent"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("wnumber", "--type", "200,200,200"),
+        ("enum", "--type", "1200"),
+        ("train", "--type", "1200", "--max-degree", "2000"),
+    ],
+    ids=["wnumber", "enum", "train"],
+)
+def test_too_deep_inputs_exit_2_with_one_line(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: input too large: maximum recursion depth exceeded\n"
+
+
 def _write_algebra(tmp_path, name, matrix, weight):
     path = tmp_path / name
     spec = {"dim": len(weight), "mutation": {"matrix": matrix, "weight": weight}}

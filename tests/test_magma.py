@@ -9,6 +9,7 @@ from evanescent.magma import (
     Variable,
     X,
     Y,
+    Z,
     children,
     degree_in,
     leaf,
@@ -156,3 +157,32 @@ def test_normalize_type_errors():
     with pytest.raises(ValueError):
         magma.normalize_type((-1, 2))
     assert magma.normalize_type((3, 1, 0, 0)) == (3, 1)
+
+
+def test_fold_answers_each_node_once():
+    x, y, z = leaf(X), leaf(Y), leaf(Z)
+    shared = product(x, y)
+    stop = product(z, product(z, z))
+    inner = product(shared, stop)
+    m = product(inner, shared)
+    combined, asked = [], []
+
+    def combine(u, v):
+        combined.append(product(u, v))
+        return combined[-1]
+
+    def base(node):
+        asked.append(node)
+        return node if node is stop else None
+
+    # z is not seeded: base answers stop, so nothing below it is visited
+    cache = {x: x, y: y}
+    assert magma.fold(m, cache, combine, base) is m
+    assert sorted(combined) == sorted([shared, inner, m])
+    assert set(asked) == {shared, stop, inner, m}
+    assert set(cache) == {x, y, shared, stop, inner, m}
+    # a second fold is a cache hit
+    assert magma.fold(m, cache, None, None) is m
+    with pytest.raises(KeyError):
+        magma.fold(product(x, z), {x: x}, product)
+

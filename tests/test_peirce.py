@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import pytest
 
@@ -17,6 +18,7 @@ from evanescent.magma import (
     type_vector,
 )
 from evanescent import homgen, trainsgen
+from evanescent.baric import evaluate, spectrum_algebra
 from evanescent.peirce import (
     EvanescenceError,
     _identity_from_ints,
@@ -374,3 +376,28 @@ def test_identity_from_ints_checks_int_forms():
                 with pytest.raises(EvanescenceError):
                     _identity_from_ints(den, moved, train=True, ty=ty)
     assert len(forms) > 50 and rejected > 200
+
+
+def test_walks_on_a_monomial_deeper_than_the_recursion_limit():
+    # x^{1500}(yz) nests 1,500 products deeper than its leaves y and z
+    w = left_iterate(X, 1500, product(leaf(Y), leaf(Z)))
+    assert w.degree - 1 > sys.getrecursionlimit()
+    swap = {X: Y, Y: X}
+    swapped = trainsgen.relabel_monomial(w, swap)
+    assert type_vector(swapped) == (1, 1500, 1)
+    assert trainsgen.relabel_monomial(swapped, swap) is w
+    f = Polynomial.monomial(w, Q(2, 3))
+    assert f.substitute({v: Polynomial.variable(v) for v in f.variables()}) == f
+    t = Polynomial.variable(T_FRESH)
+    inner = left_iterate(X, 1500, product(leaf(T_FRESH), leaf(Z)))
+    assert linearize(f, Y) == [f, Polynomial.monomial(inner, Q(2, 3))]
+    assert delta(f, Y, t) == Polynomial.monomial(inner, Q(2, 3))
+    for v in (X, Y, Z):
+        assert peirce_recursive(w, v) == peirce_tree(w, v)
+        assert peirce_recursive(f, v) == peirce_tree(f, v)
+    assert peirce_recursive(w, Y) == PeircePolynomial((0,) * 1501 + (1,))
+    # with x = y = e and z in the kernel, yz = lam z and each x multiplies by lam
+    lam = Q(1, 2)
+    algebra, e = spectrum_algebra([lam])
+    z = (Q(0), Q(1))
+    assert evaluate(f, algebra, {X: e, Y: e, Z: z}) == (0, Q(2, 3) * lam**1501)
