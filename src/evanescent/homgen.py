@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 from .magma import Monomial, Variable, monomials_of_type, normalize_type
-from .peirce import Identity, _identity_from_ints, height_counts
+from .peirce import Identity, _identity_from_ints, _peirce_counts
 from .rationals import Q, ZERO, as_ints, as_q
 
 
@@ -187,13 +187,14 @@ def peirce_column(m: Monomial, ty) -> list[int]:
     For each variable of ty in turn, the coefficients of t^1 .. t^(d-1)
     in m's Peirce polynomial (d = sum(ty)), then 1 for the coefficient
     sum.  The t^0 coefficient is zero for every monomial of degree >= 2,
-    so it is left out.
+    so it is left out.  The coefficients are decoded from the packed
+    Peirce cache, which the evanescence re-check then reads too.
     """
     degree = sum(ty)
     column = []
     for i, count in enumerate(ty):
         if count:
-            column += (height_counts(m, i + 1) + [0] * degree)[1:degree]
+            column += (_peirce_counts(m, i + 1) + [0] * degree)[1:degree]
     column.append(1)
     return column
 

@@ -5,18 +5,23 @@ under d(t_j) = [j == v], d(uv) = t*(d(u) + d(v)).  Equivalently it is
 the height generating polynomial of the v-labelled leaves of each
 monomial's tree; both algorithms are implemented.
 
-On a polynomial, ``peirce_recursive`` and ``is_evanescent`` put the
-coefficients over one denominator once (``rationals.as_ints``), add the
-integer leaf counts of each monomial in ints, and build ``Q`` only for
-the nonzero coefficients they return; the coefficient sum is read from
-the same ints.  ``make_identity`` still checks every identity it wraps,
-including those that are evanescent by construction.
+Each monomial's Peirce polynomial is kept packed, as one int: its value
+at t = 2^b (Kronecker substitution), filled bottom-up by ``magma.fold``
+and cached per (variable, slot width b) in ``_PEIRCE_CACHE``.  On a
+polynomial, ``peirce_recursive`` and ``is_evanescent`` put the
+coefficients over one denominator once (``rationals.as_ints``) and add
+n times the packed value of each monomial, one multiply-add per term,
+with b wide enough that every coefficient of the sum fits its slot.
+The sum is zero exactly when that Peirce polynomial is; only a nonzero
+sum is decoded into its digits, with ``Q`` built per nonzero digit.  The
+coefficient sum is read from the same ints.  ``make_identity`` still
+checks every identity it wraps, in exact ints, including those that are
+evanescent by construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import zip_longest
 
 from .magma import Monomial, T_FRESH, Variable, degree_in, fold, leaves, product
 from .poly import Polynomial
@@ -124,8 +129,9 @@ class PeircePolynomial:
         return f"<{self.to_string()}>"
 
 
-# variable index -> {monomial: its Peirce coefficients in that variable as ints}
-_PEIRCE_CACHE: dict[int, dict[Monomial, tuple[int, ...]]] = {}
+# (variable index, slot width b) -> {monomial: its Peirce polynomial in
+# that variable, as an int: its value at t = 2^b}
+_PEIRCE_CACHE: dict[tuple[int, int], dict[Monomial, int]] = {}
 
 
 def peirce_recursive(f, v) -> PeircePolynomial:
@@ -134,40 +140,61 @@ def peirce_recursive(f, v) -> PeircePolynomial:
     if isinstance(f, Monomial):
         return PeircePolynomial(_peirce_counts(f, idx))
     den, nums = as_ints(f.terms.values())
-    return _peirce_sum(f.terms, nums, den, idx)
+    return _peirce_sum(f.terms, nums, den, idx, _slot_bits(f.terms, nums))
 
 
-def _peirce_sum(monomials, nums, den, idx) -> PeircePolynomial:
-    """The Peirce polynomial in idx of sum(n m) / den over the monomials m
-    and ints n, added in ints; Q is built only for nonzero coefficients."""
-    acc: list[int] = []
-    for m, n in zip(monomials, nums):
-        counts = _peirce_counts(m, idx)
-        if len(counts) > len(acc):
-            acc.extend([0] * (len(counts) - len(acc)))
-        for i, k in enumerate(counts):
-            if k:
-                acc[i] += n * k
-    if not any(acc):
-        return PeircePolynomial()
-    return PeircePolynomial([Q(a, den) if a else ZERO for a in acc])
+def _peirce_counts(m: Monomial, idx: int) -> list[int]:
+    """m's Peirce coefficients in idx as ints, decoded from its 64-bit
+    packed value: each is at most m's degree, so each fits its slot."""
+    return _digits(_packed(m, idx, 64), 64)
 
 
-def _peirce_counts(m: Monomial, idx: int) -> tuple[int, ...]:
-    cache = _PEIRCE_CACHE.setdefault(idx, {})
+def _packed(m: Monomial, idx: int, bits: int) -> int:
+    """m's Peirce polynomial in idx evaluated at t = 2^bits."""
+    cache = _PEIRCE_CACHE.setdefault((idx, bits), {})
     got = cache.get(m)
     if got is not None:
         return got
     for x in leaves(m):
-        cache[x] = (1,) if x.var.index == idx else ()
-    return fold(m, cache, _shifted_sum)
+        cache[x] = int(x.var.index == idx)
+    return fold(m, cache, lambda a, b: (a + b) << bits)
 
 
-def _shifted_sum(left, right):
-    """d(uv) = t (d(u) + d(v)) on coefficient tuples."""
-    if not (left or right):
-        return ()
-    return (0, *[a + b for a, b in zip_longest(left, right, fillvalue=0)])
+def _slot_bits(monomials, nums) -> int:
+    """The least multiple of 64, b, with 2 sum|n| max deg < 2^b: every
+    coefficient of a Peirce polynomial of sum(n m) is at most sum|n| max
+    deg in absolute value, so its packed sum has balanced digits."""
+    bound = 2 * sum(map(abs, nums)) * max((m.degree for m in monomials), default=0)
+    return 64 * max(1, -(-bound.bit_length() // 64))
+
+
+def _peirce_sum(monomials, nums, den, idx, bits) -> PeircePolynomial:
+    """The Peirce polynomial in idx of sum(n m) / den over the monomials m
+    and ints n, with bits from ``_slot_bits``: one multiply-add per term on
+    the packed values; a nonzero sum is decoded, and Q built per digit."""
+    cache = _PEIRCE_CACHE.setdefault((idx, bits), {})
+    acc = 0
+    for m, n in zip(monomials, nums):
+        k = cache.get(m)
+        acc += n * (_packed(m, idx, bits) if k is None else k)
+    if not acc:
+        return PeircePolynomial()
+    return PeircePolynomial([Q(a, den) if a else ZERO for a in _digits(acc, bits)])
+
+
+def _digits(s: int, bits: int) -> list[int]:
+    """The balanced base-2^bits digits of s, least significant first:
+    the coefficients of the int polynomial whose value at 2^bits is s,
+    when each is below 2^(bits-1) in absolute value."""
+    mask, half = (1 << bits) - 1, 1 << (bits - 1)
+    digits = []
+    while s:
+        d = s & mask
+        if d >= half:
+            d -= 1 << bits
+        digits.append(d)
+        s = (s - d) >> bits
+    return digits
 
 
 def peirce_tree(w, v) -> PeircePolynomial:
@@ -183,7 +210,8 @@ def peirce_tree(w, v) -> PeircePolynomial:
 
 def height_counts(w: Monomial, idx: int) -> list[int]:
     """Number of t_idx leaves at each height: the Peirce coefficients as ints,
-    by a top-down walk of its own: the independent check of ``peirce_recursive``."""
+    by a top-down walk of its own.  Its one caller is ``peirce_tree``, the
+    independent check of ``peirce_recursive`` and the packed cache."""
     counts: list[int] = []
     stack = [(w, 0)]
     while stack:
@@ -220,7 +248,8 @@ def is_evanescent(f: Polynomial) -> EvanescenceReport:
 def _report(monomials, nums, den) -> EvanescenceReport:
     """The report of sum(n m) / den, over distinct monomials m and ints n."""
     variables = sorted({i for m in monomials for i, _ in m.counts})
-    ppolys = {Variable(i): _peirce_sum(monomials, nums, den, i) for i in variables}
+    bits = _slot_bits(monomials, nums)
+    ppolys = {Variable(i): _peirce_sum(monomials, nums, den, i, bits) for i in variables}
     total = Q(sum(nums), den)
     pe = bool(monomials) and all(p.is_zero for p in ppolys.values())
     return EvanescenceReport(

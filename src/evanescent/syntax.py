@@ -38,7 +38,7 @@ from .magma import (
     var_name,
 )
 from .poly import Polynomial
-from .rationals import ONE, Q, format_sum
+from .rationals import ONE, Q, ZERO, format_sum
 
 
 class ParseError(ValueError):
@@ -54,13 +54,19 @@ _VAR_RE = re.compile(r"^(x|y|z|t\d+)$")
 
 def _tokenize(text: str):
     tokens = []
+    line, line_start, seen = 1, 0, 0
     for match in _TOKEN_RE.finditer(text):
         value = match.group()
         if value.isspace():
             continue
-        head = text[: match.start()]
-        line = head.count("\n") + 1
-        col = match.start() - (head.rfind("\n") + 1) + 1
+        start = match.start()
+        # count only the newlines since the previous token: linear in text
+        newlines = text.count("\n", seen, start)
+        if newlines:
+            line += newlines
+            line_start = text.rfind("\n", seen, start) + 1
+        seen = start
+        col = start - line_start + 1
         if value.isalpha() and len(value) > 1 and set(value) <= {"x", "y", "z"}:
             # juxtaposed single-letter variables, e.g. "xy"
             for offset, ch in enumerate(value):
@@ -115,12 +121,18 @@ class _Parser:
         if self.peek() in ("+", "-"):
             if self.next()[0] == "-":
                 sign = -1
-        total = self.parse_term().scale(sign)
-        while self.peek() in ("+", "-"):
-            op = self.next()[0]
-            term = self.parse_term()
-            total = total + term.scale(-1 if op == "-" else 1)
-        return total
+        # one dict for the whole sum, zeros dropped as Polynomial.__add__ does
+        out = {}
+        while True:
+            for m, c in self.parse_term().terms.items():
+                s = out.get(m, ZERO) + sign * c
+                if s:
+                    out[m] = s
+                else:
+                    out.pop(m, None)
+            if self.peek() not in ("+", "-"):
+                return Polynomial._raw(out)
+            sign = -1 if self.next()[0] == "-" else 1
 
     def parse_term(self) -> Polynomial:
         coeff = ONE

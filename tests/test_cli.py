@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -270,3 +271,28 @@ def test_main_calls_share_one_parser(capsys):
     assert shared[2] == (0, "x^2 x^2 - 2 x^3 + x^2\n", "")
     assert shared[3] == (2, "", "error: --var takes a single variable name\n")
     assert shared[4] == (2, "", "error: family types like 'n,1' need --all MAXDEG\n")
+
+
+# sha256 of stdout, recorded before the Peirce polynomials were packed into
+# ints; every run exits 0 with nothing on stderr
+STDOUT_DIGESTS = {
+    ("train", "--type", "n,1", "--all", "9"):
+        "5efc52c7550407618c07901231e04cda9e4b0f642be5d487ef77a4ccbce186eb",
+    ("train", "--type", "n,1,1", "--all", "7"):
+        "91c9fae1262eee32ab0393bb162994568204264927fe2e43eae30c209d3eee6d",
+    ("homog", "--type", "6,1,1"):
+        "caa9e7a5f307191ea99c218da3925042dfbd8d65eb990e5cf878b616f7f3c97c",
+    ("homog", "--type", "8,1"):
+        "a809b1b365cee90939bfeb6c5ef7e6ed8204fe732e55b5bd7a9cdb9eeb81146e",
+    ("peirce", "1/2 x^2 y - 2/3 x (x y) + 5/7 (y x) x - 3/4 y^2 z"):
+        "db84101f592d1a13922e9a2fa41adc6d7492004b7b07d562b0beb93ed81af096",
+    ("check", "x^2 y - 1/3 x (x y) + 2/5 y^2 - 7/9 x^2"):
+        "5bfc24e068bef54cdb7e538eb720072a3fdeef11c69c60acfec3b8cfd0179610",
+}
+
+
+@pytest.mark.parametrize("argv", list(STDOUT_DIGESTS), ids=" ".join)
+def test_stdout_is_byte_identical(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_DIGESTS[argv]

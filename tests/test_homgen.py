@@ -18,7 +18,7 @@ from evanescent.homgen import (
 )
 from evanescent import trainsgen
 from evanescent.magma import monomials_of_type, w_number
-from evanescent.peirce import peirce_tree
+from evanescent.peirce import height_counts, peirce_tree
 from evanescent.rationals import ONE, Q, ZERO
 from evanescent.syntax import parse
 
@@ -317,6 +317,22 @@ def test_peirce_matrix_type5():
     # one row per power 1..4 plus the coefficient-sum row
     assert matrix.shape == (5, 3)
     assert matrix.row_labels[-1] == ("sum", 0)
+
+
+@pytest.mark.parametrize("ty", [(4, 2), (6, 2), (8, 1), (6, 1, 1)])
+def test_peirce_matrix_matches_height_counts(ty):
+    # the matrix reads the packed Peirce cache; height_counts is the
+    # independent top-down walk
+    matrix = peirce_matrix(ty)
+    degree = sum(ty)
+    rows = [
+        [(height_counts(m, i + 1) + [0] * degree)[power] for m in matrix.col_labels]
+        for i, count in enumerate(ty)
+        if count
+        for power in range(1, degree)
+    ]
+    assert matrix.rows == rows + [[1] * len(matrix.col_labels)]
+    assert matrix.col_labels == list(monomials_of_type(ty))
 
 
 def test_peirce_matrix_type1_trivial():

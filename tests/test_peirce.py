@@ -20,6 +20,7 @@ from evanescent.magma import (
 from evanescent import homgen, trainsgen
 from evanescent.baric import evaluate, spectrum_algebra
 from evanescent.peirce import (
+    _PEIRCE_CACHE,
     EvanescenceError,
     _identity_from_ints,
     PeircePolynomial,
@@ -317,6 +318,24 @@ def test_integer_sums_match_fraction_oracle(rng):
         for line in corpus_lines(*name.split("/")):
             polys.append(parse(line).scale(Q(rng.randint(1, 9), rng.choice(dens))))
     polys.append(parse("x^2 x^2 - 2 x^3 + x^2").scale(Q(-1, 21)) + parse("1/2 x^2 y"))
+    # wide coefficients put the packed sums in slots of 128 bits and more;
+    # the differences give negative balanced digits and exact cancellations
+    wide = (2**64, 2**64 - 1, 3**300, 1 - 3**300)
+    for _ in range(80):
+        f = Polynomial.zero()
+        for _ in range(rng.randint(1, 4)):
+            m = random_monomial(rng, max_degree=6)
+            c = Q(rng.choice(wide) * rng.choice((1, -1, 2)), rng.choice((1, 3, 2**70)))
+            f = f + Polynomial.monomial(m, c)
+            if rng.random() < 0.7:
+                f = f - Polynomial.monomial(rng.choice(monomials_of_type(type_vector(m))), c)
+        polys.append(f)
+    for line in corpus_lines("homog_n2", "4_2")[:5]:
+        polys.append(parse(line).scale(Q(3**300, 2**70)))
+    # the slot bound is tight: a coefficient of 2^63 needs a 128-bit slot
+    polys += [parse("x").scale(Q(2**63)), parse("x^2").scale(Q(2**62, 3))]
+    polys.append(parse("x^2 - y").scale(Q(-(2**62))))
+    polys.append(parse("x^2 y - x (x y)").scale(Q(2**64)) + parse("y^2 - 2 x y").scale(Q(1 - 3**300, 7)))
     cancelled = zero_sum = 0
     for f in polys:
         report = is_evanescent(f)
@@ -335,6 +354,8 @@ def test_integer_sums_match_fraction_oracle(rng):
         assert report.is_peirce_evanescent == pe
         assert report.is_evanescent_identity == (pe and total == 0)
     assert cancelled > 50 and zero_sum > 50
+    widths = {bits for _, bits in _PEIRCE_CACHE}
+    assert {64, 128} <= widths and max(widths) >= 512
 
 
 def test_identity_from_ints_checks_int_forms():

@@ -91,6 +91,33 @@ def test_parse_errors_have_positions():
         parse("x + + y +")
 
 
+@pytest.mark.parametrize(
+    "text, line, col",
+    [
+        ("x y\n+ 2 z\n  - (x ^ y)", 3, 10),
+        ("\n\nx +\n\n   y )", 5, 6),
+        ("x\n+ y\n+", 3, 2),  # the end of the input
+        ("x +\ty\n\t+ 1/0 x", 2, 8),  # a tab is one column
+        ("1/2 x^2\n\n+ 2/3 x (x y)\n- z w", 4, 5),
+    ],
+)
+def test_parse_error_position_on_several_lines(text, line, col):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert (err.value.line, err.value.col) == (line, col)
+    assert str(err.value).endswith(f"(line {line}, column {col})")
+
+
+def test_parse_sums_terms_in_one_pass():
+    # like terms are added and cancelled terms dropped, as repeated
+    # Polynomial addition would
+    terms = [(f"{i % 5 + 1}/{i % 3 + 1}", f"x^{i % 4 + 2}") for i in range(40)]
+    text = "\n+ ".join(f"{c} {p} y - {c} y {p}" for c, p in terms)
+    assert parse(text) == Polynomial.zero()
+    f = parse("x^2 - 1/2 y + x x - 1/2 y + y - x^2")
+    assert f == Polynomial.monomial(product(leaf(X), leaf(X))) and list(f.terms.values()) == [Q(1)]
+
+
 def test_unknown_variable():
     with pytest.raises(ParseError) as err:
         parse("x + w")
