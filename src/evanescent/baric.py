@@ -15,6 +15,11 @@ of den_v^(count of v in m)).  Evaluation adds the terms over the lcm of
 their denominators: the int sum is zero exactly when the value is, and
 rationals come back only in what ``mul``, ``evaluate`` and
 ``weighted_evaluate`` return.
+
+Evaluation has one mechanism, ``_Plan``: f folded once into a
+straight-line program over int vectors.  ``evaluate`` and
+``weighted_evaluate`` build one per call; ``verify_identity`` builds one
+per identity and runs it for every trial and mode.
 """
 
 from __future__ import annotations
@@ -216,59 +221,100 @@ def _check_bindings(f: Polynomial, algebra: BaricAlgebra, bindings: dict):
     return scaled
 
 
-def _value(f: Polynomial, algebra: BaricAlgebra, scaled: dict, weighted: bool):
-    """(ints, den) with f = ints / den at the scaled bindings, plain or
-    weighted.  A term c m is over c.den * D^(deg m - 1) * prod den_v^count;
-    weighting by omega(v) = Omega_v / (wden * den_v) to each deficit makes
-    that prod den_v^full for every term, so it is applied at the end."""
-    cache = {leaf(v): ints for v, (_, ints) in scaled.items()}
-    dens = {v.index: den for v, (den, _) in scaled.items()}
-    if weighted:
-        wden = algebra._weight_den
-        deficits = []  # (index, full degree, Omega_v) for each variable of f
-        for v in f.variables():
-            omega = sum(w * x for w, x in zip(algebra._weight_ints, scaled[v][1]))
-            deficits.append((v.index, f.degree_in(v), omega))
-    groups: dict[int, list] = {}
-    for m, c in f.terms.items():
-        num, den = c.numerator, c.denominator * algebra._den ** (m.degree - 1)
-        if weighted:
+class _Plan:
+    """f folded once into a straight-line program over the algebra's int
+    vectors: the one evaluation mechanism, shared by ``evaluate``,
+    ``weighted_evaluate`` and every trial and mode of ``verify_identity``.
+
+    Slot i < len(variables) holds the value of variables[i]; each distinct
+    inner node of f's monomials, bottom-up, appends one slot as
+    ``_times`` of two earlier slots (``nodes``).  A term c m is (slot of m,
+    c.numerator, c.denominator * D^(deg m - 1), m's count of each variable).
+    """
+
+    __slots__ = ("algebra", "variables", "full", "nodes", "terms")
+
+    def __init__(self, f: Polynomial, algebra: BaricAlgebra):
+        variables = f.variables()
+        slots = {leaf(v): i for i, v in enumerate(variables)}
+        nodes = []
+
+        def node(a, b):
+            nodes.append((a, b))
+            return len(variables) + len(nodes) - 1
+
+        terms = []
+        for m, c in f.terms.items():
             counts = dict(m.counts)
-            for idx, full, omega in deficits:
-                deficit = full - counts.get(idx, 0)
-                num *= omega**deficit
-                den *= wden**deficit
-            if not num:
-                continue
-        else:
-            for idx, cnt in m.counts:
-                den *= dens[idx] ** cnt
-        acc = groups.setdefault(den, [0] * algebra.dim)
-        for k, x in enumerate(fold(m, cache, algebra._times)):
-            if x:
-                acc[k] += num * x
-    common = lcm(*groups)
-    total = [
-        sum(acc[k] * (common // den) for den, acc in groups.items())
-        for k in range(algebra.dim)
-    ]
-    if weighted:
-        common *= prod(dens[idx] ** full for idx, full, _ in deficits)
-    return total, common
+            terms.append((
+                fold(m, slots, node),
+                c.numerator,
+                c.denominator * algebra._den ** (m.degree - 1),
+                tuple(counts.get(v.index, 0) for v in variables),
+            ))
+        self.algebra = algebra
+        self.variables = variables
+        self.full = tuple(f.degree_in(v) for v in variables)
+        self.nodes = nodes
+        self.terms = terms
+
+    def run(self, points, weighted: bool):
+        """(ints, den) with f = ints / den, plain or weighted, where points
+        holds one (den_v, int vector) per variable.  A term c m is over
+        c.den * D^(deg m - 1) * prod den_v^count; weighting by
+        omega(v) = Omega_v / (wden * den_v) to each deficit makes that
+        prod den_v^full for every term, so it is applied at the end."""
+        algebra, dim = self.algebra, self.algebra.dim
+        times = algebra._times
+        values = [ints for _, ints in points]
+        for a, b in self.nodes:
+            values.append(times(values[a], values[b]))
+        dens = [den for den, _ in points]
+        if weighted:
+            wden, w = algebra._weight_den, algebra._weight_ints
+            omegas = [sum(a * x for a, x in zip(w, ints)) for _, ints in points]
+        groups: dict[int, list] = {}
+        for slot, num, den, counts in self.terms:
+            if weighted:
+                for omega, full, count in zip(omegas, self.full, counts):
+                    num *= omega ** (full - count)
+                    den *= wden ** (full - count)
+                if not num:
+                    continue
+            else:
+                for den_v, count in zip(dens, counts):
+                    den *= den_v**count
+            acc = groups.setdefault(den, [0] * dim)
+            for k, x in enumerate(values[slot]):
+                if x:
+                    acc[k] += num * x
+        common = lcm(*groups)
+        total = [
+            sum(acc[k] * (common // den) for den, acc in groups.items())
+            for k in range(dim)
+        ]
+        if weighted:
+            common *= prod(den_v**full for den_v, full in zip(dens, self.full))
+        return total, common
+
+
+def _evaluate(f: Polynomial, algebra: BaricAlgebra, bindings: dict, weighted: bool):
+    scaled = _check_bindings(f, algebra, bindings)
+    plan = _Plan(f, algebra)
+    ints, den = plan.run([scaled[v] for v in plan.variables], weighted)
+    return tuple(Q(n, den) for n in ints)
 
 
 def evaluate(f: Polynomial, algebra: BaricAlgebra, bindings: dict):
     """Plain homomorphic evaluation of every monomial."""
-    ints, den = _value(f, algebra, _check_bindings(f, algebra, bindings), False)
-    return tuple(Q(n, den) for n in ints)
+    return _evaluate(f, algebra, bindings, False)
 
 
 def weighted_evaluate(f: Polynomial, algebra: BaricAlgebra, bindings: dict):
     """Weighted evaluation: each term is scaled by the product of
     w(binding)^(full degree - term degree) over the variables, so the
     whole expression is homogeneous of full type."""
-    ints, den = _value(f, algebra, _check_bindings(f, algebra, bindings), True)
-    return tuple(Q(n, den) for n in ints)
+    return _evaluate(f, algebra, bindings, True)
 
 
 @dataclass(frozen=True)
@@ -288,7 +334,20 @@ _DENOMINATORS = (1, 1, 2)
 
 
 def _random_ratio(rng):
-    return rng.randint(-3, 3), rng.choice(_DENOMINATORS)
+    """(rng.randint(-3, 3), rng.choice(_DENOMINATORS)), drawn as CPython
+    draws them: each is getrandbits of the bit length of its range size,
+    retried while out of range.  That is a CPython implementation detail,
+    not a documented guarantee; every pinned refutation rests on this
+    stream, and ``test_random_ratio_replicates_randint_and_choice``
+    compares it with ``randint`` and ``choice``."""
+    bits = rng.getrandbits
+    p = bits(3)
+    while p >= 7:
+        p = bits(3)
+    q = bits(2)
+    while q >= 3:
+        q = bits(2)
+    return p - 3, _DENOMINATORS[q]
 
 
 def _random_q(rng):
@@ -311,7 +370,7 @@ def verify_identity(
     and evaluated as int vectors; only a counterexample is converted back."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    variables = f.variables()
+    plan = _Plan(f, algebra)
     d = algebra.dim
     # the weight-1 anchor and the kernel basis, as int vectors over frame_den
     frame = (algebra.weight_one_anchor(), *algebra.kernel_basis())
@@ -319,18 +378,18 @@ def verify_identity(
     anchor, *kernel = [flat[i : i + d] for i in range(0, len(flat), d)]
     for trial in range(trials):
         rng = random.Random(seed * 1_000_003 + trial)
-        weight_one = {}
-        for v in variables:
+        weight_one = []
+        for _ in plan.variables:
             s, coeffs = _draw(rng, len(kernel))
             vec = [s * a for a in anchor]
             for c, b in zip(coeffs, kernel):
                 if c:
                     for k in range(d):
                         vec[k] += c * b[k]
-            weight_one[v] = (s * frame_den, vec)
-        general = {v: _draw(rng, d) for v in variables}
-        for mode, bindings in (("weight-1", weight_one), ("weighted", general)):
-            if any(_value(f, algebra, bindings, mode == "weighted")[0]):
+            weight_one.append((s * frame_den, vec))
+        general = [_draw(rng, d) for _ in plan.variables]
+        for mode, points in (("weight-1", weight_one), ("weighted", general)):
+            if any(plan.run(points, mode == "weighted")[0]):
                 return VerificationResult(
                     passed=False,
                     trials=trials,
@@ -339,7 +398,7 @@ def verify_identity(
                     mode=mode,
                     counterexample={
                         v.name: tuple(Q(n, den) for n in ints)
-                        for v, (den, ints) in bindings.items()
+                        for v, (den, ints) in zip(plan.variables, points)
                     },
                 )
     return VerificationResult(passed=True, trials=trials, seed=seed)
@@ -484,11 +543,34 @@ def random_baric_algebra(rng: random.Random, dim: int) -> BaricAlgebra:
     return BaricAlgebra(dim, structure, weight)
 
 
+def _json_field(obj, key, where="algebra"):
+    if not isinstance(obj, dict):
+        raise AlgebraError(f"{where} must be a JSON object")
+    if key not in obj:
+        raise AlgebraError(f"{where} has no key {key!r}")
+    return obj[key]
+
+
+def _json_list(value, what):
+    if not isinstance(value, list):
+        raise AlgebraError(f"{what} must be a JSON list")
+    return value
+
+
+def _json_q(c):
+    try:
+        return Q(str(c))
+    except (ValueError, ZeroDivisionError):
+        raise AlgebraError(f"{c!r} is not a rational p/q with q != 0") from None
+
+
 def load_algebra(source) -> BaricAlgebra:
     """Load an algebra from JSON: {"dim": d, "weight": [...],
     "structure": [[i, j, k, "p/q"], ...]} or {"dim": d,
     "mutation": {"matrix": [[...]], "weight": [...]}}.  Indices are
-    0-based; rationals are "p/q" strings."""
+    0-based; rationals are "p/q" strings.  A missing key, a value of the
+    wrong type, an index out of range or a zero denominator raises
+    AlgebraError."""
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
@@ -496,18 +578,33 @@ def load_algebra(source) -> BaricAlgebra:
         obj = json.load(source)
     else:
         obj = source
-    dim = int(obj["dim"])
+    dim = _json_field(obj, "dim")
+    try:
+        dim = int(dim)
+    except (TypeError, ValueError, OverflowError):
+        raise AlgebraError(f"dim must be an integer, not {dim!r}") from None
     if "mutation" in obj:
         mut = obj["mutation"]
-        matrix = [[Q(str(c)) for c in row] for row in mut["matrix"]]
-        weight = [Q(str(c)) for c in mut["weight"]]
+        rows = _json_list(_json_field(mut, "matrix", "mutation"), "matrix")
+        matrix = [[_json_q(c) for c in _json_list(row, "matrix row")] for row in rows]
+        weight = [_json_q(c) for c in _json_list(_json_field(mut, "weight", "mutation"), "weight")]
         return make_mutation(MutationSpec.make(matrix, weight))
-    weight = [Q(str(c)) for c in obj["weight"]]
+    weight = [_json_q(c) for c in _json_list(_json_field(obj, "weight"), "weight")]
+    if len(weight) != dim:
+        raise AlgebraError(f"weight has {len(weight)} entries, expected dim = {dim}")
     structure = [[[ZERO] * dim for _ in range(dim)] for _ in range(dim)]
     seen = {}
-    for entry in obj["structure"]:
+    for entry in _json_list(_json_field(obj, "structure"), "structure"):
+        if not (
+            isinstance(entry, list)
+            and len(entry) == 4
+            and all(type(n) is int and 0 <= n < dim for n in entry[:3])
+        ):
+            raise AlgebraError(
+                f"structure entry {entry!r} is not [i, j, k, value] with 0 <= i, j, k < {dim}"
+            )
         i, j, k, value = entry
-        value = Q(str(value))
+        value = _json_q(value)
         for a, b in ((i, j), (j, i)):
             prev = seen.get((a, b, k))
             if prev is not None and prev != value:

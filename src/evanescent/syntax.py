@@ -17,6 +17,13 @@ Grammar (whitespace insignificant between tokens):
 follows.  Juxtaposition associates to the LEFT: "a b c" parses as
 "(a b) c".  The input "0" denotes the zero polynomial.
 
+A factor that is a single monomial with coefficient 1 (a variable, a
+power, or a parenthesized sum that reduces to one such term) is parsed
+as a ``Monomial``, so a chain of them costs one ``magma.product`` per
+juxtaposition and ``x^{r} m`` costs r.  A factor becomes a
+``Polynomial`` only when it is a sum or carries a coefficient, and a
+product is a ``Polynomial`` product only when one factor is.
+
 The printer renders each interned monomial once: ``_TEXT`` caches its
 text, and whether it is a principal power, per node.  The cache is
 filled bottom-up with an explicit stack, so printing a deep monomial
@@ -35,10 +42,11 @@ from .magma import (
     plenary_power,
     principal_power,
     principal_power_of,
+    product,
     var_name,
 )
 from .poly import Polynomial
-from .rationals import ONE, Q, ZERO, format_sum
+from .rationals import ONE, Q, format_sum
 
 
 class ParseError(ValueError):
@@ -124,8 +132,9 @@ class _Parser:
         # one dict for the whole sum, zeros dropped as Polynomial.__add__ does
         out = {}
         while True:
-            for m, c in self.parse_term().terms.items():
-                s = out.get(m, ZERO) + sign * c
+            for m, c in self.parse_term():
+                c = c if sign > 0 else -c
+                s = out[m] + c if m in out else c
                 if s:
                     out[m] = s
                 else:
@@ -134,7 +143,8 @@ class _Parser:
                 return Polynomial._raw(out)
             sign = -1 if self.next()[0] == "-" else 1
 
-    def parse_term(self) -> Polynomial:
+    def parse_term(self):
+        """The (monomial, coefficient) pairs of one term."""
         coeff = ONE
         tok = self.peek()
         if tok is not None and tok.isdigit():
@@ -149,8 +159,10 @@ class _Parser:
                 coeff = Q(num)
         result = self.parse_factor()
         while self._at_factor():
-            result = result * self.parse_factor()
-        return result.scale(coeff)
+            result = _times(result, self.parse_factor())
+        if isinstance(result, Monomial):
+            return ((result, coeff),)
+        return (result if coeff == 1 else result.scale(coeff)).terms.items()
 
     def _at_factor(self) -> bool:
         tok = self.peek()
@@ -169,11 +181,16 @@ class _Parser:
             self.fail("variable t0 is reserved", tok)
         return Variable(index)
 
-    def parse_factor(self) -> Polynomial:
+    def parse_factor(self) -> Monomial | Polynomial:
+        """A Monomial when the factor is one (coefficient 1), else a Polynomial."""
         tok = self.next()
         if tok[0] == "(":
             inner = self.parse_poly()
             self.expect(")")
+            if len(inner.terms) == 1:
+                ((m, c),) = inner.terms.items()
+                if c == 1:
+                    return m
             return inner
         if not _VAR_RE.match(tok[0]):
             if re.match(r"^[A-Za-z]", tok[0]):
@@ -181,7 +198,7 @@ class _Parser:
             self.fail(f"expected a factor, found {tok[0]!r}", tok)
         v = self.parse_variable(tok)
         if self.peek() != "^":
-            return Polynomial.variable(v)
+            return leaf(v)
         self.next()
         nxt = self.peek()
         if nxt == "{":
@@ -189,9 +206,8 @@ class _Parser:
             r = self.parse_int()
             self.expect("}")
             arg = self.parse_factor()
-            vpoly = Polynomial.variable(v)
             for _ in range(r):
-                arg = vpoly * arg
+                arg = _times(leaf(v), arg)
             return arg
         if nxt == "[":
             self.next()
@@ -199,11 +215,23 @@ class _Parser:
             self.expect("]")
             if k < 1:
                 self.fail("plenary power needs k >= 1", tok)
-            return Polynomial.monomial(plenary_power(v, k))
+            return plenary_power(v, k)
         k = self.parse_int()
         if k < 1:
             self.fail("power needs k >= 1", tok)
-        return Polynomial.monomial(principal_power(v, k))
+        return principal_power(v, k)
+
+
+def _times(a, b):
+    """The product of two factors: one magma product when both are
+    monomials, else a Polynomial product."""
+    if isinstance(a, Monomial) and isinstance(b, Monomial):
+        return product(a, b)
+    return _as_polynomial(a) * _as_polynomial(b)
+
+
+def _as_polynomial(f):
+    return Polynomial._raw({f: ONE}) if isinstance(f, Monomial) else f
 
 
 def parse(text: str) -> Polynomial:

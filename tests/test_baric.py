@@ -2,6 +2,7 @@ import json
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from evanescent import baric
 from evanescent.baric import (
@@ -127,6 +128,15 @@ def test_weighted_evaluate_homogeneous_is_scaled_plain(rng):
     assert plain == weighted  # full type terms carry no weight factors
 
 
+def test_random_ratio_replicates_randint_and_choice():
+    # _random_ratio draws the same bits as randint and choice do in CPython;
+    # a Python whose randrange draws otherwise fails here at once
+    for seed in range(2000):
+        rng, rng2 = random.Random(seed), random.Random(seed)
+        got = [baric._random_ratio(rng) for _ in range(30)]
+        assert got == [(rng2.randint(-3, 3), rng2.choice((1, 1, 2))) for _ in range(30)]
+
+
 def test_verify_identity_pass_and_fail():
     rng = random.Random(8)
     algebra = random_mutation_algebra(rng, 4)
@@ -247,6 +257,63 @@ def test_load_algebra_structure():
     algebra = load_algebra(obj)
     assert algebra.structure[0][1][1] == Q(1, 2)
     assert algebra.structure[1][0][1] == Q(1, 2)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"weight": ["1"], "structure": []},
+        {"dim": 1, "weight": "1", "structure": []},
+        {"dim": 1, "weight": ["1"], "structure": [[-1, 0, 0, "1"]]},  # no wrap-around
+        {"dim": 2, "weight": ["1", "0"], "structure": [[0, 0, True, "1"]]},
+        {"dim": 2, "weight": ["1", "0"], "structure": [[0, 0, 0]]},
+        {"dim": 2, "weight": ["1"], "structure": []},
+        {"dim": 1, "weight": ["1"], "structure": [[0, 0, 0, "2/0"]]},
+        {"dim": 1, "mutation": {"matrix": ["1"], "weight": ["1"]}},
+        {"dim": 1, "mutation": {"weight": ["1"]}},
+    ],
+)
+def test_load_algebra_rejects_malformed(obj):
+    with pytest.raises(AlgebraError):
+        load_algebra(obj)
+
+
+# JSON values shaped like an algebra, with parts missing, of the wrong type,
+# out of range or with a zero denominator
+_RATIONAL = st.sampled_from(["1", "0", "1/2", "-1", "1/0", 1, 0, None, "x", []])
+_INDEX = st.sampled_from([0, 0, 1, 1, 2, -1, 3, True, 1.0, None])
+_ROWS = st.lists(st.lists(_RATIONAL, max_size=3), max_size=3)
+_ALGEBRA = st.tuples(
+    st.fixed_dictionaries(
+        {
+            "dim": st.sampled_from([1, 1, 2, 2, 3, 0, -1, "2", None, 1.5]),
+            "weight": st.lists(_RATIONAL, max_size=3) | _RATIONAL,
+            "structure": st.lists(
+                st.tuples(_INDEX, _INDEX, _INDEX, _RATIONAL).map(list) | st.lists(_INDEX),
+                max_size=4,
+            )
+            | _RATIONAL,
+        },
+        optional={
+            "mutation": st.fixed_dictionaries(
+                {"matrix": _ROWS | _RATIONAL, "weight": st.lists(_RATIONAL, max_size=3)}
+            )
+            | _ROWS
+        },
+    ),
+    st.sampled_from([None, None, None, "dim", "weight", "structure", "mutation"]),
+).map(lambda pair: {k: v for k, v in pair[0].items() if k != pair[1]})
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.integers(0, 9).flatmap(lambda n: _ALGEBRA if n else st.lists(_ALGEBRA, max_size=2)))
+@example({"dim": 1, "weight": ["1"], "structure": [[0, 0, 0, "1"]]})
+@example({"dim": 1, "mutation": {"matrix": [["1"]], "weight": ["1"]}})
+def test_load_algebra_returns_an_algebra_or_raises_algebra_error(obj):
+    try:
+        assert isinstance(load_algebra(obj), BaricAlgebra)
+    except AlgebraError:
+        pass
 
 
 def test_load_algebra_inconsistent():

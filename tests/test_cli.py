@@ -296,3 +296,61 @@ def test_stdout_is_byte_identical(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_DIGESTS[argv]
+
+
+MUTATION_3 = {
+    "dim": 3,
+    "mutation": {
+        "matrix": [["1", "0", "0"], ["0", "2", "1/2"], ["0", "0", "-1"]],
+        "weight": ["1", "0", "0"],
+    },
+}
+SPECTRUM_1_2 = {"dim": 2, "mutation": {"matrix": [["1", "0"], ["0", "4"]], "weight": ["1", "0"]}}
+
+# sha256 of stdout, recorded before evaluation went through one compiled
+# plan per identity: (algebra, identity, trials, seed, format) -> exit, digest
+VERIFY_STDOUT_DIGESTS = {
+    ("mutation", "x^2 y^2 - (x y)(x y) + 1/2 x^2 x^2 - x^3 + 1/2 x^2", "16", "4", "text"):
+        (0, "029a1dcb6296514057183b53ac507242f98f43b5951f1c693a968af748c2f949"),
+    ("spectrum", "x^2 - x", "8", "0", "text"):
+        (1, "e873f3d3968ce823975e4c977e028e1258aec83e8e40918fafcec9a82b91345f"),
+    ("mutation", "x^2 y^2 - (x y)(x y) + 1/2 x^2 x^2 - x^3 + 1/2 x^2", "16", "4", "jsonl"):
+        (0, "c58450dc3a069008e24ef5f7773c0bccc1bd71bd644c3f257a9c2ca03dfdadf3"),
+    ("spectrum", "x^2 - x", "8", "0", "jsonl"):
+        (1, "0f8c2e6168642b2555b820649627694f627bbe836f463a58778891ec7104f361"),
+}
+
+
+@pytest.mark.parametrize("case", list(VERIFY_STDOUT_DIGESTS), ids=lambda c: f"{c[0]}-{c[4]}")
+def test_verify_stdout_is_byte_identical(capsys, tmp_path, case):
+    name, identity, trials, seed, fmt = case
+    path = tmp_path / f"{name}.json"
+    spec = MUTATION_3 if name == "mutation" else SPECTRUM_1_2
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    code, out, err = run_cli(
+        capsys, "verify", "--algebra", str(path), "--identity", identity,
+        "--trials", trials, "--seed", seed, "--format", fmt,
+    )
+    assert err == ""
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == VERIFY_STDOUT_DIGESTS[case]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"weight": ["1"]},  # no dim
+        [{"dim": 1, "weight": ["1"], "structure": [[0, 0, 0, "1"]]}],  # not an object
+        {"dim": 2, "weight": ["1", "0"], "structure": [[0, 0, 5, "1"]]},  # k out of range
+        {"dim": 1, "weight": ["1/0"], "structure": [[0, 0, 0, "1"]]},  # zero denominator
+    ],
+    ids=["missing-key", "wrong-type", "index-out-of-range", "zero-denominator"],
+)
+def test_verify_malformed_algebra_exits_2_with_one_line(capsys, tmp_path, spec):
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    code, out, err = run_cli(
+        capsys, "verify", "--algebra", str(path), "--identity", "x^2 - x", "--trials", "2"
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err

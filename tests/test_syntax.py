@@ -1,10 +1,21 @@
 import json
 import pathlib
+import random
 
 import pytest
 
 from evanescent import syntax
-from evanescent.magma import X, Y, leaf, left_iterate, plenary_power, product
+from evanescent.magma import (
+    X,
+    Y,
+    Z,
+    Variable,
+    leaf,
+    left_iterate,
+    plenary_power,
+    principal_power,
+    product,
+)
 from evanescent.poly import Polynomial
 from evanescent.rationals import Q
 from evanescent.syntax import (
@@ -116,6 +127,60 @@ def test_parse_sums_terms_in_one_pass():
     assert parse(text) == Polynomial.zero()
     f = parse("x^2 - 1/2 y + x x - 1/2 y + y - x^2")
     assert f == Polynomial.monomial(product(leaf(X), leaf(X))) and list(f.terms.values()) == [Q(1)]
+
+
+_CHAIN_VARIABLES = (("x", X), ("y", Y), ("z", Z), ("t4", Variable(4)))
+
+
+def _random_factor(rng, depth):
+    """(text, value) of a random factor, the value built with Polynomial
+    products and sums alone, as the parser built every factor before
+    monomial chains were multiplied as monomials."""
+    name, v = rng.choice(_CHAIN_VARIABLES)
+    var = Polynomial.variable(v)
+    kind = rng.randrange(8 if depth else 3)
+    if kind == 0:
+        return name, var
+    if kind == 1:
+        k = rng.randint(1, 4)
+        return f"{name}^{k}", Polynomial.monomial(principal_power(v, k))
+    if kind == 2:
+        k = rng.randint(1, 3)
+        return f"{name}^[{k}]", Polynomial.monomial(plenary_power(v, k))
+    if kind == 3:
+        r = rng.randint(0, 3)
+        text, arg = _random_factor(rng, depth - 1)
+        for _ in range(r):
+            arg = var * arg
+        return f"{name}^{{{r}}} {text}", arg
+    if kind == 4:  # a monomial when its factors are
+        text, f = _random_chain(rng, depth - 1)
+        return f"({text})", f
+    if kind == 5:
+        (a, f), (b, g) = _random_chain(rng, depth - 1), _random_chain(rng, depth - 1)
+        return (f"({a} + {b})", f + g) if rng.random() < 0.5 else (f"({a} - {b})", f - g)
+    if kind == 6:  # sums of a single term with coefficient 1
+        text, f = _random_chain(rng, depth - 1)
+        if rng.random() < 0.5:
+            return f"({text} + {name} - {name})", f + var - var
+        return f"(1/2 {text} + 1/2 {text})", f.scale(Q(1, 2)) + f.scale(Q(1, 2))
+    return rng.choice(((f"(2 {name})", var.scale(2)), (f"({name} - {name})", var - var)))
+
+
+def _random_chain(rng, depth):
+    text, f = _random_factor(rng, depth)
+    for _ in range(rng.randint(0, 2)):
+        more, g = _random_factor(rng, depth)
+        text, f = f"{text} {more}", f * g
+    return text, f
+
+
+def test_parse_chains_match_polynomial_products():
+    rng = random.Random(1907)
+    for _ in range(3000):
+        text, f = _random_chain(rng, depth=3)
+        lead, scale = rng.choice((("", 1), ("0 ", 0), ("1/2 ", Q(1, 2))))
+        assert parse(lead + text) == f.scale(scale), lead + text
 
 
 def test_unknown_variable():
