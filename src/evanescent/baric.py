@@ -55,46 +55,36 @@ class BaricAlgebra:
             if len(plane) != d or any(len(row) != d for row in plane):
                 raise AlgebraError("dimension mismatch in structure")
         den, flat = as_ints([c for plane in planes for row in plane for c in row])
-        rows = [flat[k * d : (k + 1) * d] for k in range(d * d)]
-        numerators = [rows[i * d : (i + 1) * d] for i in range(d)]
-        self._setup(d, den, numerators, weight)
+        self._setup(d, den, _cells(d, flat), weight)
 
     @classmethod
-    def _from_ints(cls, dim, den, numerators, weight):
-        """The algebra with c[i][j][k] = numerators[i][j][k] / den."""
+    def _from_ints(cls, dim, den, cells, weight):
+        """The algebra with c[i][j][k] = n / den for each (k, n) of
+        cells[i, j], the nonzero numerators of e_i e_j by ascending k; a
+        pair with no nonzero constant has no cell."""
         algebra = object.__new__(cls)
-        algebra._setup(dim, den, numerators, weight)
+        algebra._setup(dim, den, cells, weight)
         return algebra
 
-    def _setup(self, dim, den, numerators, weight):
+    def _setup(self, dim, den, cells, weight):
         self.dim, self._den, self.weight = dim, den, weight
-        rows = [
-            [tuple((k, n) for k, n in enumerate(row) if n) for row in plane]
-            for plane in numerators
-        ]
         self._weight_den, self._weight_ints = as_ints(weight)
-        self._validate(rows)
-        self._pairs = tuple(
-            (i, j, rows[i][j]) for i in range(dim) for j in range(i, dim) if rows[i][j]
-        )
+        self._validate(cells)
+        self._pairs = tuple((i, j, row) for (i, j), row in sorted(cells.items()) if i <= j)
 
-    def _validate(self, rows):
-        d, den = self.dim, self._den
-        wden, w = self._weight_den, self._weight_ints
-        for i in range(d):
-            for j in range(i + 1, d):
-                if rows[i][j] != rows[j][i]:
-                    raise AlgebraError("structure constants are not commutative")
+    def _validate(self, cells):
+        den, wden, w = self._den, self._weight_den, self._weight_ints
+        if any(cells.get((j, i)) != row for (i, j), row in cells.items()):
+            raise AlgebraError("structure constants are not commutative")
         if not any(w):
             raise AlgebraError("weight must be nonzero")
-        # sum_k c[i][j][k] w_k = w_i w_j, multiplied through by den * wden^2
-        for i in range(d):
-            for j in range(d):
-                got = wden * sum(n * w[k] for k, n in rows[i][j])
-                if got != den * w[i] * w[j]:
-                    raise AlgebraError(
-                        f"weight is not an algebra character at basis pair ({i}, {j})"
-                    )
+        # sum_k c[i][j][k] w_k = w_i w_j, multiplied through by den * wden^2;
+        # both sides are 0 on a pair with no cell and w_i w_j = 0
+        support = [i for i, c in enumerate(w) if c]
+        for i, j in sorted(cells.keys() | {(i, j) for i in support for j in support}):
+            got = wden * sum(n * w[k] for k, n in cells.get((i, j), ()))
+            if got != den * w[i] * w[j]:
+                raise AlgebraError(f"weight is not an algebra character at basis pair ({i}, {j})")
 
     @property
     def structure(self):
@@ -175,18 +165,25 @@ def make_mutation(spec: MutationSpec) -> BaricAlgebra:
     if not any(w):
         raise AlgebraError("weight must be nonzero")
     # M = m / mden and w = wi / wden over ints
-    mden, flat = as_ints([c for row in spec.matrix for c in row])
-    m = [flat[k * d : (k + 1) * d] for k in range(d)]
+    mden, entries = as_ints([c for row in spec.matrix for c in row])
+    m = [entries[k * d : (k + 1) * d] for k in range(d)]
     wden, wi = as_ints(w)
     for j in range(d):
         if sum(wi[k] * m[k][j] for k in range(d)) != wi[j] * mden:
             raise AlgebraError("weight is not fixed by the mutation map")
     # c[i][j][k] = (w_j M_ki + w_i M_kj) / 2, over 2 * wden * mden
-    numerators = [
-        [[wi[j] * m[k][i] + wi[i] * m[k][j] for k in range(d)] for j in range(d)]
-        for i in range(d)
-    ]
-    return BaricAlgebra._from_ints(d, 2 * wden * mden, numerators, w)
+    flat = [wi[j] * m[k][i] + wi[i] * m[k][j] for i in range(d) for j in range(d) for k in range(d)]
+    return BaricAlgebra._from_ints(d, 2 * wden * mden, _cells(d, flat), w)
+
+
+def _cells(d, flat):
+    """{(i, j): ((k, n), ...)} over the nonzero n = flat[(i d + j) d + k]."""
+    cells = {}
+    for ij in range(d * d):
+        row = tuple((k, n) for k, n in enumerate(flat[ij * d : ij * d + d]) if n)
+        if row:
+            cells[divmod(ij, d)] = row
+    return cells
 
 
 def spectrum_algebra(lambdas):
@@ -558,8 +555,11 @@ def _json_list(value, what):
 
 
 def _json_q(c):
+    text = str(c)
+    if "e" in text or "E" in text:  # "1e2000000" would build a 2,000,001-digit int
+        raise AlgebraError(f"{c!r} is not a rational p/q: no exponent notation")
     try:
-        return Q(str(c))
+        return Q(text)
     except (ValueError, ZeroDivisionError):
         raise AlgebraError(f"{c!r} is not a rational p/q with q != 0") from None
 
@@ -569,8 +569,8 @@ def load_algebra(source) -> BaricAlgebra:
     "structure": [[i, j, k, "p/q"], ...]} or {"dim": d,
     "mutation": {"matrix": [[...]], "weight": [...]}}.  Indices are
     0-based; rationals are "p/q" strings.  A missing key, a value of the
-    wrong type, an index out of range or a zero denominator raises
-    AlgebraError."""
+    wrong type, an index out of range, an exponent or a zero denominator
+    raises AlgebraError."""
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
@@ -592,8 +592,7 @@ def load_algebra(source) -> BaricAlgebra:
     weight = [_json_q(c) for c in _json_list(_json_field(obj, "weight"), "weight")]
     if len(weight) != dim:
         raise AlgebraError(f"weight has {len(weight)} entries, expected dim = {dim}")
-    structure = [[[ZERO] * dim for _ in range(dim)] for _ in range(dim)]
-    seen = {}
+    entries = {}
     for entry in _json_list(_json_field(obj, "structure"), "structure"):
         if not (
             isinstance(entry, list)
@@ -606,11 +605,12 @@ def load_algebra(source) -> BaricAlgebra:
         i, j, k, value = entry
         value = _json_q(value)
         for a, b in ((i, j), (j, i)):
-            prev = seen.get((a, b, k))
-            if prev is not None and prev != value:
-                raise AlgebraError(
-                    f"inconsistent structure entries for ({a}, {b}, {k})"
-                )
-            seen[(a, b, k)] = value
-            structure[a][b][k] = value
-    return BaricAlgebra(dim, structure, weight)
+            if entries.setdefault((a, b, k), value) != value:
+                raise AlgebraError(f"inconsistent structure entries for ({a}, {b}, {k})")
+    den, nums = as_ints(list(entries.values()))
+    rows = {}
+    for (i, j, k), n in sorted(zip(entries, nums)):
+        if n:
+            rows.setdefault((i, j), []).append((k, n))
+    cells = {ij: tuple(row) for ij, row in rows.items()}
+    return BaricAlgebra._from_ints(dim, den, cells, tuple(weight))

@@ -280,6 +280,10 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:
+        # the backstop for the walks that still recurse (magma._enumerate and
+        # magma._w over sub-types, the parser over nested parentheses); they
+        # stay until an admission budget exists, since without one the inputs
+        # that stop here would run without bound instead
         print("error: input too large: maximum recursion depth exceeded", file=sys.stderr)
         return 2
 

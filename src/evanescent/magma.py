@@ -2,11 +2,15 @@
 
 Monomials are rooted binary trees with variable-labelled leaves, kept
 in a canonical form and interned, so two equal monomials are the same
-object.  The canonical total order compares (degree, type vector, then
-recursively the two children); node children are stored smaller-first.
-Interning makes a per-node cache sound: :func:`fold` is the one bottom-up
-walk, behind Peirce counts, substitution, ``delta``, relabelling,
-rewriting and evaluation, and it does not recurse on deep trees.
+object.  The canonical total order compares degree, then the positional
+type vector, then the left children, then the right ones; node children
+are stored smaller-first.  It is defined once, by ``Monomial.__lt__``, as
+one descent: a leaf is the only monomial of its degree and vector, so
+two different monomials that tie there are both nodes, and the first
+pair of children that differ decides.  Interning makes a per-node cache
+sound: :func:`fold` is the one bottom-up walk, behind Peirce counts,
+substitution, ``delta``, relabelling, rewriting and evaluation.  Neither
+the order nor the fold recurses on deep trees.
 """
 
 from __future__ import annotations
@@ -52,30 +56,46 @@ class Monomial:
 
     Construct through :func:`leaf` and :func:`product` only; instances
     are interned, so ``==`` coincides with identity and hashing is by
-    identity.
+    identity.  ``u < v`` walks one path down both trees, with no stack:
+    while u is not v, a differing (degree, vector) decides, and otherwise
+    both are nodes and the walk steps into their left children if those
+    differ, into their right children if not.
     """
 
-    __slots__ = ("var", "left", "right", "degree", "counts", "key")
+    __slots__ = ("var", "left", "right", "degree", "counts", "vec")
 
-    def __init__(self, var, left, right, degree, counts, key):
+    def __init__(self, var, left, right, degree, counts):
         self.var = var
         self.left = left
         self.right = right
         self.degree = degree
         self.counts = counts  # sorted tuple of (index, multiplicity)
-        self.key = key
+        vec = [0] * (counts[-1][0] + 1)
+        for i, c in counts:
+            vec[i] = c
+        self.vec = tuple(vec)  # multiplicity of variable i at i, up to the largest i
 
     def __lt__(self, other):
-        return self.key < other.key
+        u, v = self, other
+        while u is not v:
+            if u.degree != v.degree:
+                return u.degree < v.degree
+            if u.vec != v.vec:
+                return u.vec < v.vec
+            if u.left is not v.left:
+                u, v = u.left, v.left
+            else:
+                u, v = u.right, v.right
+        return False
 
     def __le__(self, other):
-        return self.key <= other.key
+        return self is other or self < other
 
     def __gt__(self, other):
-        return self.key > other.key
+        return other < self
 
     def __ge__(self, other):
-        return self.key >= other.key
+        return self is other or other < self
 
     @property
     def is_leaf(self) -> bool:
@@ -91,57 +111,27 @@ _LEAVES: dict[int, Monomial] = {}
 _NODES: dict[tuple[Monomial, Monomial], Monomial] = {}
 
 
-def _positional(counts) -> tuple[int, ...]:
-    size = counts[-1][0] + 1
-    vec = [0] * size
-    for idx, c in counts:
-        vec[idx] = c
-    return tuple(vec)
-
-
 def leaf(v) -> Monomial:
     """The degree-1 monomial for a variable (or a bare index)."""
     if isinstance(v, int):
         v = Variable(v)
     m = _LEAVES.get(v.index)
     if m is None:
-        counts = ((v.index, 1),)
-        key = (1, _positional(counts), (0, v.index))
-        m = Monomial(v, None, None, 1, counts, key)
+        m = Monomial(v, None, None, 1, ((v.index, 1),))
         _LEAVES[v.index] = m
     return m
 
 
-def _merge_counts(a, b):
-    out = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        ai, bi = a[i], b[j]
-        if ai[0] == bi[0]:
-            out.append((ai[0], ai[1] + bi[1]))
-            i += 1
-            j += 1
-        elif ai[0] < bi[0]:
-            out.append(ai)
-            i += 1
-        else:
-            out.append(bi)
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return tuple(out)
-
-
 def product(u: Monomial, v: Monomial) -> Monomial:
     """Commutative magma product, in canonical (smaller child first) form."""
-    if v.key < u.key:
+    if v < u:
         u, v = v, u
     m = _NODES.get((u, v))
     if m is None:
-        counts = _merge_counts(u.counts, v.counts)
-        degree = u.degree + v.degree
-        key = (degree, _positional(counts), (1, u.key, v.key))
-        m = Monomial(None, u, v, degree, counts, key)
+        counts = dict(u.counts)
+        for i, c in v.counts:
+            counts[i] = counts.get(i, 0) + c
+        m = Monomial(None, u, v, u.degree + v.degree, tuple(sorted(counts.items())))
         _NODES[(u, v)] = m
     return m
 
@@ -194,12 +184,9 @@ def fold(m: Monomial, cache: dict, combine, base=None):
 
 def type_vector(w: Monomial) -> tuple[int, ...]:
     """Multidegrees (|w|_1, ..., |w|_n), trailing zeros trimmed."""
-    if w.counts[0][0] == 0:
+    if w.vec[0]:
         raise ValueError("type vector undefined for the reserved variable")
-    vec = [0] * w.counts[-1][0]
-    for i, c in w.counts:
-        vec[i - 1] = c
-    return tuple(vec)
+    return w.vec[1:]
 
 
 def principal_power(v, k: int) -> Monomial:
@@ -282,7 +269,7 @@ def _enumerate(ty: tuple[int, ...]) -> tuple[Monomial, ...]:
         for u in _enumerate(pair[0]):
             for v in _enumerate(pair[1]):
                 out.add(product(u, v))
-    return tuple(sorted(out, key=lambda m: m.key))
+    return tuple(sorted(out))
 
 
 def monomials_of_type(ty) -> tuple[Monomial, ...]:

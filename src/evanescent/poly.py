@@ -118,7 +118,7 @@ class Polynomial:
         return self.terms.get(m, ZERO)
 
     def items_ordered(self, reverse=False):
-        return sorted(self.terms.items(), key=lambda mc: mc[0].key, reverse=reverse)
+        return sorted(self.terms.items(), key=lambda mc: mc[0], reverse=reverse)
 
     def at_ones(self):
         """Coefficient sum, i.e. the value at (1, 1, ...)."""

@@ -309,8 +309,8 @@ def _render(m: Monomial) -> tuple[str, bool]:
         if r >= 2:
             parts = (core,)
         else:
-            a, b = children(node)
-            parts = (b, a) if a.key < b.key else (a, b)
+            smaller, larger = children(node)
+            parts = (larger, smaller)
         missing = [p for p in parts if p not in _TEXT]
         if missing:
             stack += missing

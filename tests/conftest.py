@@ -32,6 +32,27 @@ def random_polynomial(rng, variables=(1, 2, 3), max_degree=5, max_terms=4):
     return total
 
 
+_NESTED_KEYS = {}
+
+
+def nested_key(m):
+    """The canonical order as nested tuples, built bottom-up: (degree,
+    positional type vector, (0, index)) for a leaf and (degree, vector,
+    (1, key of left, key of right)) for a node.  The reference for the
+    descent of ``Monomial.__lt__``; comparing two keys recurses once per
+    level where the trees agree, so deep keys raise RecursionError."""
+    for v in magma.leaves(m):
+        i = v.var.index
+        _NESTED_KEYS.setdefault(v, (1, (0,) * i + (1,), (0, i)))
+    return magma.fold(m, _NESTED_KEYS, _node_key)
+
+
+def _node_key(a, b):
+    n = max(len(a[1]), len(b[1]))
+    va, vb = a[1] + (0,) * (n - len(a[1])), b[1] + (0,) * (n - len(b[1]))
+    return (a[0] + b[0], tuple(p + q for p, q in zip(va, vb)), (1, a, b))
+
+
 @pytest.fixture
 def rng():
     return random.Random(20260809)

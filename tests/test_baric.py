@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -271,11 +272,29 @@ def test_load_algebra_structure():
         {"dim": 1, "weight": ["1"], "structure": [[0, 0, 0, "2/0"]]},
         {"dim": 1, "mutation": {"matrix": ["1"], "weight": ["1"]}},
         {"dim": 1, "mutation": {"weight": ["1"]}},
+        {"dim": 1, "weight": ["1e2000000"], "structure": []},  # rejected before Fraction runs
+        {"dim": 1, "weight": ["1e3"], "structure": [[0, 0, 0, "1E3"]]},  # valid, but in exponents
     ],
 )
 def test_load_algebra_rejects_malformed(obj):
     with pytest.raises(AlgebraError):
         load_algebra(obj)
+
+
+def test_load_algebra_keeps_structure_sparse():
+    # one structure entry in dimension 120: nothing of size dim^3 is built
+    dim = 120
+    obj = {"dim": dim, "weight": ["1"] + ["0"] * (dim - 1), "structure": [[0, 0, 0, "1"]]}
+    tracemalloc.start()
+    try:
+        algebra = load_algebra(obj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    e0 = (ONE,) + (ZERO,) * (dim - 1)
+    assert algebra.mul(e0, e0) == e0
+    assert algebra.mul(e0[::-1], e0) == (ZERO,) * dim
 
 
 # JSON values shaped like an algebra, with parts missing, of the wrong type,

@@ -176,13 +176,18 @@ def test_deep_monomial(capsys):
     assert "Traceback" not in out + err
 
 
-@pytest.mark.parametrize("expr", ["x^1200", " ".join(["x y"] * 600)], ids=["power", "word"])
+@pytest.mark.parametrize(
+    "expr",
+    ["x^1200", " ".join(["x y"] * 600), "x^{2000}((xy)z) - x^{2000}((xz)y)"],
+    ids=["power", "word", "chains"],
+)
 def test_check_deep_rendering(capsys, expr):
     # x^1200 is a deep principal power; the 1,200-letter word nests as
-    # deeply with no power or chain to collapse it in print
+    # deeply with no power or chain to collapse it in print; the two chains
+    # agree for 2,000 levels, so printing them in order compares that deep
     code, out, err = run_cli(capsys, "check", expr)
-    assert code == 0
-    assert "Traceback" not in out + err
+    assert (code, err) == (0, "")
+    assert "Traceback" not in out
     report = is_evanescent(parse(expr))
     assert not report.is_peirce_evanescent
     lines = out.splitlines()
@@ -196,8 +201,9 @@ def test_check_deep_rendering(capsys, expr):
         ("wnumber", "--type", "200,200,200"),
         ("enum", "--type", "1200"),
         ("train", "--type", "1200", "--max-degree", "2000"),
+        ("check", "(" * 3000 + "x" + ")" * 3000),
     ],
-    ids=["wnumber", "enum", "train"],
+    ids=["wnumber", "enum", "train", "parens"],
 )
 def test_too_deep_inputs_exit_2_with_one_line(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

@@ -1,8 +1,10 @@
 import itertools
 import random
+import sys
 import time
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from evanescent import magma
 from evanescent.magma import (
@@ -21,8 +23,10 @@ from evanescent.magma import (
     type_vector,
     w_number,
 )
+from evanescent.poly import Polynomial
+from evanescent.syntax import format_polynomial, parse, parse_monomial
 
-from conftest import random_monomial
+from conftest import nested_key, random_monomial
 
 W_POW = {0: 0, 1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 46, 10: 98}
 W_N1 = {0: 1, 1: 1, 2: 2, 3: 4, 4: 9, 5: 20, 6: 46, 7: 106, 8: 248, 9: 582, 10: 1376}
@@ -137,9 +141,56 @@ def test_enumeration_is_sorted_and_duplicate_free():
     for ty in [(6,), (4, 1), (3, 2)]:
         ms = monomials_of_type(ty)
         assert len(set(ms)) == len(ms)
-        assert list(ms) == sorted(ms, key=lambda m: m.key)
+        assert list(ms) == sorted(ms, key=nested_key)
         for w in ms:
             assert type_vector(w) == ty
+
+
+# random products of leaves, some under a left chain x^{r} deeper than the
+# recursion limit; few variables and degrees, so that many pairs tie on
+# degree and type vector
+_DEEP = sys.getrecursionlimit() + 50
+
+
+@st.composite
+def _monomials(draw, degree=None):
+    degree = degree or draw(st.integers(1, 7))
+    if degree == 1:
+        return leaf(draw(st.sampled_from((1, 1, 2))))
+    split = draw(st.integers(1, degree // 2))
+    return product(draw(_monomials(degree - split)), draw(_monomials(split)))
+
+
+_MONOMIALS = st.tuples(_monomials(), st.sampled_from((0, 0, 0, _DEEP))).map(
+    lambda mr: left_iterate(X, mr[1], mr[0])
+)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.lists(_MONOMIALS, min_size=1, max_size=8), st.lists(st.integers(-3, 3), max_size=8))
+# x^{r} ((x y) z) and x^{r} ((x z) y) agree down the whole chain
+@example([left_iterate(X, _DEEP, parse_monomial(text)) for text in ("(x y) z", "(x z) y")], [1, -1])
+def test_order_is_a_strict_total_order_matching_nested_keys(pool, coeffs):
+    assert all(product(a, b) is product(b, a) for a in pool for b in pool)
+    products = {product(a, b) for a in pool for b in pool}
+    assert not any(m.right < m.left for m in products)
+    monomials = list(products | set(pool))
+    keys = [nested_key(m) for m in monomials]
+    for a, ka in zip(monomials, keys):
+        for b, kb in zip(monomials, keys):
+            assert [a < b, b < a, a is b].count(True) == 1
+            assert (a <= b, a > b, a >= b) == (not b < a, b < a, not a < b)
+            try:
+                want = ka < kb
+            except RecursionError:
+                continue  # too deep for the oracle, not for the descent
+            assert (a < b) == want
+    ordered = sorted(monomials)
+    assert all(a < b for a, b in itertools.combinations(ordered, 2))
+    f = Polynomial.zero()
+    for m, c in zip(pool, coeffs):
+        f = f + Polynomial.monomial(m, c)
+    assert parse(format_polynomial(f)) == f
 
 
 def test_type_vector():

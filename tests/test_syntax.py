@@ -28,7 +28,7 @@ from evanescent.syntax import (
     polynomial_to_json,
 )
 
-from conftest import CORPUS, fraction_format, random_monomial, random_polynomial
+from conftest import CORPUS, fraction_format, nested_key, random_monomial, random_polynomial
 
 
 def test_parse_backcrossing():
@@ -227,7 +227,7 @@ def test_format_monomial_cold_and_warm_cache(monkeypatch):
             for line in path.read_text(encoding="utf-8").splitlines()
             for m in parse(line).terms
         },
-        key=lambda m: m.key,
+        key=nested_key,
     )
     cold = []
     for m in monomials:
