@@ -554,7 +554,9 @@ def _json_list(value, what):
     return value
 
 
-def _json_q(c):
+def read_q(c):
+    """A rational from its text (or a JSON number): an int, a decimal or
+    "p/q" with q != 0, without exponent notation; AlgebraError otherwise."""
     text = str(c)
     if "e" in text or "E" in text:  # "1e2000000" would build a 2,000,001-digit int
         raise AlgebraError(f"{c!r} is not a rational p/q: no exponent notation")
@@ -586,10 +588,10 @@ def load_algebra(source) -> BaricAlgebra:
     if "mutation" in obj:
         mut = obj["mutation"]
         rows = _json_list(_json_field(mut, "matrix", "mutation"), "matrix")
-        matrix = [[_json_q(c) for c in _json_list(row, "matrix row")] for row in rows]
-        weight = [_json_q(c) for c in _json_list(_json_field(mut, "weight", "mutation"), "weight")]
+        matrix = [[read_q(c) for c in _json_list(row, "matrix row")] for row in rows]
+        weight = [read_q(c) for c in _json_list(_json_field(mut, "weight", "mutation"), "weight")]
         return make_mutation(MutationSpec.make(matrix, weight))
-    weight = [_json_q(c) for c in _json_list(_json_field(obj, "weight"), "weight")]
+    weight = [read_q(c) for c in _json_list(_json_field(obj, "weight"), "weight")]
     if len(weight) != dim:
         raise AlgebraError(f"weight has {len(weight)} entries, expected dim = {dim}")
     entries = {}
@@ -603,7 +605,7 @@ def load_algebra(source) -> BaricAlgebra:
                 f"structure entry {entry!r} is not [i, j, k, value] with 0 <= i, j, k < {dim}"
             )
         i, j, k, value = entry
-        value = _json_q(value)
+        value = read_q(value)
         for a, b in ((i, j), (j, i)):
             if entries.setdefault((a, b, k), value) != value:
                 raise AlgebraError(f"inconsistent structure entries for ({a}, {b}, {k})")

@@ -15,7 +15,6 @@ import sys
 
 from . import baric, homgen, magma, syntax, trainsgen
 from .peirce import is_evanescent, peirce_recursive
-from .rationals import Q
 
 _FAMILIES = {"n": ("n",), "n,1": ("n", 1), "n,2": ("n", 2), "n,1,1": ("n", 1, 1)}
 
@@ -181,7 +180,8 @@ def cmd_verify(args, out) -> int:
 
 
 def cmd_spectrum(args, out) -> int:
-    lambdas = [Q(part) for part in args.eigenvalues.split(",")] if args.eigenvalues else []
+    parts = args.eigenvalues.split(",") if args.eigenvalues else []
+    lambdas = [baric.read_q(part) for part in parts]
     algebra, e = baric.spectrum_algebra(lambdas)
     matrix = baric.left_mult_matrix(algebra, e)
     poly = baric.char_poly(matrix)

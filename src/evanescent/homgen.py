@@ -12,8 +12,11 @@ per pivot, with no division; a row divided by its pivot entry is a row of
 the reduced row-echelon form over Q.  ``factor``, ``nullspace`` and
 ``homogeneous_dimension`` read those int rows directly; ``nullspace``
 returns sparse int forms, which the evanescence check takes as they are.
-``Q`` comes back only in ``_dot`` (one division per solution entry) and
-in the coefficients of each generated identity.
+``factor`` keeps its reduced rows over one int denominator, column by
+column, so ``solve_unique`` sums in ints over the nonzero entries of the
+right-hand side alone.  ``Q`` comes back only in ``solve_unique``'s
+result (one per nonzero entry) and in the coefficients of each
+generated identity.
 """
 
 from __future__ import annotations
@@ -130,17 +133,19 @@ def _dense_order(form, scale) -> list:
 class FactoredSystem:
     """A matrix A reduced once, to solve A x = b for many right-hand sides.
 
-    E [A | I] is the reduced row-echelon form of [A | I].  ``solution``
-    holds one (pivot column, row of E) pair per pivot of A, and
-    ``consistency`` the rows of E whose product with A is zero; they span
-    the left nullspace of A.  A row of E is kept as (d, ((j, n_j), ...)):
-    its nonzero entries are n_j / d, where n_j is entry ncols + j of an
-    int row of ``rref`` and d is that row's pivot entry.
+    E [A | I] is the reduced row-echelon form of [A | I].  Its first
+    ``rank`` rows have their pivots in A, and when rank = ncols row i has
+    its pivot in column i, so x = E b; the other rows span the left
+    nullspace of A, and b is consistent when they vanish on it.  E is
+    M / den for an int matrix M and one denominator ``den``, the lcm of
+    the pivot entries of ``rref``'s int rows.  M is kept column by
+    column: ``columns[j]`` holds the nonzero entries (i, n) of column j.
     """
 
     ncols: int
-    solution: tuple
-    consistency: tuple
+    rank: int
+    den: int
+    columns: tuple
 
 
 def factor(rows) -> FactoredSystem:
@@ -149,17 +154,14 @@ def factor(rows) -> FactoredSystem:
     ncols = len(rows[0])
     augmented = [list(row) + [int(j == i) for j in range(nrows)] for i, row in enumerate(rows)]
     reduced, pivots = rref(augmented)
-    left = [
-        (row[pc], tuple((j, n) for j, n in enumerate(row[ncols:]) if n))
-        for row, pc in zip(reduced, pivots)
-    ]
+    den = math.lcm(*(row[pc] for row, pc in zip(reduced, pivots)))
+    columns = [[] for _ in range(nrows)]
+    for i, (row, pc) in enumerate(zip(reduced, pivots)):
+        for j, n in enumerate(row[ncols:]):
+            if n:
+                columns[j].append((i, n * (den // row[pc])))
     rank = sum(1 for pc in pivots if pc < ncols)
-    return FactoredSystem(ncols, tuple(zip(pivots, left[:rank])), tuple(left[rank:]))
-
-
-def _dot(row, vec):
-    d, entries = row
-    return Q(sum(n * vec[j] for j, n in entries)) / d
+    return FactoredSystem(ncols, rank, den, tuple(map(tuple, columns)))
 
 
 def solve_unique(system, rhs) -> tuple:
@@ -167,18 +169,24 @@ def solve_unique(system, rhs) -> tuple:
 
     ``system`` is either the rows of A or ``factor(rows)``; pass the
     factored form to reuse one elimination for many right-hand sides.
+    M b is summed in ints over the nonzero entries of b (a rational b is
+    first put over the lcm of its denominators); each nonzero entry of
+    x is one ``Q``, and each zero entry is ``ZERO``.
     """
     if not isinstance(system, FactoredSystem):
         system = factor(system)
-    for row in system.consistency:
-        if _dot(row, rhs):
-            raise LinearSolveError("inconsistent linear system")
-    if len(system.solution) < system.ncols:
+    bden, b = (1, rhs) if all(type(c) is int for c in rhs) else as_ints(rhs)
+    acc = [0] * len(system.columns)
+    for c, column in zip(b, system.columns, strict=True):
+        if c:
+            for i, n in column:
+                acc[i] += c * n
+    if any(acc[system.rank :]):
+        raise LinearSolveError("inconsistent linear system")
+    if system.rank < system.ncols:
         raise LinearSolveError("underdetermined linear system")
-    solution = [ZERO] * system.ncols
-    for pc, row in system.solution:
-        solution[pc] = _dot(row, rhs)
-    return tuple(solution)
+    den = system.den * bden
+    return tuple(Q(n, den) if n else ZERO for n in acc[: system.ncols])
 
 
 def peirce_column(m: Monomial, ty) -> list[int]:

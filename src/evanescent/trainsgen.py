@@ -21,8 +21,10 @@ each cached normal form (``_REDUCE_CACHE``) is a form (den, ((m, n),
 ...)), the polynomial sum(n m) / den over one positive denominator.
 Rewriting a product accumulates its terms over the product of the two
 children's denominators and the lcm of the rules' denominators, then
-divides out the gcd once.  ``Q`` appears only in the per-type solve and
-at the public entry points, which turn a form into a ``Polynomial``.
+divides out the gcd once.  The per-type solve sums in ints too; ``Q``
+appears only in ``solve_unique``'s result, which ``_solve_in_span`` puts
+straight back over one denominator, and at the public entry points,
+which turn a form into a ``Polynomial``.
 """
 
 from __future__ import annotations
@@ -283,8 +285,9 @@ def solve_Pw(w: Monomial, shape=None) -> Polynomial:
     """P(w) by the direct exact linear solve over the span.
 
     The system depends only on the type of w, so it is one elimination
-    per type, reused for every monomial: solving for w costs one product
-    of the factored system with w's integer Peirce vector.  This is the
+    per type, reused for every monomial: solving for w reads only the
+    columns of the factored system at the nonzero entries of w's integer
+    Peirce column, at most degree + 1 of them.  This is the
     independent cross-check of ``reduce`` on the monomials that have a
     train identity; a basis monomial raises BasisMonomialError.
     """

@@ -153,6 +153,15 @@ def test_spectrum(capsys):
     assert "0 (x1), 1/2 (x1), 1 (x1)" in out
 
 
+@pytest.mark.parametrize("value", ["1/0", "1e5000"], ids=["zero-denominator", "exponent"])
+def test_spectrum_rejects_bad_eigenvalue_with_one_line(capsys, value):
+    # read by a bare Fraction, 1/0 raised ZeroDivisionError and 1e5000 ran for seconds
+    code, out, err = run_cli(capsys, "spectrum", "--eigenvalues", f"0,{value}")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_determinism(capsys):
     args = ("train", "--type", "n,1", "--all", "5", "--format", "jsonl")
     _, first, _ = run_cli(capsys, *args)

@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from evanescent import homgen
 from evanescent.homgen import (
@@ -218,6 +219,9 @@ def test_solve_unique():
         solve_unique([[1, 1]], [1])  # underdetermined
     with pytest.raises(LinearSolveError):
         solve_unique([[1], [1]], [1, 2])  # inconsistent
+    for rhs in ([1], [1, 1, 1]):  # one entry per row of A
+        with pytest.raises(ValueError):
+            solve_unique(factor([[1], [1]]), rhs)
 
 
 def test_factored_system_answers_many_right_hand_sides():
@@ -281,6 +285,41 @@ def test_factored_system_keeps_both_checks():
             with pytest.raises(LinearSolveError, match=message):
                 solve_unique(target, rhs)
     assert solve_unique(factor([[1, 1], [2, 2], [0, 1]]), [1, 2, 3]) == (-2, 3)
+
+
+_ENTRY = st.sampled_from([0] * 6 + [1, -1, 2, -3, 5])
+_SCALAR = st.one_of(_ENTRY, st.builds(Q, st.integers(-6, 6), st.integers(1, 6)))
+
+
+@st.composite
+def _sparse_system(draw):
+    """Rows shaped like a Peirce span system (mostly zeros, more rows than
+    columns) and a right-hand side of ints or Q: A x for a drawn x, or drawn."""
+    ncols = draw(st.integers(1, 5))
+    row = st.lists(_ENTRY, min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(row, min_size=ncols, max_size=ncols + 4))
+    if draw(st.booleans()):
+        x = draw(st.lists(_SCALAR, min_size=ncols, max_size=ncols))
+        return rows, [sum(a * c for a, c in zip(r, x)) for r in rows]
+    return rows, draw(st.lists(_SCALAR, min_size=len(rows), max_size=len(rows)))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_sparse_system())
+@example(([[1, 2], [2, 4], [0, 0]], [1, 2, 0]))  # rank-deficient, consistent
+@example(([[1, 0], [0, 1], [1, 1]], [1, Q(1, 2), 0]))  # inconsistent
+def test_column_wise_solve_matches_fraction_solve(system):
+    rows, rhs = system
+    try:
+        want = fraction_solve(rows, rhs)
+    except LinearSolveError as exc:
+        for target in (rows, factor(rows)):
+            with pytest.raises(LinearSolveError, match=str(exc)):
+                solve_unique(target, rhs)
+    else:
+        got = solve_unique(factor(rows), rhs)
+        assert got == solve_unique(rows, rhs) == want
+        assert all(type(c) is Q for c in got)
 
 
 def test_span_solve_factors_each_type_once(monkeypatch):

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from evanescent import trainsgen
+from evanescent import homgen, trainsgen
 from evanescent.magma import (
     Variable,
     X,
@@ -185,6 +185,38 @@ def test_integer_rewriting_from_cold_caches(monkeypatch):
             assert all(type(c) is Q for c in identity.terms.values())
             checked += 1
     assert checked == w_number((5, 1, 1)) - 3 + w_number((6, 2)) - 2
+
+
+def test_large_spans_agree_from_cold_caches(monkeypatch):
+    # the (40, 1) span system is 81 x 79, larger than any the workloads solve;
+    # each canonical type met along the way is factored exactly once
+    monkeypatch.setattr(trainsgen, "_SPAN_SYSTEMS", {})
+    monkeypatch.setattr(trainsgen, "_RULES", {})
+    monkeypatch.setattr(trainsgen, "_REDUCE_CACHE", {})
+    calls = []
+    original = homgen.rref
+
+    def counted(rows):
+        calls.append((len(rows), len(rows[0]) - len(rows)))  # the shape of A in [A | I]
+        return original(rows)
+
+    monkeypatch.setattr(homgen, "rref", counted)
+    x, y, z = leaf(X), leaf(Y), leaf(Z)
+    monomials = [
+        product(principal_power(X, 20), left_iterate(X, 20, y)),
+        product(principal_power(X, 39), product(x, y)),
+        product(product(principal_power(X, 10), y), principal_power(X, 30)),
+        product(product(principal_power(X, 12), y), z),
+        product(principal_power(X, 7), product(left_iterate(X, 5, y), z)),
+        left_iterate(X, 3, product(product(principal_power(X, 9), z), y)),
+    ]
+    for w in monomials:
+        assert type_vector(w) in ((40, 1), (12, 1, 1)) and not is_basis_monomial(w)
+        assert reduce(w) == solve_Pw(w)
+    assert len(calls) == len(trainsgen._SPAN_SYSTEMS) and (81, 79) in calls
+    for w in monomials:
+        solve_Pw(w)
+    assert len(calls) == len(trainsgen._SPAN_SYSTEMS)
 
 
 def test_reduce_accumulates_rational_rules_in_ints(monkeypatch):
