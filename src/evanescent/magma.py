@@ -113,12 +113,11 @@ _NODES: dict[tuple[Monomial, Monomial], Monomial] = {}
 
 def leaf(v) -> Monomial:
     """The degree-1 monomial for a variable (or a bare index)."""
-    if isinstance(v, int):
-        v = Variable(v)
-    m = _LEAVES.get(v.index)
+    index = v if isinstance(v, int) else v.index
+    m = _LEAVES.get(index)
     if m is None:
-        m = Monomial(v, None, None, 1, ((v.index, 1),))
-        _LEAVES[v.index] = m
+        m = Monomial(Variable(index), None, None, 1, ((index, 1),))
+        _LEAVES[index] = m
     return m
 
 

@@ -5,25 +5,26 @@ under d(t_j) = [j == v], d(uv) = t*(d(u) + d(v)).  Equivalently it is
 the height generating polynomial of the v-labelled leaves of each
 monomial's tree; both algorithms are implemented.
 
-Each monomial's Peirce polynomial is kept packed, as one int: its value
-at t = 2^b (Kronecker substitution), filled bottom-up by ``magma.fold``
-and cached per (variable, slot width b) in ``_PEIRCE_CACHE``.  On a
+A monomial's Peirce polynomial in a variable is kept packed, as its
+value at t = 2^b (Kronecker substitution).  ``_PEIRCE_CACHE`` holds one
+entry per monomial and (variable set, slot width b), the tuple of its
+packed values in those variables, filled by one ``magma.fold``.  On a
 polynomial, ``peirce_recursive`` and ``is_evanescent`` put the
-coefficients over one denominator once (``rationals.as_ints``) and add
-n times the packed value of each monomial, one multiply-add per term,
-with b wide enough that every coefficient of the sum fits its slot.
-The sum is zero exactly when that Peirce polynomial is; only a nonzero
-sum is decoded into its digits, with ``Q`` built per nonzero digit.  The
-coefficient sum is read from the same ints.  ``make_identity`` still
-checks every identity it wraps, in exact ints, including those that are
-evanescent by construction.
+coefficients over one denominator (``rationals.as_ints``) and sum n
+times each variable's column of packed values in one pass, with b wide
+enough that every coefficient of the sum fits its slot.  A sum is zero
+exactly when that Peirce polynomial is; only a nonzero sum is decoded,
+with ``Q`` built per nonzero digit.  The coefficient sum is read from
+the same ints.  ``make_identity`` still checks every identity it wraps,
+in exact ints, including those that are evanescent by construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import add, lshift, mul
 
-from .magma import Monomial, T_FRESH, Variable, degree_in, fold, leaves, product
+from .magma import Monomial, T_FRESH, Variable, degree_in, fold, leaf, leaves, product
 from .poly import Polynomial
 from .rationals import Q, ZERO, as_ints, as_q, format_sum
 
@@ -38,6 +39,12 @@ class PeircePolynomial:
         while coeffs and not coeffs[-1]:
             coeffs.pop()
         self.coeffs = tuple(coeffs)
+
+    @classmethod
+    def _raw(cls, coeffs: tuple) -> "PeircePolynomial":
+        p = object.__new__(cls)
+        p.coeffs = coeffs
+        return p
 
     @property
     def is_zero(self) -> bool:
@@ -129,35 +136,40 @@ class PeircePolynomial:
         return f"<{self.to_string()}>"
 
 
-# (variable index, slot width b) -> {monomial: its Peirce polynomial in
-# that variable, as an int: its value at t = 2^b}
-_PEIRCE_CACHE: dict[tuple[int, int], dict[Monomial, int]] = {}
+# (variable indices, slot width b) -> {monomial: its Peirce polynomials in
+# those variables, each as an int, its value at t = 2^b}, one fold for all
+_PEIRCE_CACHE: dict[tuple[tuple[int, ...], int], dict[Monomial, tuple[int, ...]]] = {}
 
 
 def peirce_recursive(f, v) -> PeircePolynomial:
     """Peirce polynomial by the defining recursion d(uv) = t(d(u)+d(v))."""
     idx = v.index if isinstance(v, Variable) else v
     if isinstance(f, Monomial):
-        return PeircePolynomial(_peirce_counts(f, idx))
+        return PeircePolynomial(_peirce_counts(f, (idx,))[0])
     den, nums = as_ints(f.terms.values())
-    return _peirce_sum(f.terms, nums, den, idx, _slot_bits(f.terms, nums))
+    bits = _slot_bits(f.terms, nums)
+    return _decode(_sums(f.terms, nums, (idx,), bits)[0], den, bits)
 
 
-def _peirce_counts(m: Monomial, idx: int) -> list[int]:
-    """m's Peirce coefficients in idx as ints, decoded from its 64-bit
-    packed value: each is at most m's degree, so each fits its slot."""
-    return _digits(_packed(m, idx, 64), 64)
+def _peirce_counts(m: Monomial, variables: tuple) -> list[list[int]]:
+    """m's Peirce coefficients in each of the variables as ints, decoded
+    from its 64-bit packed values: each is at most m's degree, so each
+    fits its slot."""
+    return [_digits(s, 64) for s in _packed(m, variables, 64)]
 
 
-def _packed(m: Monomial, idx: int, bits: int) -> int:
-    """m's Peirce polynomial in idx evaluated at t = 2^bits."""
-    cache = _PEIRCE_CACHE.setdefault((idx, bits), {})
+def _packed(m: Monomial, variables: tuple, bits: int) -> tuple:
+    """m's Peirce polynomials in the variables at t = 2^bits, all of them
+    filled by one fold."""
+    cache = _PEIRCE_CACHE.setdefault((variables, bits), {})
     got = cache.get(m)
     if got is not None:
         return got
     for x in leaves(m):
-        cache[x] = int(x.var.index == idx)
-    return fold(m, cache, lambda a, b: (a + b) << bits)
+        if x not in cache:
+            cache[x] = tuple(int(x.var.index == i) for i in variables)
+    shifts = (bits,) * len(variables)
+    return fold(m, cache, lambda a, b: tuple(map(lshift, map(add, a, b), shifts)))
 
 
 def _slot_bits(monomials, nums) -> int:
@@ -168,18 +180,21 @@ def _slot_bits(monomials, nums) -> int:
     return 64 * max(1, -(-bound.bit_length() // 64))
 
 
-def _peirce_sum(monomials, nums, den, idx, bits) -> PeircePolynomial:
-    """The Peirce polynomial in idx of sum(n m) / den over the monomials m
-    and ints n, with bits from ``_slot_bits``: one multiply-add per term on
-    the packed values; a nonzero sum is decoded, and Q built per digit."""
-    cache = _PEIRCE_CACHE.setdefault((idx, bits), {})
-    acc = 0
-    for m, n in zip(monomials, nums):
-        k = cache.get(m)
-        acc += n * (_packed(m, idx, bits) if k is None else k)
-    if not acc:
-        return PeircePolynomial()
-    return PeircePolynomial([Q(a, den) if a else ZERO for a in _digits(acc, bits)])
+def _sums(monomials, nums, variables: tuple, bits: int) -> list[int]:
+    """For each of the variables, the packed Peirce polynomial of sum(n m)
+    over the monomials m and ints n, with bits from ``_slot_bits``: the
+    entries are transposed and each variable's column summed in one pass."""
+    cache = _PEIRCE_CACHE.setdefault((variables, bits), {})
+    columns = zip(*[cache.get(m) or _packed(m, variables, bits) for m in monomials])
+    return [sum(map(mul, nums, column)) for column in columns] or [0] * len(variables)
+
+
+def _decode(s: int, den: int, bits: int) -> PeircePolynomial:
+    """The Peirce polynomial whose value at t = 2^bits is s / den: only a
+    nonzero s is decoded, with ``Q`` built per nonzero digit."""
+    if not s:
+        return PeircePolynomial._raw(())
+    return PeircePolynomial._raw(tuple(Q(a, den) if a else ZERO for a in _digits(s, bits)))
 
 
 def _digits(s: int, bits: int) -> list[int]:
@@ -247,11 +262,12 @@ def is_evanescent(f: Polynomial) -> EvanescenceReport:
 
 def _report(monomials, nums, den) -> EvanescenceReport:
     """The report of sum(n m) / den, over distinct monomials m and ints n."""
-    variables = sorted({i for m in monomials for i, _ in m.counts})
+    variables = tuple(sorted({i for m in monomials for i, _ in m.counts}))
     bits = _slot_bits(monomials, nums)
-    ppolys = {Variable(i): _peirce_sum(monomials, nums, den, i, bits) for i in variables}
+    sums = _sums(monomials, nums, variables, bits)
+    ppolys = {leaf(i).var: _decode(s, den, bits) for i, s in zip(variables, sums)}
     total = Q(sum(nums), den)
-    pe = bool(monomials) and all(p.is_zero for p in ppolys.values())
+    pe = bool(monomials) and not any(sums)
     return EvanescenceReport(
         peirce=ppolys,
         at_ones=total,

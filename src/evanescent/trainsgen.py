@@ -89,32 +89,30 @@ def classify_type(ty):
 
 
 def relabel_monomial(m: Monomial, mapping: dict) -> Monomial:
-    if all(k == v for k, v in mapping.items()):
+    if not mapping or all(k == v for k, v in mapping.items()):
         return m
     cache = {x: leaf(mapping.get(x.var, x.var)) for x in leaves(m)}
     return fold(m, cache, product)
 
 
 def _relabel(terms, mapping: dict) -> tuple:
-    """The terms (m, n) of a form with each monomial m relabelled."""
-    if all(k == v for k, v in mapping.items()):
+    """The terms (m, n) of a form with each monomial m relabelled by a
+    map from ``_letters``, in which an empty map is the identity."""
+    if not mapping:
         return tuple(terms)
     return tuple((relabel_monomial(m, mapping), n) for m, n in terms)
 
 
 @functools.cache
 def _letters(ty):
-    """(shape tag, roles, their inverse) of a type, as ``classify_type``."""
+    """(shape tag, roles, their inverse) of a type, found once per type,
+    with the letters that stay put left out: a type in canonical letters
+    has empty maps, on which relabelling returns at once."""
     tag, roles = classify_type(ty)
     if tag is None:
         raise ShapeError(f"type {ty} is not one of the supported shapes")
-    return tag, roles, {v: k for k, v in roles.items()}
-
-
-def _canonical(w: Monomial):
-    """(shape tag, w in canonical letters, map from those back to w's letters)."""
-    tag, roles, inverse = _letters(type_vector(w))
-    return tag, relabel_monomial(w, roles), inverse
+    moved = {v: t for v, t in roles.items() if v != t}
+    return tag, moved, {t: v for v, t in moved.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -139,9 +137,9 @@ def is_basis_monomial(w: Monomial) -> bool:
 @functools.cache
 def _basis_of_type(ty) -> frozenset:
     """The basis monomials of a type in its own letters, relabelled once
-    from its canonical type: the counts of the letters X, Y, Z stand for."""
+    from its canonical type: its nonzero counts, largest first."""
     _, _, inverse = _letters(ty)
-    canonical_ty = tuple(ty[inverse[t].index - 1] for t in (X, Y, Z) if t in inverse)
+    canonical_ty = tuple(sorted(filter(None, ty), reverse=True))
     return frozenset(relabel_monomial(b, inverse) for b in excluded_basis(canonical_ty))
 
 
@@ -214,7 +212,7 @@ def _rule(m1: Monomial, m2: Monomial) -> tuple:
     pattern = product(m1, m2)
     got = _RULES.get(pattern)
     if got is None:
-        _, pc, inverse = _canonical(pattern)
+        pc, inverse, _ = _prepare(pattern, allow_basis=True)
         den, terms = _solve_in_span(pc)
         got = _RULES[pattern] = (den, _relabel(terms, inverse))
     return got
@@ -263,12 +261,14 @@ def _rewrite(left: tuple, right: tuple) -> tuple:
 
 
 def _prepare(w: Monomial, shape=None, *, allow_basis=False):
-    tag, wc, inverse = _canonical(w)
+    """(w in canonical letters, the map back to w's letters, w's type)."""
+    ty = type_vector(w)
+    tag, roles, inverse = _letters(ty)
     if shape is not None and shape != tag:
         raise ShapeError(f"monomial has shape {tag!r}, not {shape!r}")
-    if not allow_basis and wc in excluded_basis(type_vector(wc)):
+    if not allow_basis and w in _basis_of_type(ty):
         raise BasisMonomialError("basis monomial has no train identity")
-    return wc, inverse
+    return relabel_monomial(w, roles), inverse, ty
 
 
 def reduce(w: Monomial, shape=None) -> Polynomial:
@@ -277,7 +277,7 @@ def reduce(w: Monomial, shape=None) -> Polynomial:
     A basis monomial is already in the span, so its normal form is the
     monomial itself (in its own variable names).
     """
-    wc, inverse = _prepare(w, shape, allow_basis=True)
+    wc, inverse, _ = _prepare(w, shape, allow_basis=True)
     return _polynomial(_reduce(wc), inverse)
 
 
@@ -291,7 +291,7 @@ def solve_Pw(w: Monomial, shape=None) -> Polynomial:
     independent cross-check of ``reduce`` on the monomials that have a
     train identity; a basis monomial raises BasisMonomialError.
     """
-    wc, inverse = _prepare(w, shape)
+    wc, inverse, _ = _prepare(w, shape)
     return _polynomial(_solve_in_span(wc), inverse)
 
 
@@ -301,11 +301,11 @@ def train_identity(w: Monomial, shape=None) -> Identity:
     A basis monomial raises BasisMonomialError: there w - P(w) = 0,
     which is not an identity.
     """
-    wc, inverse = _prepare(w, shape)
+    wc, inverse, ty = _prepare(w, shape)
     den, terms = _reduce(wc)
     # P(w) lies in the span of the basis, so w is not one of its terms
     form = ((wc, den), *((m, -n) for m, n in terms))
-    return _identity_from_ints(den, _relabel(form, inverse), train=True, ty=type_vector(w))
+    return _identity_from_ints(den, _relabel(form, inverse), train=True, ty=ty)
 
 
 def generate_train_basis(ty, max_degree: int = 10) -> list[Identity]:

@@ -1,8 +1,10 @@
 import math
 import random
 import sys
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from evanescent.magma import (
     T_FRESH,
@@ -17,7 +19,7 @@ from evanescent.magma import (
     product,
     type_vector,
 )
-from evanescent import homgen, trainsgen
+from evanescent import homgen, peirce, trainsgen
 from evanescent.baric import evaluate, spectrum_algebra
 from evanescent.peirce import (
     _PEIRCE_CACHE,
@@ -25,6 +27,7 @@ from evanescent.peirce import (
     _identity_from_ints,
     PeircePolynomial,
     delta,
+    height_counts,
     is_evanescent,
     linearize,
     make_identity,
@@ -357,6 +360,84 @@ def test_integer_sums_match_fraction_oracle(rng):
     widths = {bits for _, bits in _PEIRCE_CACHE}
     assert {64, 128} <= widths and max(widths) >= 512
 
+
+
+def _monomials(letters):
+    leaves_ = st.sampled_from(letters).map(leaf)
+    return st.recursive(leaves_, lambda kids: st.tuples(kids, kids).map(lambda uv: product(*uv)), max_leaves=6)
+
+
+@st.composite
+def _wide_polynomials(draw):
+    """(variables, f): f in 1-6 of the variables 1..8, each term in at most
+    three of them, with numerators of 64-200 bits, so that its packed sums
+    need slots of 128 bits and more; a term may come with minus a monomial
+    of its type, which cancels the sum and some Peirce coefficients."""
+    variables = draw(st.lists(st.integers(1, 8), min_size=1, max_size=6, unique=True))
+    f = Polynomial.zero()
+    for _ in range(draw(st.integers(1, 4))):
+        letters = draw(st.lists(st.sampled_from(variables), min_size=1, max_size=3, unique=True))
+        m = draw(_monomials(letters))
+        c = Q(draw(st.integers(2**64, 2**200)) * draw(st.sampled_from((1, -1))), draw(st.integers(1, 2**70)))
+        f = f + Polynomial.monomial(m, c)
+        if draw(st.booleans()):
+            same = monomials_of_type(type_vector(m))
+            f = f - Polynomial.monomial(same[draw(st.integers(0, len(same) - 1))], c)
+    return variables, f
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_wide_polynomials())
+def test_one_entry_per_monomial_matches_the_tree_walk(case):
+    # one cache entry holds a monomial's packed values in all of the
+    # variables; each variable's column of the report, and the one-variable
+    # entry of peirce_recursive, decode to the tree walk's polynomial
+    variables, f = case
+    report = is_evanescent(f)
+    assert list(report.peirce) == list(f.variables())
+    for i in [*variables, 9]:
+        v = Variable(i)
+        expected = peirce_tree(f, v)
+        assert peirce_recursive(f, v) == expected
+        assert report.peirce.get(v, PeircePolynomial()) == expected
+        assert all(type(c) is Q for c in expected.coeffs)
+    pe = bool(f.terms) and all(peirce_tree(f, v).is_zero for v in f.variables())
+    assert report.is_peirce_evanescent == pe
+
+
+def test_peirce_column_decodes_every_variable_from_one_entry(monkeypatch):
+    # the column of a monomial is read from its one entry for the type's
+    # variables, and is the column built from height_counts, cold and warm
+    monkeypatch.setattr(peirce, "_PEIRCE_CACHE", {})
+    for ty in [(4,), (3, 2), (2, 1, 1), (2, 0, 1)]:
+        degree = sum(ty)
+        for m in monomials_of_type(ty):
+            want = []
+            for i, count in enumerate(ty):
+                if count:
+                    counts = height_counts(m, i + 1) + [0] * degree
+                    want += counts[1:degree]
+            want.append(1)
+            assert homgen.peirce_column(m, ty) == want
+            assert homgen.peirce_column(m, ty) == want
+    assert set(peirce._PEIRCE_CACHE) == {((1,), 64), ((1, 2), 64), ((1, 2, 3), 64), ((1, 3), 64)}
+
+
+def test_packed_cache_of_a_deep_monomial_among_many_variables(monkeypatch):
+    # x^{1500} y lacks twenty of the polynomial's 22 variables: each of its
+    # nodes holds two wide ints and twenty zeros, where one int interleaving
+    # all the variables would grow with all 22 (about 200 MiB)
+    f = parse("x^{1500} y + " + " + ".join(f"t{i}" for i in range(4, 24)))
+    monkeypatch.setattr(peirce, "_PEIRCE_CACHE", {})
+    tracemalloc.start()
+    try:
+        report = is_evanescent(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(report.peirce) == 22 and not report.is_peirce_evanescent
+    assert report.peirce[Y] == PeircePolynomial((0,) * 1500 + (1,))
+    assert peak < 32 << 20
 
 def test_identity_from_ints_checks_int_forms():
     # nullspace forms and train forms are checked in their ints; a

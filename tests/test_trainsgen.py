@@ -17,7 +17,7 @@ from evanescent.magma import (
     type_vector,
     w_number,
 )
-from evanescent.peirce import is_evanescent, peirce_tree
+from evanescent.peirce import EvanescenceError, is_evanescent, peirce_tree
 from evanescent.poly import Polynomial
 from evanescent.rationals import Q
 from evanescent.syntax import format_polynomial, parse, parse_monomial
@@ -93,7 +93,7 @@ def test_basis_of_type_matches_canonical_membership():
                       ((0, 2, 3), 2), ((3, 1, 1), 3), ((1, 3, 1), 3), ((1, 1, 3), 3)]:
         want = set()
         for w in monomials_of_type(ty):
-            _, wc, _ = trainsgen._canonical(w)
+            wc, _, _ = trainsgen._prepare(w, allow_basis=True)
             if wc in excluded_basis(type_vector(wc)):
                 want.add(w)
         assert trainsgen._basis_of_type(ty) == want and len(want) == count, ty
@@ -103,6 +103,59 @@ def test_basis_of_type_matches_canonical_membership():
     with pytest.raises(ShapeError):
         trainsgen._basis_of_type((2, 2, 1))
 
+
+
+@pytest.mark.parametrize("ty", [(1, 6), (0, 2, 5), (1, 1, 4), (3, 0, 1)])
+def test_letters_that_move(ty):
+    # a type whose letters are not the canonical ones: its identities are
+    # the canonical type's, relabelled, and its basis monomials have none
+    _, roles = classify_type(ty)
+    inverse = {t: v for v, t in roles.items()}
+    canonical = tuple(sorted(filter(None, ty), reverse=True))
+    relabel = lambda p: Polynomial({trainsgen.relabel_monomial(m, inverse): c for m, c in p.terms.items()})
+    got = generate_train_basis(ty)
+    assert all(identity.type == ty for identity in got)
+    assert {i.polynomial for i in got} == {relabel(i.polynomial) for i in generate_train_basis(canonical)}
+    assert len(got) == w_number(ty) - len(excluded_basis(canonical))
+    for w in [w for w in monomials_of_type(ty) if not is_basis_monomial(w)][:4]:
+        assert reduce(w) == solve_Pw(w) and train_identity(w).type == ty
+    for b in excluded_basis(canonical):
+        w = trainsgen.relabel_monomial(b, inverse)
+        assert type_vector(w) == ty and reduce(w) == Polynomial.monomial(w)
+        with pytest.raises(BasisMonomialError):
+            train_identity(w)
+        with pytest.raises(BasisMonomialError):
+            solve_Pw(w)
+
+
+def test_unsupported_shape_and_identity_maps():
+    # the shape is checked before the degree cap
+    with pytest.raises(ShapeError, match="supported shapes"):
+        generate_train_basis((2, 2, 1), max_degree=3)
+    m = parse_monomial("x^2 (x y)")
+    assert trainsgen.relabel_monomial(m, {X: X, Y: Y}) is m
+    assert trainsgen.relabel_monomial(m, {}) is m
+
+
+def test_every_generated_identity_is_checked(monkeypatch):
+    # a wrong rule gives a wrong P(w): the evanescence check of the identity
+    # rejects it, so every identity is still checked, rules cached or not
+    monkeypatch.setattr(trainsgen, "_RULES", {})
+    monkeypatch.setattr(trainsgen, "_REDUCE_CACHE", {})
+    ty = (4, 1)
+    want = generate_train_basis(ty)
+    pattern, (den, terms) = next(iter(trainsgen._RULES.items()))
+    (m, n), *rest = terms
+    trainsgen._RULES[pattern] = (den, ((m, n + (1 if n > 0 else -1)), *rest))
+    monkeypatch.setattr(trainsgen, "_REDUCE_CACHE", {})
+    try:
+        with pytest.raises(EvanescenceError) as raised:
+            generate_train_basis(ty)
+        assert not raised.value.report.is_evanescent_identity
+    finally:
+        trainsgen._RULES[pattern] = (den, terms)
+    monkeypatch.setattr(trainsgen, "_REDUCE_CACHE", {})
+    assert generate_train_basis(ty) == want
 
 def test_classify_type_roles():
     tag, roles = classify_type((3, 1))
