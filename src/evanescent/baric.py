@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 from .magma import Variable, fold, leaf
 from .peirce import PeircePolynomial
@@ -460,62 +460,87 @@ def apply_univariate(p: PeircePolynomial, matrix, vec):
 
 
 def rational_roots(p: PeircePolynomial):
-    """Rational roots with multiplicities plus the unfactored remainder."""
+    """Rational roots with multiplicities plus the unfactored remainder.
+
+    The search runs in ints, on A = den * p with the root 0 taken out: a
+    root a/b in lowest terms has a dividing A's constant coefficient and b
+    its leading one.  Each candidate pair is tested by the integer Horner
+    sum b^n A(a/b), and a root is divided out of A at once, as A = (b t -
+    a) B in ints, so a later candidate must also divide the ends of the
+    deflated polynomial.  The search stops once it is a constant.
+    """
     if p.is_zero:
         raise ValueError("zero polynomial")
-    coeffs = list(p.coeffs)
-    roots = []
-    valuation = 0
-    while coeffs and not coeffs[0]:
-        coeffs.pop(0)
-        valuation += 1
-    if valuation:
-        roots.append((ZERO, valuation))
-
-    def divide_out(cs, root):
-        # synthetic division by (t - root); remainder must be zero
-        out = []
-        acc = ZERO
-        for c in reversed(cs):
-            acc = acc * root + c
-            out.append(acc)
-        if out[-1]:
-            return None
-        return list(reversed(out[:-1]))
-
-    _, ints = as_ints(coeffs)
-    candidates = set()
-    if ints:
-        a0, an = ints[0], ints[-1]
-        for num in _divisors(abs(a0)):
-            for den in _divisors(abs(an)):
-                candidates.add(Q(num, den))
-                candidates.add(Q(-num, den))
-    for cand in sorted(candidates):
-        mult = 0
-        while len(coeffs) > 1:
-            nxt = divide_out(coeffs, cand)
-            if nxt is None:
-                break
-            coeffs = nxt
-            mult += 1
-        if mult:
-            roots.append((cand, mult))
+    valuation = p.valuation()
+    den, ints = as_ints(p.coeffs[valuation:])
+    found = {}
+    scale = 1  # the product of b over the roots a/b divided out
+    at_one, at_minus_one = sum(ints), _horner(ints, -1, 1)
+    # divisors of the first ends: those of a deflated end are among them
+    leads = _divisors(abs(ints[-1]))
+    for a in _divisors(abs(ints[0])):
+        if len(ints) == 1:
+            break
+        if ints[0] % a:
+            continue
+        leads = [b for b in leads if not ints[-1] % b]
+        for b in leads:
+            if gcd(a, b) != 1:
+                continue
+            for num in (-a, a):
+                # A = (b t - a) B gives A(1) = (b - a) B(1), A(-1) = -(b + a) B(-1)
+                if not (_divides(b - num, at_one) and _divides(b + num, at_minus_one)):
+                    continue
+                while len(ints) > 1 and not _horner(ints, num, b):
+                    ints = _deflate(ints, num, b)
+                    at_one, at_minus_one = sum(ints), _horner(ints, -1, 1)
+                    scale *= b
+                    found[num, b] = found.get((num, b), 0) + 1
+    roots = [(ZERO, valuation)] if valuation else []
+    roots += [(Q(num, b), mult) for (num, b), mult in found.items()]
     roots.sort(key=lambda rm: rm[0])
-    return roots, PeircePolynomial(coeffs)
+    # p / prod (t - a/b)^m = scale * B / den
+    return roots, PeircePolynomial([Q(c * scale, den) for c in ints])
 
 
-def _divisors(n):
-    if n == 0:
-        return []
-    out = []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            out.append(i)
-            out.append(n // i)
-        i += 1
-    return sorted(set(out))
+def _divides(d: int, n: int) -> bool:
+    return n == 0 if d == 0 else n % d == 0
+
+
+def _horner(ints, a: int, b: int) -> int:
+    """b^n A(a/b) for the int polynomial A = sum ints[i] t^i of degree n."""
+    acc, power = 0, 1
+    for c in reversed(ints):
+        acc = acc * a + c * power
+        power *= b
+    return acc
+
+
+def _deflate(ints, a: int, b: int) -> list:
+    """B with A = (b t - a) B, for a root a/b of the int polynomial A."""
+    out, c = [], 0
+    for coeff in reversed(ints[1:]):
+        c = (coeff + a * c) // b
+        out.append(c)
+    return out[::-1]
+
+
+def _divisors(n: int) -> list:
+    """The positive divisors of n > 0, ascending, from its factorization
+    by trial division, which stops at the square root of what is left."""
+    divisors = [1]
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            k = 0
+            while n % d == 0:
+                n //= d
+                k += 1
+            divisors = [e * d**i for e in divisors for i in range(k + 1)]
+        d += 1
+    if n > 1:
+        divisors += [e * n for e in divisors]
+    return sorted(divisors)
 
 
 def random_mutation_algebra(rng: random.Random, dim: int) -> BaricAlgebra:

@@ -31,11 +31,14 @@ def _usage_error(message) -> int:
     return 2
 
 
-def _emit_poly(f, ty, fmt, out):
+def _emit_identity(identity, fmt, out):
+    """Print an identity from the int form it was checked in."""
+    den, terms = identity.den, identity.terms
     if fmt == "jsonl":
-        out.write(json.dumps(syntax.polynomial_to_json(f, ty), sort_keys=True) + "\n")
+        obj = syntax.form_to_json(den, terms, identity.type)
+        out.write(json.dumps(obj, sort_keys=True) + "\n")
     else:
-        out.write(syntax.format_polynomial(f) + "\n")
+        out.write(syntax.format_form(den, terms) + "\n")
 
 
 def cmd_peirce(args, out) -> int:
@@ -108,20 +111,20 @@ def cmd_train(args, out) -> int:
     if args.of:
         w = syntax.parse_monomial(args.of)
         identity = trainsgen.train_identity(w)
-        _emit_poly(identity.polynomial, identity.type, args.format, out)
+        _emit_identity(identity, args.format, out)
         return 0
     if not args.type:
         raise SystemExit(_usage_error("train needs --of EXPR or --type TYPE"))
     for ty in _train_types(args):
         for identity in trainsgen.generate_train_basis(ty, max_degree=args.max_degree):
-            _emit_poly(identity.polynomial, identity.type, args.format, out)
+            _emit_identity(identity, args.format, out)
     return 0
 
 
 def cmd_homog(args, out) -> int:
     ty = _parse_type(args.type)
     for identity in homgen.generate_homogeneous(ty):
-        _emit_poly(identity.polynomial, identity.type, args.format, out)
+        _emit_identity(identity, args.format, out)
     return 0
 
 

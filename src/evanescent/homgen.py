@@ -15,8 +15,9 @@ returns sparse int forms, which the evanescence check takes as they are.
 ``factor`` keeps its reduced rows over one int denominator, column by
 column, so ``solve_unique`` sums in ints over the nonzero entries of the
 right-hand side alone.  ``Q`` comes back only in ``solve_unique``'s
-result (one per nonzero entry) and in the coefficients of each
-generated identity.
+result (one per nonzero entry).  Each generated identity is the int form
+of its nullspace vector; its columns index the sorted
+``monomials_of_type``, so its terms are already in canonical order.
 """
 
 from __future__ import annotations

@@ -15,13 +15,21 @@ times each variable's column of packed values in one pass, with b wide
 enough that every coefficient of the sum fits its slot.  A sum is zero
 exactly when that Peirce polynomial is; only a nonzero sum is decoded,
 with ``Q`` built per nonzero digit.  The coefficient sum is read from
-the same ints.  ``make_identity`` still checks every identity it wraps,
-in exact ints, including those that are evanescent by construction.
+the same ints.
+
+An ``Identity`` is held as the int form it was checked in: one positive
+denominator and its (monomial, int) terms in ascending canonical order,
+with no common factor, so the form is canonical.  ``make_identity`` and
+the generators in ``trainsgen`` and ``homgen`` still check every
+identity they wrap, in those ints, including those that are evanescent
+by construction; the ``Q`` polynomial and the decoded report are built
+only when asked for.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 from operator import add, lshift, mul
 
 from .magma import Monomial, T_FRESH, Variable, degree_in, fold, leaf, leaves, product
@@ -127,7 +135,8 @@ class PeircePolynomial:
 
     def to_string(self, sym: str = "t") -> str:
         powers = ["", sym, *(f"{sym}^{k}" for k in range(2, len(self.coeffs)))][: len(self.coeffs)]
-        return format_sum(((c, p) for c, p in zip(self.coeffs[::-1], powers[::-1]) if c), sep="")
+        terms = zip(self.coeffs[::-1], powers[::-1])
+        return format_sum(((c.numerator, c.denominator, p) for c, p in terms if c), sep="")
 
     def __str__(self):
         return self.to_string()
@@ -260,11 +269,17 @@ def is_evanescent(f: Polynomial) -> EvanescenceReport:
     return _report(f.terms, nums, den)
 
 
-def _report(monomials, nums, den) -> EvanescenceReport:
-    """The report of sum(n m) / den, over distinct monomials m and ints n."""
+def _peirce_sums(monomials, nums) -> tuple:
+    """(variables, slot width, packed sums) of sum(n m): the variables of
+    the monomials, and for each its packed Peirce polynomial."""
     variables = tuple(sorted({i for m in monomials for i, _ in m.counts}))
     bits = _slot_bits(monomials, nums)
-    sums = _sums(monomials, nums, variables, bits)
+    return variables, bits, _sums(monomials, nums, variables, bits)
+
+
+def _report(monomials, nums, den) -> EvanescenceReport:
+    """The report of sum(n m) / den, over distinct monomials m and ints n."""
+    variables, bits, sums = _peirce_sums(monomials, nums)
     ppolys = {leaf(i).var: _decode(s, den, bits) for i, s in zip(variables, sums)}
     total = Q(sum(nums), den)
     pe = bool(monomials) and not any(sums)
@@ -323,32 +338,47 @@ class EvanescenceError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class Identity:
-    """An evanescent identity with its cached verification data."""
+    """A verified evanescent identity sum(n m) / den, held as the int form
+    it was checked in: ``den`` > 0 and ``terms``, its (m, n) pairs with n
+    a nonzero int, in ascending canonical monomial order, with gcd(den,
+    n, ...) = 1.  The form is canonical, so equality and hashing read it;
+    the ``Q`` polynomial and the report are built when first asked for."""
 
-    polynomial: Polynomial
+    den: int
+    terms: tuple
     type: tuple | None
     train: bool
-    report: EvanescenceReport = field(repr=False)
+
+    @functools.cached_property
+    def polynomial(self) -> Polynomial:
+        den = self.den
+        return Polynomial._raw({m: Q(n, den) for m, n in self.terms})
+
+    @functools.cached_property
+    def report(self) -> EvanescenceReport:
+        return _report([m for m, _ in self.terms], [n for _, n in self.terms], self.den)
 
     def __eq__(self, other):
-        return isinstance(other, Identity) and self.polynomial == other.polynomial
+        return isinstance(other, Identity) and (self.den, self.terms) == (other.den, other.terms)
 
     def __hash__(self):
-        return hash(self.polynomial)
+        return hash((self.den, self.terms))
 
 
 def make_identity(f: Polynomial, *, train: bool = False, ty=None) -> Identity:
     """Wrap a polynomial as an Identity, verifying evanescence."""
-    den, nums = as_ints(f.terms.values())
-    return _identity_from_ints(den, tuple(zip(f.terms, nums)), train=train, ty=ty)
+    den, terms = f.int_form()
+    return _identity_from_ints(den, terms, train=train, ty=ty)
 
 
 def _identity_from_ints(den: int, terms, *, train: bool, ty) -> Identity:
-    """The verified Identity of the int form sum(n m) / den, n nonzero:
-    checked in those ints, then one ``Q`` built per coefficient."""
-    report = _report([m for m, _ in terms], [n for _, n in terms], den)
-    if not report.is_evanescent_identity:
+    """The verified Identity of the int form sum(n m) / den, its terms
+    (m, n) in ascending canonical order, n nonzero, with no common factor:
+    the form must be nonempty, with coefficient sum 0 and every packed
+    Peirce sum 0.  Otherwise EvanescenceError carries the full report."""
+    monomials = [m for m, _ in terms]
+    nums = [n for _, n in terms]
+    if not terms or sum(nums) or any(_peirce_sums(monomials, nums)[2]):
+        report = _report(monomials, nums, den)
         raise EvanescenceError("polynomial is not an evanescent identity", report)
-    f = Polynomial._raw({m: Q(n, den) for m, n in terms})
-    ty = None if ty is None else tuple(ty)
-    return Identity(polynomial=f, type=ty, train=train, report=report)
+    return Identity(den, tuple(terms), None if ty is None else tuple(ty), train)

@@ -8,9 +8,10 @@ commutative but not associative).
 from __future__ import annotations
 
 import itertools
+from operator import itemgetter
 
 from .magma import Monomial, Variable, fold, leaf, product
-from .rationals import ZERO, as_q
+from .rationals import ZERO, as_ints, as_q
 
 
 class UnboundVariableError(KeyError):
@@ -117,8 +118,12 @@ class Polynomial:
     def coefficient(self, m: Monomial):
         return self.terms.get(m, ZERO)
 
-    def items_ordered(self, reverse=False):
-        return sorted(self.terms.items(), key=lambda mc: mc[0], reverse=reverse)
+    def int_form(self) -> tuple:
+        """(den, terms): the polynomial as sum(n m) / den over the lcm den
+        of its denominators, its terms (m, n) sorted in ascending canonical
+        order.  The one place where a polynomial's terms are sorted."""
+        den, nums = as_ints(self.terms.values())
+        return den, sorted(zip(self.terms, nums), key=itemgetter(0))
 
     def at_ones(self):
         """Coefficient sum, i.e. the value at (1, 1, ...)."""

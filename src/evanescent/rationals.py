@@ -18,14 +18,20 @@ def as_q(c):
     return c if type(c) is Q else Q(c)
 
 
+def q_text(num: int, den: int) -> str:
+    """The text ``str`` prints for Q(num, den), num / den in lowest terms
+    with den > 0."""
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
 def format_sum(terms, sep: str = " ") -> str:
-    """Render (c, text) pairs, c a nonzero int or Q, as a signed sum: each
-    as its magnitude, read from numerator and denominator as ``str`` prints
-    it, then sep and text; a magnitude 1 is left out unless text is empty."""
+    """Render (num, den, text) triples, num / den a nonzero rational in
+    lowest terms with den > 0, as a signed sum: each as its magnitude,
+    printed by ``q_text``, then sep and text; a magnitude 1 is left out
+    unless text is empty."""
     parts = []
-    for c, text in terms:
-        num, den = c.numerator, c.denominator
-        mag = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
+    for num, den, text in terms:
+        mag = q_text(abs(num), den)
         body = text if mag == "1" and text else f"{mag}{sep}{text}" if text else mag
         sign = ("" if num > 0 else "-") if not parts else ("+ " if num > 0 else "- ")
         parts.append(sign + body)

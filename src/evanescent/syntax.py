@@ -28,10 +28,18 @@ The printer renders each interned monomial once: ``_TEXT`` caches its
 text, and whether it is a principal power, per node.  The cache is
 filled bottom-up with an explicit stack, so printing a deep monomial
 does not recurse.
+
+Sums are printed from int forms, sum(n m) / den with the terms (m, n)
+held in ascending canonical order, as an ``Identity`` keeps them:
+``format_form`` and ``form_to_json`` walk that order in reverse, so the
+printer never sorts, and reduce each n / den with one gcd, printing it
+as ``str`` prints the ``Q``.  ``format_polynomial`` and
+``polynomial_to_json`` print a ``Polynomial`` from its ``int_form``.
 """
 
 from __future__ import annotations
 
+import math
 import re
 
 from .magma import (
@@ -46,7 +54,7 @@ from .magma import (
     var_name,
 )
 from .poly import Polynomial
-from .rationals import ONE, Q, format_sum
+from .rationals import ONE, Q, format_sum, q_text
 
 
 class ParseError(ValueError):
@@ -325,21 +333,40 @@ def format_monomial(m: Monomial) -> str:
     return _render(m)[0]
 
 
+def _reduced(den: int, terms):
+    """(num, den, monomial text) of each term (m, n) of sum(n m) / den, in
+    descending canonical order: the held terms walked in reverse, each
+    n / den put in lowest terms by one gcd."""
+    for m, n in reversed(terms):
+        g = math.gcd(n, den)
+        yield n // g, den // g, format_monomial(m)
+
+
+def format_form(den: int, terms) -> str:
+    """Canonical rendering of the int form sum(n m) / den, its terms in
+    ascending canonical order: printed in descending order."""
+    return format_sum(_reduced(den, terms))
+
+
+def form_to_json(den: int, terms, ty=None) -> dict:
+    """JSON-lines payload of an int form: exact coefficients plus grammar
+    monomials, in the order ``format_form`` prints them."""
+    return {
+        "type": list(ty) if ty is not None else None,
+        "terms": [
+            {"coeff": q_text(num, d), "monomial": text} for num, d, text in _reduced(den, terms)
+        ],
+    }
+
+
 def format_polynomial(f: Polynomial) -> str:
     """Canonical rendering: terms in descending canonical monomial order."""
-    return format_sum((c, format_monomial(m)) for m, c in f.items_ordered(reverse=True))
+    return format_form(*f.int_form())
 
 
 def polynomial_to_json(f: Polynomial, ty=None) -> dict:
     """JSON-lines payload: exact coefficients plus grammar monomials."""
-    obj = {
-        "type": list(ty) if ty is not None else None,
-        "terms": [
-            {"coeff": str(c), "monomial": format_monomial(m)}
-            for m, c in f.items_ordered(reverse=True)
-        ],
-    }
-    return obj
+    return form_to_json(*f.int_form(), ty)
 
 
 def polynomial_from_json(obj) -> Polynomial:

@@ -23,12 +23,16 @@ Rewriting a product accumulates its terms over the product of the two
 children's denominators and the lcm of the rules' denominators, then
 divides out the gcd once.  The per-type solve sums in ints too; ``Q``
 appears only in ``solve_unique``'s result, which ``_solve_in_span`` puts
-straight back over one denominator, and at the public entry points,
-which turn a form into a ``Polynomial``.
+straight back over one denominator, and in ``reduce`` and ``solve_Pw``,
+which turn a form into a ``Polynomial``.  ``train_identity`` builds no
+``Q``: it hands w - P(w) to the check as an int form in canonical order,
+P(w)'s terms ordered by their rank in the span basis, found once per
+type in that type's own letters.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 
@@ -136,11 +140,21 @@ def is_basis_monomial(w: Monomial) -> bool:
 
 @functools.cache
 def _basis_of_type(ty) -> frozenset:
-    """The basis monomials of a type in its own letters, relabelled once
-    from its canonical type: its nonzero counts, largest first."""
+    """The basis monomials of a type in its own letters: the span
+    monomials of its canonical type, relabelled, that have this type."""
+    return frozenset(m for _, m in _span_order(ty).values() if type_vector(m) == ty)
+
+
+@functools.cache
+def _span_order(ty) -> dict:
+    """Each span monomial of a type's canonical type (its nonzero counts,
+    largest first) -> (its rank in canonical order once put in the type's
+    own letters, that monomial in those letters), found once per type."""
     _, _, inverse = _letters(ty)
-    canonical_ty = tuple(sorted(filter(None, ty), reverse=True))
-    return frozenset(relabel_monomial(b, inverse) for b in excluded_basis(canonical_ty))
+    span = span_basis(tuple(sorted(filter(None, ty), reverse=True)))
+    own = [relabel_monomial(b, inverse) for b in span]
+    rank = {m: r for r, m in enumerate(sorted(own))}
+    return {b: (rank[m], m) for b, m in zip(span, own)}
 
 
 @functools.cache
@@ -301,11 +315,14 @@ def train_identity(w: Monomial, shape=None) -> Identity:
     A basis monomial raises BasisMonomialError: there w - P(w) = 0,
     which is not an identity.
     """
-    wc, inverse, ty = _prepare(w, shape)
+    wc, _, ty = _prepare(w, shape)
     den, terms = _reduce(wc)
-    # P(w) lies in the span of the basis, so w is not one of its terms
-    form = ((wc, den), *((m, -n) for m, n in terms))
-    return _identity_from_ints(den, _relabel(form, inverse), train=True, ty=ty)
+    order = _span_order(ty)
+    # -P(w) in w's letters and canonical order; P(w) lies in the span of
+    # the basis and w does not, so w goes in between its terms
+    form = [(m, -n) for (_, m), n in sorted((order[m], n) for m, n in terms)]
+    form.insert(bisect.bisect([m for m, _ in form], w), (w, den))
+    return _identity_from_ints(den, form, train=True, ty=ty)
 
 
 def generate_train_basis(ty, max_degree: int = 10) -> list[Identity]:

@@ -117,7 +117,7 @@ def fraction_format(f):
     if not f.terms:
         return "0"
     parts = []
-    for m, c in f.items_ordered(reverse=True):
+    for m, c in sorted(f.terms.items(), key=lambda mc: mc[0], reverse=True):
         mono = format_monomial(m)
         body = mono if abs(c) == 1 else f"{abs(c)} {mono}"
         if not parts:

@@ -27,7 +27,7 @@ from evanescent.baric import (
 from evanescent.magma import X, Y, degree_in
 from evanescent.peirce import PeircePolynomial
 from evanescent.poly import Polynomial, UnboundVariableError, standard_baric_identity
-from evanescent.rationals import ONE, Q, ZERO
+from evanescent.rationals import ONE, Q, ZERO, as_ints
 from evanescent.syntax import parse
 
 from conftest import random_polynomial
@@ -204,6 +204,48 @@ def test_rational_roots_partial_factorization():
     roots, remainder = rational_roots(p)
     assert roots == [(ONE, 1)]
     assert remainder == PeircePolynomial([-2, 0, 1])
+
+
+def fraction_rational_roots(coeffs):
+    """The reference: every divisor pair of the first ends tried as a Q
+    root, in ascending order, by synthetic division in Q."""
+    coeffs = list(coeffs)
+    roots = []
+    while not coeffs[0]:
+        coeffs.pop(0)
+        roots.append(ZERO)
+    _, ints = as_ints(coeffs)
+    divisors = lambda n: [d for d in range(1, n + 1) if n % d == 0]
+    candidates = {Q(s * a, b) for a in divisors(abs(ints[0])) for b in divisors(abs(ints[-1])) for s in (1, -1)}
+    for r in sorted(candidates):
+        while len(coeffs) > 1:
+            out, acc = [], ZERO
+            for c in reversed(coeffs):
+                acc = acc * r + c
+                out.append(acc)
+            if out[-1]:
+                break
+            coeffs = out[-2::-1]
+            roots.append(r)
+    mults = sorted({r: roots.count(r) for r in roots}.items())
+    return mults, coeffs
+
+
+def test_rational_roots_match_the_fraction_reference(rng):
+    # products of rational linear factors (repeated, and the root 0) and
+    # quadratics without rational roots, times a rational scale
+    for _ in range(200):
+        p = PeircePolynomial([Q(rng.randint(1, 6), rng.randint(1, 6))])
+        for _ in range(rng.randint(0, 4)):
+            if rng.random() < 0.7:
+                p = p * PeircePolynomial([-Q(rng.randint(-6, 6), rng.randint(1, 4)), 1])
+            else:
+                p = p * PeircePolynomial([rng.randint(1, 5), rng.randint(-2, 2), rng.randint(2, 3)])
+        roots, remainder = rational_roots(p)
+        expected_roots, expected_remainder = fraction_rational_roots(p.coeffs)
+        assert roots == expected_roots
+        assert remainder == PeircePolynomial(expected_remainder)
+        assert all(type(c) is Q for c in remainder.coeffs)
 
 
 def test_backcrossing_family_annihilator():

@@ -288,8 +288,8 @@ def test_main_calls_share_one_parser(capsys):
     assert shared[4] == (2, "", "error: family types like 'n,1' need --all MAXDEG\n")
 
 
-# sha256 of stdout, recorded before the Peirce polynomials were packed into
-# ints; every run exits 0 with nothing on stderr
+# sha256 of stdout, the first six recorded before the Peirce polynomials
+# were packed into ints; every run exits 0 with nothing on stderr
 STDOUT_DIGESTS = {
     ("train", "--type", "n,1", "--all", "9"):
         "5efc52c7550407618c07901231e04cda9e4b0f642be5d487ef77a4ccbce186eb",
@@ -303,6 +303,18 @@ STDOUT_DIGESTS = {
         "db84101f592d1a13922e9a2fa41adc6d7492004b7b07d562b0beb93ed81af096",
     ("check", "x^2 y - 1/3 x (x y) + 2/5 y^2 - 7/9 x^2"):
         "5bfc24e068bef54cdb7e538eb720072a3fdeef11c69c60acfec3b8cfd0179610",
+    # recorded before identities were printed from their int forms
+    ("train", "--type", "n,2", "--all", "7", "--format", "jsonl"):
+        "895939f9e91ec9ffe35fc8d8a034f69b2554caf6bfa3f2d382b97687b043f5b7",
+    ("homog", "--type", "5,1", "--format", "jsonl"):
+        "08c417d4d8a8d76d83076e211bec1d2322c756981383d380b7ac628a542818b6",
+    ("train", "--type", "0,4,1,1"):
+        "50be3f0d36e618bcefd6a0c623a90ab0bd32d00b6f7df4d4515427b2759b778e",
+    # a non-basis monomial whose letters are not the canonical ones
+    ("train", "--of", "(z(zy))x"):
+        "36b2e18aa9a6e93f0b01ba7099fb586e80e223a41529754b0c7eb01fb1d2c504",
+    ("train", "--of", "(z(zy))x", "--format", "jsonl"):
+        "9645dee2438f55a19841acbac15ab56c712cc039ea14cd6d1b83a9f617266ccc",
 }
 
 
@@ -311,6 +323,28 @@ def test_stdout_is_byte_identical(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_DIGESTS[argv]
+
+
+def test_printing_builds_no_polynomial_and_no_report(capsys, monkeypatch):
+    # text output is printed from each identity's int form
+    from evanescent import homgen, trainsgen
+
+    made = []
+
+    def recorded(generate):
+        def wrapper(*args, **kwargs):
+            identities = generate(*args, **kwargs)
+            made.extend(identities)
+            return identities
+        return wrapper
+
+    monkeypatch.setattr(trainsgen, "generate_train_basis", recorded(trainsgen.generate_train_basis))
+    monkeypatch.setattr(homgen, "generate_homogeneous", recorded(homgen.generate_homogeneous))
+    for argv in (("train", "--type", "5,1,1"), ("homog", "--type", "4,2")):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "") and len(out.splitlines()) > 1
+    assert len(made) > 50 and {i.type for i in made} == {(5, 1, 1), (4, 2)}
+    assert not [i for i in made if {"polynomial", "report"} & set(vars(i))]
 
 
 MUTATION_3 = {

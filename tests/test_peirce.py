@@ -480,6 +480,62 @@ def test_identity_from_ints_checks_int_forms():
     assert len(forms) > 50 and rejected > 200
 
 
+# the seven types of the homog benchmark workload
+_HOMOG_TYPES = [(8,), (5, 1), (4, 2), (3, 1, 1), (8, 1), (6, 2), (6, 1, 1)]
+
+
+def test_identity_is_its_checked_int_form():
+    # the generators hand over canonical int forms: terms in ascending
+    # order, den > 0, no common factor; the Q polynomial and the report
+    # built from a form are those of make_identity and is_evanescent
+    identities = [i for ty in _HOMOG_TYPES for i in homgen.generate_homogeneous(ty)]
+    for ty in [(6,), (4, 1), (3, 2), (3, 1, 1), (0, 3, 2), (1, 0, 4), (1, 3, 0, 1)]:
+        identities += trainsgen.generate_train_basis(ty)
+    for ident in identities:
+        monomials = [m for m, _ in ident.terms]
+        assert all(a < b for a, b in zip(monomials, monomials[1:]))
+        assert ident.den > 0 and math.gcd(ident.den, *(n for _, n in ident.terms)) == 1
+        # the same polynomial with its terms inserted in descending order
+        f = Polynomial(dict(reversed(ident.polynomial.terms.items())))
+        again = make_identity(f, train=ident.train, ty=ident.type)
+        assert (again.den, again.terms, again.type) == (ident.den, ident.terms, ident.type)
+        assert again == ident and hash(again) == hash(ident)
+        report, expected = ident.report, is_evanescent(ident.polynomial)
+        assert report.peirce == expected.peirce and report.at_ones == expected.at_ones == 0
+        assert report.is_peirce_evanescent and report.is_evanescent_identity
+        assert expected.is_peirce_evanescent and expected.is_evanescent_identity
+    assert len(identities) > 300
+
+
+def _raised_report(den, terms):
+    with pytest.raises(EvanescenceError) as raised:
+        _identity_from_ints(den, terms, train=False, ty=None)
+    return raised.value.report
+
+
+def test_identity_from_ints_rejects_with_the_full_report():
+    x, y, z = leaf(X), leaf(Y), leaf(Z)
+    xy = product(x, y)
+    z2 = product(z, z)
+    # (x y) z^4 - (x y)(z^2 z^2): x and y sit at the same heights in both
+    # terms and the sum is 0, so only the last variable's sum is nonzero
+    f = Polynomial({product(xy, principal_power(Z, 4)): 1, product(xy, product(z2, z2)): -1})
+    terms = sorted(zip(f.terms, (1, -1)), key=lambda mn: mn[0])
+    report = _raised_report(1, terms)
+    assert set(report.peirce) == {X, Y, Z}
+    assert not report.peirce[X] and not report.peirce[Y] and report.peirce[Z]
+    assert report.peirce == is_evanescent(f).peirce
+    assert report.at_ones == 0 and not report.is_peirce_evanescent
+    # a nonzero coefficient sum: 3/2 x^2 - 1/2 x
+    report = _raised_report(2, [(x, -1), (product(x, x), 3)])
+    assert report.peirce == {X: PeircePolynomial([Q(-1, 2), 3])}
+    assert report.at_ones == 1 and not report.is_evanescent_identity
+    # the empty form
+    report = _raised_report(1, [])
+    assert report.peirce == {} and report.at_ones == 0
+    assert not report.is_peirce_evanescent and not report.is_evanescent_identity
+
+
 def test_walks_on_a_monomial_deeper_than_the_recursion_limit():
     # x^{1500}(yz) nests 1,500 products deeper than its leaves y and z
     w = left_iterate(X, 1500, product(leaf(Y), leaf(Z)))

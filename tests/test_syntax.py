@@ -3,6 +3,7 @@ import pathlib
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from evanescent import syntax
 from evanescent.magma import (
@@ -12,6 +13,7 @@ from evanescent.magma import (
     Variable,
     leaf,
     left_iterate,
+    monomials_of_type,
     plenary_power,
     principal_power,
     product,
@@ -258,6 +260,42 @@ def test_format_polynomial_coefficients(rng):
             c = Q(rng.choice([-1, 1]) * rng.randint(1, 50), rng.choice([1, 1, 2, 3, 7, 21]))
             f = f + Polynomial.monomial(rng.choice(monomials), c)
         assert format_polynomial(f) == fraction_format(f)
+
+
+# the monomials of a few small types, in three letters
+_SMALL = [
+    m
+    for ty in [(1,), (0, 1), (2,), (3,), (1, 1), (2, 1), (0, 2, 1), (4,), (1, 1, 1), (2, 0, 2)]
+    for m in monomials_of_type(ty)
+]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    st.sampled_from([1, 2, 3, 6, 7, 12, 21, 2**64 + 3]),
+    st.dictionaries(
+        st.integers(0, len(_SMALL) - 1),
+        st.integers(-(2**66), 2**66).filter(bool) | st.integers(-30, 30).filter(bool),
+        max_size=6,
+    ),
+    st.sampled_from([None, (2, 1), (4,)]),
+)
+def test_int_form_renderer_matches_fraction_printing(den, chosen, ty):
+    # any den and ints, not only canonical forms: each coefficient is put
+    # in lowest terms on its own, and printed as str(Q) prints it
+    terms = sorted(((_SMALL[k], n) for k, n in chosen.items()), key=lambda mn: mn[0])
+    f = Polynomial({m: Q(n, den) for m, n in terms})
+    text = syntax.format_form(den, terms)
+    assert text == format_polynomial(f) == fraction_format(f)
+    assert parse(text) == f
+    obj = syntax.form_to_json(den, terms, ty)
+    assert obj == polynomial_to_json(f, ty) == {
+        "type": None if ty is None else list(ty),
+        "terms": [
+            {"coeff": str(c), "monomial": format_monomial(m)}
+            for m, c in sorted(f.terms.items(), key=lambda mc: mc[0], reverse=True)
+        ],
+    }
 
 
 def test_json_roundtrip(rng):
