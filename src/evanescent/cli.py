@@ -16,7 +16,8 @@ import sys
 from . import baric, homgen, magma, syntax, trainsgen
 from .peirce import is_evanescent, peirce_recursive
 
-_FAMILIES = {"n": ("n",), "n,1": ("n", 1), "n,2": ("n", 2), "n,1,1": ("n", 1, 1)}
+# each family's counts after the leading n
+_FAMILIES = {"n": (), "n,1": (1,), "n,2": (2,), "n,1,1": (1, 1)}
 
 
 def _parse_type(text):
@@ -94,17 +95,12 @@ def cmd_check(args, out) -> int:
 
 
 def _train_types(args):
-    if args.type in _FAMILIES:
-        if args.all is None:
-            raise SystemExit(
-                _usage_error("family types like 'n,1' need --all MAXDEG")
-            )
-        shape = _FAMILIES[args.type]
-        extra = sum(c for c in shape if isinstance(c, int))
-        for n in range(1, args.all - extra + 1):
-            yield (n,) + tuple(c for c in shape if isinstance(c, int))
-    else:
-        yield _parse_type(args.type)
+    if args.type not in _FAMILIES:
+        return [_parse_type(args.type)]
+    if args.all is None:
+        raise SystemExit(_usage_error("family types like 'n,1' need --all MAXDEG"))
+    fixed = _FAMILIES[args.type]
+    return [(n, *fixed) for n in range(1, args.all - sum(fixed) + 1)]
 
 
 def cmd_train(args, out) -> int:

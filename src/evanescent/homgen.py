@@ -14,8 +14,8 @@ the reduced row-echelon form over Q.  ``factor``, ``nullspace`` and
 returns sparse int forms, which the evanescence check takes as they are.
 ``factor`` keeps its reduced rows over one int denominator, column by
 column, so ``solve_unique`` sums in ints over the nonzero entries of the
-right-hand side alone.  ``Q`` comes back only in ``solve_unique``'s
-result (one per nonzero entry).  Each generated identity is the int form
+right-hand side alone, and returns its solution over one denominator
+too: no ``Q`` is built here.  Each generated identity is the int form
 of its nullspace vector; its columns index the sorted
 ``monomials_of_type``, so its terms are already in canonical order.
 """
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from .magma import Monomial, Variable, monomials_of_type, normalize_type
 from .peirce import Identity, _identity_from_ints, _peirce_counts
-from .rationals import Q, ZERO, as_ints, as_q
+from .rationals import as_ints
 
 
 class LinearSolveError(ValueError):
@@ -56,8 +56,7 @@ def rref(rows):
     """
     m = []
     for row in rows:
-        _, ints = as_ints([c if type(c) is int else as_q(c) for c in row])
-        m.append(_primitive(ints))
+        m.append(_primitive(as_ints(row)[1]))
     nrows = len(m)
     ncols = len(m[0]) if m else 0
     pivots = []
@@ -171,8 +170,8 @@ def solve_unique(system, rhs) -> tuple:
     ``system`` is either the rows of A or ``factor(rows)``; pass the
     factored form to reuse one elimination for many right-hand sides.
     M b is summed in ints over the nonzero entries of b (a rational b is
-    first put over the lcm of its denominators); each nonzero entry of
-    x is one ``Q``, and each zero entry is ``ZERO``.
+    first put over the lcm of its denominators).  Returns x in reduced
+    int form (den, nums): x = nums / den, den > 0 and gcd(den, *nums) = 1.
     """
     if not isinstance(system, FactoredSystem):
         system = factor(system)
@@ -186,8 +185,10 @@ def solve_unique(system, rhs) -> tuple:
         raise LinearSolveError("inconsistent linear system")
     if system.rank < system.ncols:
         raise LinearSolveError("underdetermined linear system")
+    nums = acc[: system.ncols]
     den = system.den * bden
-    return tuple(Q(n, den) if n else ZERO for n in acc[: system.ncols])
+    g = math.gcd(den, *nums)
+    return den // g, tuple(n // g for n in nums)
 
 
 def peirce_column(m: Monomial, ty) -> list[int]:

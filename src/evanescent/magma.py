@@ -2,12 +2,14 @@
 
 Monomials are rooted binary trees with variable-labelled leaves, kept
 in a canonical form and interned, so two equal monomials are the same
-object.  The canonical total order compares degree, then the positional
-type vector, then the left children, then the right ones; node children
-are stored smaller-first.  It is defined once, by ``Monomial.__lt__``, as
-one descent: a leaf is the only monomial of its degree and vector, so
-two different monomials that tie there are both nodes, and the first
-pair of children that differ decides.  Interning makes a per-node cache
+object.  Each node holds its type once, as sparse counts (index,
+multiplicity); ``type_vector`` builds the dense vector only when asked.
+The canonical total order compares degree, then the positional type
+vector, then the left children, then the right ones; node children are
+stored smaller-first.  It is defined once, by ``Monomial.__lt__``, as
+one descent: a leaf is the only monomial of its degree and type, so two
+different monomials that tie there are both nodes, and the first pair
+of children that differ decides.  Interning makes a per-node cache
 sound: :func:`fold` is the one bottom-up walk, behind Peirce counts,
 substitution, ``delta``, relabelling, rewriting and evaluation.  Neither
 the order nor the fold recurses on deep trees.
@@ -57,31 +59,36 @@ class Monomial:
     Construct through :func:`leaf` and :func:`product` only; instances
     are interned, so ``==`` coincides with identity and hashing is by
     identity.  ``u < v`` walks one path down both trees, with no stack:
-    while u is not v, a differing (degree, vector) decides, and otherwise
+    while u is not v, a differing (degree, type) decides, and otherwise
     both are nodes and the walk steps into their left children if those
-    differ, into their right children if not.
+    differ, into their right children if not.  The type is held once, as
+    ``counts``, the sorted tuple of (index, multiplicity) pairs; positional
+    type vectors compare as the lists ``[(-i, m) for i, m in counts]`` do:
+    at the first differing pair, a smaller multiplicity makes a monomial
+    smaller, and a variable that the other monomial lacks makes it larger.
     """
 
-    __slots__ = ("var", "left", "right", "degree", "counts", "vec")
+    __slots__ = ("var", "left", "right", "degree", "counts")
 
     def __init__(self, var, left, right, degree, counts):
         self.var = var
         self.left = left
         self.right = right
         self.degree = degree
-        self.counts = counts  # sorted tuple of (index, multiplicity)
-        vec = [0] * (counts[-1][0] + 1)
-        for i, c in counts:
-            vec[i] = c
-        self.vec = tuple(vec)  # multiplicity of variable i at i, up to the largest i
+        self.counts = counts
 
     def __lt__(self, other):
         u, v = self, other
         while u is not v:
             if u.degree != v.degree:
                 return u.degree < v.degree
-            if u.vec != v.vec:
-                return u.vec < v.vec
+            if u.counts != v.counts:
+                # with equal degrees, neither counts is a prefix of the other
+                for (i, m), (j, n) in zip(u.counts, v.counts):
+                    if i != j:
+                        return i > j
+                    if m != n:
+                        return m < n
             if u.left is not v.left:
                 u, v = u.left, v.left
             else:
@@ -182,10 +189,14 @@ def fold(m: Monomial, cache: dict, combine, base=None):
 
 
 def type_vector(w: Monomial) -> tuple[int, ...]:
-    """Multidegrees (|w|_1, ..., |w|_n), trailing zeros trimmed."""
-    if w.vec[0]:
+    """Multidegrees (|w|_1, ..., |w|_n), trailing zeros trimmed, built from the counts."""
+    counts = w.counts
+    if counts[0][0] == 0:
         raise ValueError("type vector undefined for the reserved variable")
-    return w.vec[1:]
+    vec = [0] * counts[-1][0]
+    for i, c in counts:
+        vec[i - 1] = c
+    return tuple(vec)
 
 
 def principal_power(v, k: int) -> Monomial:
@@ -249,24 +260,23 @@ def normalize_type(ty) -> tuple[int, ...]:
     return ty
 
 
+def _splits(ty: tuple[int, ...]):
+    """Each unordered split {a, b} of a type vector into two nonzero
+    parts, once, as (a, b) with the smaller vector a first."""
+    for a in itertools.product(*(range(c + 1) for c in ty)):
+        b = tuple(c - d for c, d in zip(ty, a))
+        if any(a) and a <= b:
+            yield a, b
+
+
 @functools.cache
 def _enumerate(ty: tuple[int, ...]) -> tuple[Monomial, ...]:
     if sum(ty) == 1:
         return (leaf(Variable(ty.index(1) + 1)),)
     out = set()
-    seen = set()
-    for sub in itertools.product(*(range(c + 1) for c in ty)):
-        if not any(sub) or sub == ty:
-            continue
-        rest = tuple(a - b for a, b in zip(ty, sub))
-        a = normalize_type(sub)
-        b = normalize_type(rest)
-        pair = (a, b) if a <= b else (b, a)
-        if pair in seen:
-            continue
-        seen.add(pair)
-        for u in _enumerate(pair[0]):
-            for v in _enumerate(pair[1]):
+    for a, b in _splits(ty):
+        for u in _enumerate(normalize_type(a)):
+            for v in _enumerate(normalize_type(b)):
                 out.add(product(u, v))
     return tuple(sorted(out))
 
@@ -282,16 +292,12 @@ def _w(ty: tuple[int, ...]) -> int:
     if sum(ty) == 1:
         return 1
     total = 0
-    for sub in itertools.product(*(range(c + 1) for c in ty)):
-        rest = tuple(a - b for a, b in zip(ty, sub))
-        # each unordered split {sub, rest} once: sub is the smaller vector
-        if not any(sub) or sub > rest:
-            continue
-        wa = _w(tuple(sorted(c for c in sub if c)))
-        if sub == rest:
+    for a, b in _splits(ty):
+        wa = _w(tuple(sorted(c for c in a if c)))
+        if a == b:
             total += wa * (wa + 1) // 2
         else:
-            total += wa * _w(tuple(sorted(c for c in rest if c)))
+            total += wa * _w(tuple(sorted(c for c in b if c)))
     return total
 
 

@@ -21,13 +21,13 @@ each cached normal form (``_REDUCE_CACHE``) is a form (den, ((m, n),
 ...)), the polynomial sum(n m) / den over one positive denominator.
 Rewriting a product accumulates its terms over the product of the two
 children's denominators and the lcm of the rules' denominators, then
-divides out the gcd once.  The per-type solve sums in ints too; ``Q``
-appears only in ``solve_unique``'s result, which ``_solve_in_span`` puts
-straight back over one denominator, and in ``reduce`` and ``solve_Pw``,
-which turn a form into a ``Polynomial``.  ``train_identity`` builds no
-``Q``: it hands w - P(w) to the check as an int form in canonical order,
-P(w)'s terms ordered by their rank in the span basis, found once per
-type in that type's own letters.
+divides out the gcd once.  The per-type solve sums in ints too, and
+``solve_unique`` returns its solution as such a form; ``Q`` appears only
+in ``reduce`` and ``solve_Pw``, which turn a form into a ``Polynomial``.
+``train_identity`` builds no ``Q``: it hands w - P(w) to the check as an
+int form in canonical order, P(w)'s terms ordered by their rank in the
+span basis put in the type's own letters.  Everything known of a type
+(shape, letters, span order, basis) is one ``TypeRecord``, found once.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+from typing import NamedTuple
 
 from .homgen import factor, peirce_column, solve_unique
 from .magma import (
@@ -55,7 +56,7 @@ from .magma import (
 )
 from .peirce import Identity, _identity_from_ints
 from .poly import Polynomial
-from .rationals import Q, as_ints
+from .rationals import Q
 
 SHAPES = ("n", "n1", "n2", "n11")
 
@@ -101,22 +102,39 @@ def relabel_monomial(m: Monomial, mapping: dict) -> Monomial:
 
 def _relabel(terms, mapping: dict) -> tuple:
     """The terms (m, n) of a form with each monomial m relabelled by a
-    map from ``_letters``, in which an empty map is the identity."""
+    map of a ``TypeRecord``, in which an empty map is the identity."""
     if not mapping:
         return tuple(terms)
     return tuple((relabel_monomial(m, mapping), n) for m, n in terms)
 
 
+class TypeRecord(NamedTuple):
+    """What the rewriting knows of one type, found once per type."""
+
+    tag: str  # the shape
+    moved: dict  # each letter that is not its canonical letter -> that letter
+    inverse: dict  # and back; both are empty for a type in canonical letters
+    # each span monomial of the canonical type (the type's nonzero counts,
+    # largest first) -> (its rank in canonical order in the type's own
+    # letters, that monomial in those letters), in span order
+    order: dict
+    basis: frozenset  # the span monomials in own letters that have this type
+
+
 @functools.cache
-def _letters(ty):
-    """(shape tag, roles, their inverse) of a type, found once per type,
-    with the letters that stay put left out: a type in canonical letters
-    has empty maps, on which relabelling returns at once."""
+def _record(ty) -> TypeRecord:
+    """The record of a type; an unsupported shape raises ShapeError."""
     tag, roles = classify_type(ty)
     if tag is None:
         raise ShapeError(f"type {ty} is not one of the supported shapes")
     moved = {v: t for v, t in roles.items() if v != t}
-    return tag, moved, {t: v for v, t in moved.items()}
+    inverse = {t: v for v, t in moved.items()}
+    span = _family(tag, max(ty))
+    own = [relabel_monomial(b, inverse) for b in span]
+    rank = {m: r for r, m in enumerate(sorted(own))}
+    order = {b: (rank[m], m) for b, m in zip(span, own)}
+    basis = frozenset(m for m in own if type_vector(m) == ty)
+    return TypeRecord(tag, moved, inverse, order, basis)
 
 
 # ---------------------------------------------------------------------------
@@ -124,64 +142,40 @@ def _letters(ty):
 
 
 def span_basis(ty) -> tuple[Monomial, ...]:
-    """Basis monomials spanning the P(w) candidates for this (canonical-letter) type."""
-    return _bases(normalize_type(ty))[0]
+    """Basis monomials spanning the P(w) candidates for this type, in its letters."""
+    return tuple(m for _, m in _record(normalize_type(ty)).order.values())
 
 
 def excluded_basis(ty) -> tuple[Monomial, ...]:
-    """The basis monomials of exactly this (canonical-letter) type."""
-    return _bases(normalize_type(ty))[1]
+    """The basis monomials of exactly this type, in span order."""
+    record = _record(normalize_type(ty))
+    return tuple(m for _, m in record.order.values() if m in record.basis)
 
 
 def is_basis_monomial(w: Monomial) -> bool:
     """Whether w is a basis monomial of its type, in any letters."""
-    return w in _basis_of_type(type_vector(w))
+    return w in _record(type_vector(w)).basis
 
 
-@functools.cache
-def _basis_of_type(ty) -> frozenset:
-    """The basis monomials of a type in its own letters: the span
-    monomials of its canonical type, relabelled, that have this type."""
-    return frozenset(m for _, m in _span_order(ty).values() if type_vector(m) == ty)
-
-
-@functools.cache
-def _span_order(ty) -> dict:
-    """Each span monomial of a type's canonical type (its nonzero counts,
-    largest first) -> (its rank in canonical order once put in the type's
-    own letters, that monomial in those letters), found once per type."""
-    _, _, inverse = _letters(ty)
-    span = span_basis(tuple(sorted(filter(None, ty), reverse=True)))
-    own = [relabel_monomial(b, inverse) for b in span]
-    rank = {m: r for r, m in enumerate(sorted(own))}
-    return {b: (rank[m], m) for b, m in zip(span, own)}
-
-
-@functools.cache
-def _bases(ty):
-    """(span basis, its members of type ty) for a normalized type.
+def _family(tag: str, n: int) -> list[Monomial]:
+    """The span basis, in canonical letters, of the canonical type of a
+    shape whose largest count is n.
 
     The families by shape: n: x^k; n1: x^k y, x^{r} y; n2: (x^{r} y) y,
     x^{s} y^2; n11: x^{r}((x y) z), x^{r}((x z) y), x^{r}(y z).
     """
-    tag, _ = classify_type(ty)
-    n = ty[0]
     x, y, z = leaf(X), leaf(Y), leaf(Z)
     if tag == "n":
-        span = [principal_power(X, k) for k in range(1, n + 1)]
-    elif tag == "n1":
+        return [principal_power(X, k) for k in range(1, n + 1)]
+    if tag == "n1":
         span = [product(principal_power(X, k), y) for k in range(2, n + 1)]
-        span += [left_iterate(X, r, y) for r in range(1, n + 1)]
-    elif tag == "n2":
+        return span + [left_iterate(X, r, y) for r in range(1, n + 1)]
+    if tag == "n2":
         span = [product(left_iterate(X, r, y), y) for r in range(1, n + 1)]
-        span += [left_iterate(X, s, product(y, y)) for s in range(n + 1)]
-    elif tag == "n11":
-        span = [left_iterate(X, r, product(product(x, y), z)) for r in range(n)]
-        span += [left_iterate(X, r, product(product(x, z), y)) for r in range(n)]
-        span += [left_iterate(X, r, product(y, z)) for r in range(n + 1)]
-    else:
-        raise ShapeError(f"unsupported type {ty}")
-    return tuple(span), tuple(m for m in span if type_vector(m) == ty)
+        return span + [left_iterate(X, s, product(y, y)) for s in range(n + 1)]
+    span = [left_iterate(X, r, product(product(x, y), z)) for r in range(n)]
+    span += [left_iterate(X, r, product(product(x, z), y)) for r in range(n)]
+    return span + [left_iterate(X, r, product(y, z)) for r in range(n + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +204,7 @@ def _solve_in_span(w: Monomial) -> tuple:
     """Form of the unique P in the span with w's Peirce polynomials and sum 1."""
     ty = type_vector(w)
     basis, system = _span_system(ty)
-    den, nums = as_ints(solve_unique(system, peirce_column(w, ty)))
+    den, nums = solve_unique(system, peirce_column(w, ty))
     return den, tuple((m, n) for m, n in zip(basis, nums) if n)
 
 
@@ -226,9 +220,9 @@ def _rule(m1: Monomial, m2: Monomial) -> tuple:
     pattern = product(m1, m2)
     got = _RULES.get(pattern)
     if got is None:
-        pc, inverse, _ = _prepare(pattern, allow_basis=True)
+        pc, record, _ = _prepare(pattern, allow_basis=True)
         den, terms = _solve_in_span(pc)
-        got = _RULES[pattern] = (den, _relabel(terms, inverse))
+        got = _RULES[pattern] = (den, _relabel(terms, record.inverse))
     return got
 
 
@@ -251,7 +245,7 @@ def _reduce(w: Monomial) -> tuple:
 
 def _basis_form(w: Monomial):
     """The form of w when it is a basis monomial, its own normal form."""
-    return (1, ((w, 1),)) if w in _basis_of_type(type_vector(w)) else None
+    return (1, ((w, 1),)) if is_basis_monomial(w) else None
 
 
 def _rewrite(left: tuple, right: tuple) -> tuple:
@@ -275,14 +269,14 @@ def _rewrite(left: tuple, right: tuple) -> tuple:
 
 
 def _prepare(w: Monomial, shape=None, *, allow_basis=False):
-    """(w in canonical letters, the map back to w's letters, w's type)."""
+    """(w in canonical letters, the record of w's type, w's type)."""
     ty = type_vector(w)
-    tag, roles, inverse = _letters(ty)
-    if shape is not None and shape != tag:
-        raise ShapeError(f"monomial has shape {tag!r}, not {shape!r}")
-    if not allow_basis and w in _basis_of_type(ty):
+    record = _record(ty)
+    if shape is not None and shape != record.tag:
+        raise ShapeError(f"monomial has shape {record.tag!r}, not {shape!r}")
+    if not allow_basis and w in record.basis:
         raise BasisMonomialError("basis monomial has no train identity")
-    return relabel_monomial(w, roles), inverse, ty
+    return relabel_monomial(w, record.moved), record, ty
 
 
 def reduce(w: Monomial, shape=None) -> Polynomial:
@@ -291,8 +285,8 @@ def reduce(w: Monomial, shape=None) -> Polynomial:
     A basis monomial is already in the span, so its normal form is the
     monomial itself (in its own variable names).
     """
-    wc, inverse, _ = _prepare(w, shape, allow_basis=True)
-    return _polynomial(_reduce(wc), inverse)
+    wc, record, _ = _prepare(w, shape, allow_basis=True)
+    return _polynomial(_reduce(wc), record.inverse)
 
 
 def solve_Pw(w: Monomial, shape=None) -> Polynomial:
@@ -305,8 +299,8 @@ def solve_Pw(w: Monomial, shape=None) -> Polynomial:
     independent cross-check of ``reduce`` on the monomials that have a
     train identity; a basis monomial raises BasisMonomialError.
     """
-    wc, inverse, _ = _prepare(w, shape)
-    return _polynomial(_solve_in_span(wc), inverse)
+    wc, record, _ = _prepare(w, shape)
+    return _polynomial(_solve_in_span(wc), record.inverse)
 
 
 def train_identity(w: Monomial, shape=None) -> Identity:
@@ -315,9 +309,9 @@ def train_identity(w: Monomial, shape=None) -> Identity:
     A basis monomial raises BasisMonomialError: there w - P(w) = 0,
     which is not an identity.
     """
-    wc, _, ty = _prepare(w, shape)
+    wc, record, ty = _prepare(w, shape)
     den, terms = _reduce(wc)
-    order = _span_order(ty)
+    order = record.order
     # -P(w) in w's letters and canonical order; P(w) lies in the span of
     # the basis and w does not, so w goes in between its terms
     form = [(m, -n) for (_, m), n in sorted((order[m], n) for m, n in terms)]
@@ -328,13 +322,12 @@ def train_identity(w: Monomial, shape=None) -> Identity:
 def generate_train_basis(ty, max_degree: int = 10) -> list[Identity]:
     """All train identities of a type, one per non-basis monomial."""
     ty = normalize_type(ty)
-    _letters(ty)  # ShapeError before the degree cap
+    basis = _record(ty).basis  # ShapeError before the degree cap
     if sum(ty) > max_degree:
         raise ShapeError(
             f"total degree {sum(ty)} exceeds the cap {max_degree}; "
             "raise max_degree to override"
         )
-    basis = _basis_of_type(ty)
     return [train_identity(w) for w in monomials_of_type(ty) if w not in basis]
 
 

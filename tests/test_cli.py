@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 
 import pytest
 
@@ -204,6 +205,24 @@ def test_check_deep_rendering(capsys, expr):
     assert lines[-2:] == [f"value at ones = {report.at_ones}", "verdict: not evanescent"]
 
 
+def test_large_variable_index_costs_no_memory_per_node(capsys):
+    # each of the 299 interned nodes of t300000^300 keeps its type as the
+    # sparse counts ((300000, k),); a dense vector up to index 300000 at
+    # every node would hold 299 tuples of 300,001 entries, about 700 MB
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "check", "t300000^300")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, err) == (0, "")
+    # recorded while each node still held its dense vector
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "26beb7691c3b23ab5bed4ec3a3a37c076f81ef7e10a5be2b065e224a919c78da"
+    )
+    assert peak < 16 * 2**20, peak
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -315,6 +334,18 @@ STDOUT_DIGESTS = {
         "36b2e18aa9a6e93f0b01ba7099fb586e80e223a41529754b0c7eb01fb1d2c504",
     ("train", "--of", "(z(zy))x", "--format", "jsonl"):
         "9645dee2438f55a19841acbac15ab56c712cc039ea14cd6d1b83a9f617266ccc",
+    # recorded before Monomial dropped its dense type vector: the order of
+    # the enumerations is what that change touches
+    ("enum", "--type", "3,1,1"):
+        "b7e3fbf69b57f6badad4e329813579db4589a2288ccf00bf694063f9fd5825b0",
+    ("enum", "--type", "4,2"):
+        "c7d278cb0e2809155eba212305fbd6e62cf652d59571bc9e6544e69cb77e5439",
+    ("wnumber", "--type", "6,6"):
+        "10036e3ef6bb3dfa7ac9fc27f845b095782743a1c30ca62c0b08e7e69e297dc6",
+    ("spectrum", "--eigenvalues", "0,1/2,-3"):
+        "d7ed7cf529653cbb35ecfe8c42a5917b4ebbf1a4fbf9865b7af7e7ee8988e91d",
+    ("spectrum", "--eigenvalues", "0,1/2,-3", "--format", "jsonl"):
+        "698cf33107600bd4eaf57ee51cc6add9e897a2a452e27d2299dedb2eda66dd5d",
 }
 
 

@@ -213,8 +213,14 @@ def test_nullspace_normalization():
     assert nullspace([[1, 0, 2], [0, 1, -3]]) == [(2, ((0, 2), (1, -3), (2, -1)))]
 
 
+def fractions_of(form):
+    """The entries n / den of a solution in its int form (den, nums)."""
+    den, nums = form
+    return tuple(Q(n, den) for n in nums)
+
+
 def test_solve_unique():
-    assert solve_unique([[2, 0], [0, 4]], [1, 1]) == (Q(1, 2), Q(1, 4))
+    assert fractions_of(solve_unique([[2, 0], [0, 4]], [1, 1])) == (Q(1, 2), Q(1, 4))
     with pytest.raises(LinearSolveError):
         solve_unique([[1, 1]], [1])  # underdetermined
     with pytest.raises(LinearSolveError):
@@ -230,7 +236,8 @@ def test_factored_system_answers_many_right_hand_sides():
     assert isinstance(system, FactoredSystem)
     for x in [(1, 0, 0), (Q(1, 2), -3, 7), (0, 0, 0), (5, Q(2, 3), -1)]:
         rhs = [sum(Q(a) * b for a, b in zip(row, x)) for row in rows]
-        assert solve_unique(system, rhs) == solve_unique(rows, rhs) == tuple(Q(c) for c in x)
+        want = tuple(Q(c) for c in x)
+        assert fractions_of(solve_unique(system, rhs)) == fractions_of(solve_unique(rows, rhs)) == want
 
 
 def fraction_solve(rows, rhs):
@@ -269,7 +276,8 @@ def test_factor_on_rational_rows_matches_fraction_solve():
                         solve_unique(target, rhs)
             else:
                 outcomes["solved"] += 1
-                assert solve_unique(system, rhs) == solve_unique(rows, rhs) == want
+                got = fractions_of(solve_unique(system, rhs))
+                assert got == fractions_of(solve_unique(rows, rhs)) == want
     assert min(outcomes.values()) > 50, outcomes
 
 
@@ -284,7 +292,7 @@ def test_factored_system_keeps_both_checks():
         for target in (rows, system):
             with pytest.raises(LinearSolveError, match=message):
                 solve_unique(target, rhs)
-    assert solve_unique(factor([[1, 1], [2, 2], [0, 1]]), [1, 2, 3]) == (-2, 3)
+    assert fractions_of(solve_unique(factor([[1, 1], [2, 2], [0, 1]]), [1, 2, 3])) == (-2, 3)
 
 
 _ENTRY = st.sampled_from([0] * 6 + [1, -1, 2, -3, 5])
@@ -318,8 +326,11 @@ def test_column_wise_solve_matches_fraction_solve(system):
                 solve_unique(target, rhs)
     else:
         got = solve_unique(factor(rows), rhs)
-        assert got == solve_unique(rows, rhs) == want
-        assert all(type(c) is Q for c in got)
+        assert fractions_of(got) == fractions_of(solve_unique(rows, rhs)) == want
+        # the reduced int form: one positive denominator, gcd 1
+        den, nums = got
+        assert den > 0 and math.gcd(den, *nums) == 1
+        assert all(type(n) is int for n in nums)
 
 
 def test_span_solve_factors_each_type_once(monkeypatch):

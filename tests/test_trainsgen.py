@@ -96,12 +96,12 @@ def test_basis_of_type_matches_canonical_membership():
             wc, _, _ = trainsgen._prepare(w, allow_basis=True)
             if wc in excluded_basis(type_vector(wc)):
                 want.add(w)
-        assert trainsgen._basis_of_type(ty) == want and len(want) == count, ty
+        assert trainsgen._record(ty).basis == want and len(want) == count, ty
         assert {w for w in monomials_of_type(ty) if is_basis_monomial(w)} == want
     with pytest.raises(ShapeError):
         is_basis_monomial(parse_monomial("x^2 y^2 z"))
     with pytest.raises(ShapeError):
-        trainsgen._basis_of_type((2, 2, 1))
+        trainsgen._record((2, 2, 1))
 
 
 
@@ -117,6 +117,9 @@ def test_letters_that_move(ty):
     assert all(identity.type == ty for identity in got)
     assert {i.polynomial for i in got} == {relabel(i.polynomial) for i in generate_train_basis(canonical)}
     assert len(got) == w_number(ty) - len(excluded_basis(canonical))
+    # the span and the basis of a type are its canonical type's, relabelled
+    for family in (trainsgen.span_basis, excluded_basis):
+        assert family(ty) == tuple(trainsgen.relabel_monomial(b, inverse) for b in family(canonical))
     for w in [w for w in monomials_of_type(ty) if not is_basis_monomial(w)][:4]:
         assert reduce(w) == solve_Pw(w) and train_identity(w).type == ty
     for b in excluded_basis(canonical):
