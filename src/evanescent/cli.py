@@ -111,7 +111,10 @@ def cmd_train(args, out) -> int:
         return 0
     if not args.type:
         raise SystemExit(_usage_error("train needs --of EXPR or --type TYPE"))
-    for ty in _train_types(args):
+    types = _train_types(args)
+    for ty in types:  # all admitted before any is printed
+        trainsgen.admit(ty, args.max_degree)
+    for ty in types:
         for identity in trainsgen.generate_train_basis(ty, max_degree=args.max_degree):
             _emit_identity(identity, args.format, out)
     return 0

@@ -129,11 +129,16 @@ def leaf(v) -> Monomial:
 
 
 def product(u: Monomial, v: Monomial) -> Monomial:
-    """Commutative magma product, in canonical (smaller child first) form."""
-    if v < u:
-        u, v = v, u
-    m = _NODES.get((u, v))
+    """Commutative magma product, in canonical (smaller child first) form.
+
+    An interned product is found by looking the pair up in both orders,
+    with no comparison; only a new pair is ordered, smaller child first,
+    and stored once, under that order.
+    """
+    m = _NODES.get((u, v)) or _NODES.get((v, u))
     if m is None:
+        if v < u:
+            u, v = v, u
         counts = dict(u.counts)
         for i, c in v.counts:
             counts[i] = counts.get(i, 0) + c

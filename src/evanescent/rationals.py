@@ -27,14 +27,22 @@ def q_text(num: int, den: int) -> str:
 def format_sum(terms, sep: str = " ") -> str:
     """Render (num, den, text) triples, num / den a nonzero rational in
     lowest terms with den > 0, as a signed sum: each as its magnitude,
-    printed by ``q_text``, then sep and text; a magnitude 1 is left out
-    unless text is empty."""
+    printed as ``q_text`` prints it, then sep and text; a magnitude 1 is
+    left out unless text is empty."""
     parts = []
     for num, den, text in terms:
-        mag = q_text(abs(num), den)
-        body = text if mag == "1" and text else f"{mag}{sep}{text}" if text else mag
-        sign = ("" if num > 0 else "-") if not parts else ("+ " if num > 0 else "- ")
-        parts.append(sign + body)
+        if num > 0:
+            sign = "+ " if parts else ""
+        else:
+            sign, num = "- " if parts else "-", -num
+        if den != 1:
+            mag = f"{num}/{den}"
+        elif num == 1 and text:
+            parts.append(sign + text)
+            continue
+        else:
+            mag = str(num)
+        parts.append(f"{sign}{mag}{sep}{text}" if text else sign + mag)
     return " ".join(parts) if parts else "0"
 
 

@@ -33,7 +33,10 @@ Sums are printed from int forms, sum(n m) / den with the terms (m, n)
 held in ascending canonical order, as an ``Identity`` keeps them:
 ``format_form`` and ``form_to_json`` walk that order in reverse, so the
 printer never sorts, and reduce each n / den with one gcd, printing it
-as ``str`` prints the ``Q``.  ``format_polynomial`` and
+as ``str`` prints the ``Q``.  The walk reads each monomial's text from
+``_TEXT`` and renders only a monomial that is not there yet;
+``rationals.format_sum``, the one renderer of signed sums, builds each
+part of the line in the same loop.  ``format_polynomial`` and
 ``polynomial_to_json`` print a ``Polynomial`` from its ``int_form``.
 """
 
@@ -336,10 +339,12 @@ def format_monomial(m: Monomial) -> str:
 def _reduced(den: int, terms):
     """(num, den, monomial text) of each term (m, n) of sum(n m) / den, in
     descending canonical order: the held terms walked in reverse, each
-    n / den put in lowest terms by one gcd."""
+    n / den put in lowest terms by one gcd.  The text is read from
+    ``_TEXT``; a monomial not yet there is rendered."""
+    cached = _TEXT.get
     for m, n in reversed(terms):
         g = math.gcd(n, den)
-        yield n // g, den // g, format_monomial(m)
+        yield n // g, den // g, (cached(m) or _render(m))[0]
 
 
 def format_form(den: int, terms) -> str:

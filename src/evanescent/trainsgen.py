@@ -19,11 +19,15 @@ monomials ``reduce`` vs ``solve_Pw`` checks the rewriting.
 The rewriting runs in Python ints.  Each cached rule (``_RULES``) and
 each cached normal form (``_REDUCE_CACHE``) is a form (den, ((m, n),
 ...)), the polynomial sum(n m) / den over one positive denominator.
-Rewriting a product accumulates its terms over the product of the two
-children's denominators and the lcm of the rules' denominators, then
-divides out the gcd once.  The per-type solve sums in ints too, and
-``solve_unique`` returns its solution as such a form; ``Q`` appears only
-in ``reduce`` and ``solve_Pw``, which turn a form into a ``Polynomial``.
+Rewriting a product walks the pairs of its children's terms once and
+adds each rule's terms as the rule is fetched, over a running lcm of the
+rules' denominators: a rule whose denominator does not divide it scales
+the lcm, and what is summed so far, by the missing factor.  The sum is
+over the product of the two children's denominators and that lcm, and
+the gcd is divided out once at the end.  The per-type solve sums in
+ints too, and ``solve_unique`` returns its solution as such a form;
+``Q`` appears only in ``reduce`` and ``solve_Pw``, which turn a form
+into a ``Polynomial``.
 ``train_identity`` builds no ``Q``: it hands w - P(w) to the check as an
 int form in canonical order, P(w)'s terms ordered by their rank in the
 span basis put in the type's own letters.  Everything known of a type
@@ -250,15 +254,23 @@ def _basis_form(w: Monomial):
 
 def _rewrite(left: tuple, right: tuple) -> tuple:
     """The normal form of a product from the normal forms of its factors:
-    each product m1 m2 of their terms is rewritten by its rule."""
+    each product m1 m2 of their terms is rewritten by its rule, whose
+    terms are added as it is fetched."""
     (du, fu), (dv, fv) = left, right
-    rules = [(a * b, _rule(m1, m2)) for m1, a in fu for m2, b in fv]
-    lcm = math.lcm(*(d for _, (d, _) in rules))
+    lcm = 1  # of the denominators of the rules fetched so far
     acc: dict[Monomial, int] = {}
-    for ab, (d, terms) in rules:
-        scale = ab * (lcm // d)
-        for m, c in terms:
-            acc[m] = acc.get(m, 0) + scale * c
+    for m1, a in fu:
+        for m2, b in fv:
+            d, terms = _rule(m1, m2)
+            if lcm % d:
+                # put what is summed so far over the new lcm
+                extra = d // math.gcd(lcm, d)
+                lcm *= extra
+                for m in acc:
+                    acc[m] *= extra
+            scale = a * b * (lcm // d)
+            for m, c in terms:
+                acc[m] = acc.get(m, 0) + scale * c
     den = du * dv * lcm
     g = math.gcd(den, *acc.values())
     return den // g, tuple((m, n // g) for m, n in acc.items() if n)
@@ -319,15 +331,24 @@ def train_identity(w: Monomial, shape=None) -> Identity:
     return _identity_from_ints(den, form, train=True, ty=ty)
 
 
-def generate_train_basis(ty, max_degree: int = 10) -> list[Identity]:
-    """All train identities of a type, one per non-basis monomial."""
+def admit(ty, max_degree: int = 10) -> tuple[int, ...]:
+    """The normalized type, once ``generate_train_basis`` would accept
+    it: a ShapeError for an unsupported shape, then for a total degree
+    over the cap."""
     ty = normalize_type(ty)
-    basis = _record(ty).basis  # ShapeError before the degree cap
+    _record(ty)  # ShapeError before the degree cap
     if sum(ty) > max_degree:
         raise ShapeError(
             f"total degree {sum(ty)} exceeds the cap {max_degree}; "
             "raise max_degree to override"
         )
+    return ty
+
+
+def generate_train_basis(ty, max_degree: int = 10) -> list[Identity]:
+    """All train identities of a type, one per non-basis monomial."""
+    ty = admit(ty, max_degree)
+    basis = _record(ty).basis
     return [train_identity(w) for w in monomials_of_type(ty) if w not in basis]
 
 

@@ -85,6 +85,14 @@ def test_train_family_needs_all(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("family, cap", [("n", "11"), ("n,1,1", "12")])
+def test_train_family_over_the_degree_cap_prints_nothing(capsys, family, cap):
+    # every type of the family is checked against the cap before any is generated
+    code, out, err = run_cli(capsys, "train", "--type", family, "--all", cap)
+    assert (code, out) == (2, "")
+    assert err == "error: total degree 11 exceeds the cap 10; raise max_degree to override\n"
+
+
 def test_homog_jsonl_reparses(capsys):
     from evanescent.syntax import polynomial_from_json
 
@@ -346,6 +354,17 @@ STDOUT_DIGESTS = {
         "d7ed7cf529653cbb35ecfe8c42a5917b4ebbf1a4fbf9865b7af7e7ee8988e91d",
     ("spectrum", "--eigenvalues", "0,1/2,-3", "--format", "jsonl"):
         "698cf33107600bd4eaf57ee51cc6add9e897a2a452e27d2299dedb2eda66dd5d",
+    # recorded before the rewriting summed its rules in one pass and the
+    # printer stopped calling q_text per term: the train families the
+    # benchmark runs, and one more homogeneous type
+    ("train", "--type", "n", "--all", "9"):
+        "98e4d398aff1430eb8cc94612b0c11eeb094d8b1f85396374f454fd2dfdc62f9",
+    ("train", "--type", "n,2", "--all", "9"):
+        "f2bd121b6fa1f115e991ada24967488af38fc4005911fa6a2d6583c437d6ca8a",
+    ("train", "--type", "n,1,1", "--all", "9"):
+        "15d2c94640258b9bc3c458472664aeedd40ba28d0df5f88b803b8c3a7b6dd4b3",
+    ("homog", "--type", "6,2"):
+        "2d132c6f8866ba1769e2994c62c85c72739780aa74b3faff520be1b4089bbeb3",
 }
 
 

@@ -34,6 +34,29 @@ W_N2 = {0: 1, 1: 2, 2: 6, 3: 15, 4: 41, 5: 106, 6: 280, 7: 726, 8: 1891, 9: 4886
 W_N11 = {0: 1, 1: 3, 2: 9, 3: 25, 4: 69, 5: 186, 6: 497, 7: 1314, 8: 3453, 9: 9019, 10: 23454}
 
 
+def test_product_of_an_interned_pair_makes_no_comparison(monkeypatch):
+    x, y = leaf(X), leaf(Y)
+    u, v = product(product(x, y), x), product(y, y)
+    w = product(u, v)
+    calls = []
+    less = magma.Monomial.__lt__
+
+    def counted(a, b):
+        calls.append((a, b))
+        return less(a, b)
+
+    monkeypatch.setattr(magma.Monomial, "__lt__", counted)
+    assert product(u, v) is w and product(v, u) is w and calls == []
+    # a new pair is ordered, then stored once, smaller child first
+    small, large = leaf(Variable(917)), product(leaf(Variable(918)), leaf(Variable(919)))
+    calls.clear()
+    m = product(large, small)
+    assert calls and (m.left, m.right) == (small, large)
+    assert magma._NODES[(small, large)] is m and (large, small) not in magma._NODES
+    calls.clear()
+    assert product(small, large) is m and product(large, small) is m and calls == []
+
+
 def test_w_number_tables():
     for n, expected in W_POW.items():
         if n >= 1:

@@ -308,6 +308,33 @@ def test_reduce_accumulates_rational_rules_in_ints(monkeypatch):
             assert Polynomial({m: Q(n, den) for m, n in terms}) == fraction_reduce(w)
 
 
+def test_rewrite_rescales_for_denominators_met_part_way(monkeypatch):
+    # no rule of the four shapes has a denominator other than 1: give the
+    # six products of two forms rules over 1, 2, 1, 6, 3 and 1, in the
+    # order the rewriting fetches them, and compare with a Fraction sum
+    t = [leaf(Variable(i)) for i in range(1, 9)]
+    left = (3, ((t[0], 1), (t[1], -2)))
+    right = (5, ((t[2], 4), (t[3], 1), (t[4], -1)))
+    pool = [t[5], t[6], t[7], product(t[5], t[6])]
+    dens = [1, 2, 1, 6, 3, 1]
+    rules = {}
+    for k, (m1, m2) in enumerate((m1, m2) for m1, _ in left[1] for m2, _ in right[1]):
+        terms = tuple((pool[(k + j) % 4], (-1) ** (k + j) * (j + 1 + k % 3)) for j in range(3))
+        rules[product(m1, m2)] = (dens[k], terms)
+    monkeypatch.setattr(trainsgen, "_RULES", rules)
+    want = {}  # in the order of first appearance, as the rewriting keeps it
+    for m1, a in left[1]:
+        for m2, b in right[1]:
+            d, terms = rules[product(m1, m2)]
+            for m, c in terms:
+                want[m] = want.get(m, 0) + Q(a, left[0]) * Q(b, right[0]) * Q(c, d)
+    den, terms = trainsgen._rewrite(left, right)
+    assert den > 0 and math.gcd(den, *(n for _, n in terms)) == 1
+    assert all(type(n) is int and n for _, n in terms)
+    assert [(m, Q(n, den)) for m, n in terms] == [(m, c) for m, c in want.items() if c]
+    assert den == math.lcm(*(c.denominator for c in want.values()))
+
+
 def test_uniqueness_perturbation():
     rng = random.Random(3)
     for ty in [(5,), (4, 1), (2, 2)]:
