@@ -100,7 +100,12 @@ def _train_types(args):
     if args.all is None:
         raise SystemExit(_usage_error("family types like 'n,1' need --all MAXDEG"))
     fixed = _FAMILIES[args.type]
-    return [(n, *fixed) for n in range(1, args.all - sum(fixed) + 1)]
+    top = args.all - sum(fixed)  # the family's types are (n, *fixed) for n <= top
+    over = max(args.max_degree - sum(fixed), 0) + 1  # the least n over the cap
+    if top >= over:
+        # rejected as the admission loop would reject it, before any type is listed
+        trainsgen.admit((over, *fixed), args.max_degree)
+    return [(n, *fixed) for n in range(1, top + 1)]
 
 
 def cmd_train(args, out) -> int:
@@ -287,6 +292,10 @@ def main(argv=None) -> int:
         # stay until an admission budget exists, since without one the inputs
         # that stop here would run without bound instead
         print("error: input too large: maximum recursion depth exceeded", file=sys.stderr)
+        return 2
+    except OverflowError as exc:
+        # a type entry too large for a range (magma._splits)
+        print(f"error: input too large: {exc}", file=sys.stderr)
         return 2
 
 

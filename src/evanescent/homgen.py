@@ -12,6 +12,11 @@ per pivot, with no division; a row divided by its pivot entry is a row of
 the reduced row-echelon form over Q.  ``factor``, ``nullspace`` and
 ``homogeneous_dimension`` read those int rows directly; ``nullspace``
 returns sparse int forms, which the evanescence check takes as they are.
+Many monomials of a type share their leaf heights, hence their Peirce
+column: ``peirce_matrix`` decodes each distinct column once, and
+``nullspace`` and ``homogeneous_dimension`` eliminate the distinct
+columns alone, half of them or fewer, and give each copy of a free column
+its form from its first copy's pivot entries.
 ``factor`` keeps its reduced rows over one int denominator, column by
 column, so ``solve_unique`` sums in ints over the nonzero entries of the
 right-hand side alone, and returns its solution over one denominator
@@ -26,7 +31,7 @@ import math
 from dataclasses import dataclass
 
 from .magma import Monomial, Variable, monomials_of_type, normalize_type
-from .peirce import Identity, _identity_from_ints, _peirce_counts
+from .peirce import Identity, _identity_from_ints, _packed, _peirce_counts
 from .rationals import as_ints
 
 
@@ -98,26 +103,48 @@ def nullspace(matrix) -> list[tuple]:
     n), ...)): its nonzero entries n / den by column, the ints n primitive
     and the first equal to den > 0.  Ordered by that lead column, then as
     the dense tuples of Q would be.
+
+    Equal columns are eliminated once: ``rref`` runs on the distinct
+    columns, in order of first occurrence, whose reduced form is the
+    matrix's own with each repeated column read from its first copy.  A
+    later copy is never a pivot, so a distinct pivot stands for the first
+    column of its group, and the pivot entries of a distinct free column,
+    their lcm, gcd and sign, are found once for all the free columns of
+    its group.
     """
     rows = matrix.rows if isinstance(matrix, ExactMatrix) else matrix
     if not rows:
         raise ValueError("nullspace of an empty matrix is undefined")
-    ncols = len(rows[0])
-    reduced, pivots = rref(rows)
+    groups, distinct = _distinct_columns(rows)
+    reduced, pivots = rref(distinct)
     pivot_set = set(pivots)
-    free_cols = [c for c in range(ncols) if c not in pivot_set]
+    first = {}  # distinct column -> the first column of its group
+    free = {}  # distinct column -> the free columns of its group
+    for c, k in enumerate(groups):
+        if k in first or k not in pivot_set:
+            free.setdefault(k, []).append(c)
+        first.setdefault(k, c)
     forms = []
-    for free in free_cols:
-        # an int row is zero left of its pivot, so every pc here is < free
-        entries = [(pc, row[free], row[pc]) for row, pc in zip(reduced, pivots) if row[free]]
+    for k, cols in free.items():
+        # an int row is zero left of its pivot, so every pc here is < k
+        entries = [(first[pc], row[k], row[pc]) for row, pc in zip(reduced, pivots) if row[k]]
         lcm = math.lcm(*(p for _, _, p in entries))
-        support = [(pc, -a * (lcm // p)) for pc, a, p in entries] + [(free, lcm)]
-        g = math.gcd(*(n for _, n in support))
-        g = g if support[0][1] > 0 else -g  # so that the lead entry is den > 0
-        forms.append((support[0][1] // g, tuple((j, n // g) for j, n in support)))
+        nums = [-a * (lcm // p) for _, a, p in entries] + [lcm]
+        g = math.gcd(*nums)
+        g = g if nums[0] > 0 else -g  # so that the lead entry is den > 0
+        lead = tuple((c, n // g) for (c, _, _), n in zip(entries, nums))
+        forms += [(nums[0] // g, (*lead, (f, lcm // g))) for f in cols]
     scale = math.lcm(*(den for den, _ in forms))
     forms.sort(key=lambda form: _dense_order(form, scale))
     return forms
+
+
+def _distinct_columns(rows) -> tuple[list, list]:
+    """(the distinct column of each column, the rows of the distinct
+    columns), the distinct columns numbered by first occurrence."""
+    index: dict[tuple, int] = {}
+    groups = [index.setdefault(col, len(index)) for col in zip(*rows)]
+    return groups, [list(row) for row in zip(*index)]
 
 
 def _dense_order(form, scale) -> list:
@@ -216,11 +243,18 @@ def peirce_matrix(ty) -> ExactMatrix:
     One int row per (variable, power of t) pair with powers
     1..(degree-1), plus a final all-ones row for the coefficient-sum
     condition; column k is ``peirce_column`` of monomial k in the
-    canonical enumeration of the type's monomials.
+    canonical enumeration of the type's monomials, decoded once per
+    distinct packed Peirce entry.
     """
     ty = normalize_type(ty)
     monomials = monomials_of_type(ty)
-    rows = [list(row) for row in zip(*(peirce_column(m, ty) for m in monomials))]
+    variables = tuple(i + 1 for i, count in enumerate(ty) if count)
+    decoded = {}  # packed Peirce entry -> its column, decoded once
+    columns = []
+    for m in monomials:
+        packed = _packed(m, variables, 64)
+        columns.append(decoded.get(packed) or decoded.setdefault(packed, peirce_column(m, ty)))
+    rows = [list(row) for row in zip(*columns)]
     active = [Variable(i + 1).name for i, count in enumerate(ty) if count]
     row_labels = [(v, power) for v in active for power in range(1, sum(ty))] + [("sum", 0)]
     return ExactMatrix(rows=rows, row_labels=row_labels, col_labels=list(monomials))
@@ -246,4 +280,4 @@ def homogeneous_dimension(ty) -> int:
     """Dimension of the homogeneous evanescent identities of a type: the
     nullity of its Peirce matrix, read from the rank alone."""
     matrix = peirce_matrix(ty)
-    return matrix.shape[1] - len(rref(matrix.rows)[1])
+    return matrix.shape[1] - len(rref(_distinct_columns(matrix.rows)[1])[1])

@@ -9,10 +9,14 @@ vector, then the left children, then the right ones; node children are
 stored smaller-first.  It is defined once, by ``Monomial.__lt__``, as
 one descent: a leaf is the only monomial of its degree and type, so two
 different monomials that tie there are both nodes, and the first pair
-of children that differ decides.  Interning makes a per-node cache
-sound: :func:`fold` is the one bottom-up walk, behind Peirce counts,
-substitution, ``delta``, relabelling, rewriting and evaluation.  Neither
-the order nor the fold recurses on deep trees.
+of children that differ decides.  ``monomials_of_type`` builds a type's
+monomials already in that order, with no sort: a node's children are
+its (smaller, larger) pair, so its place follows from the split of the
+type between them and from their places in their own types; the only
+comparison is the one ``product`` makes for a new node.  Interning makes
+a per-node cache sound: :func:`fold` is the one bottom-up walk, behind
+Peirce counts, substitution, ``delta``, relabelling, rewriting and
+evaluation.  Neither the order nor the fold recurses on deep trees.
 """
 
 from __future__ import annotations
@@ -267,23 +271,31 @@ def normalize_type(ty) -> tuple[int, ...]:
 
 def _splits(ty: tuple[int, ...]):
     """Each unordered split {a, b} of a type vector into two nonzero
-    parts, once, as (a, b) with the smaller vector a first."""
+    parts, once, as (a, b) with a the smaller part: of lower degree, or
+    of the same degree and the smaller vector."""
     for a in itertools.product(*(range(c + 1) for c in ty)):
         b = tuple(c - d for c, d in zip(ty, a))
-        if any(a) and a <= b:
+        if any(a) and (sum(a), a) <= (sum(b), b):
             yield a, b
 
 
 @functools.cache
 def _enumerate(ty: tuple[int, ...]) -> tuple[Monomial, ...]:
+    """The monomials of a type, built already in canonical order: by the
+    split of their children's types, the splits ordered by the degree and
+    vector of the smaller part, then by the smaller child u, then by the
+    other one v, with v >= u when both parts have the same type."""
     if sum(ty) == 1:
         return (leaf(Variable(ty.index(1) + 1)),)
-    out = set()
-    for a, b in _splits(ty):
-        for u in _enumerate(normalize_type(a)):
-            for v in _enumerate(normalize_type(b)):
-                out.add(product(u, v))
-    return tuple(sorted(out))
+    out = []
+    for a, b in sorted(_splits(ty), key=lambda split: (sum(split[0]), split[0])):
+        us = _enumerate(normalize_type(a))
+        if a == b:
+            out += [product(u, v) for i, u in enumerate(us) for v in us[i:]]
+        else:
+            vs = _enumerate(normalize_type(b))
+            out += [product(u, v) for u in us for v in vs]
+    return tuple(out)
 
 
 def monomials_of_type(ty) -> tuple[Monomial, ...]:

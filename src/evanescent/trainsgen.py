@@ -125,12 +125,18 @@ class TypeRecord(NamedTuple):
     basis: frozenset  # the span monomials in own letters that have this type
 
 
-@functools.cache
-def _record(ty) -> TypeRecord:
-    """The record of a type; an unsupported shape raises ShapeError."""
+def _shape(ty):
+    """``classify_type`` of a supported shape; an unsupported one raises ShapeError."""
     tag, roles = classify_type(ty)
     if tag is None:
         raise ShapeError(f"type {ty} is not one of the supported shapes")
+    return tag, roles
+
+
+@functools.cache
+def _record(ty) -> TypeRecord:
+    """The record of a type; an unsupported shape raises ShapeError."""
+    tag, roles = _shape(ty)
     moved = {v: t for v, t in roles.items() if v != t}
     inverse = {t: v for v, t in moved.items()}
     span = _family(tag, max(ty))
@@ -325,24 +331,32 @@ def train_identity(w: Monomial, shape=None) -> Identity:
     den, terms = _reduce(wc)
     order = record.order
     # -P(w) in w's letters and canonical order; P(w) lies in the span of
-    # the basis and w does not, so w goes in between its terms
-    form = [(m, -n) for (_, m), n in sorted((order[m], n) for m, n in terms)]
-    form.insert(bisect.bisect([m for m, _ in form], w), (w, den))
+    # the basis and w does not, so w goes in between its terms.  The span's
+    # monomials of w's degree are the basis monomials of w's type and rank
+    # last: w goes after every term ranked below them, and after each of
+    # them that is below w
+    ranked = sorted((order[m], n) for m, n in terms)
+    at = bisect.bisect_left(ranked, len(order) - len(record.basis), key=lambda item: item[0][0])
+    while at < len(ranked) and ranked[at][0][1] < w:
+        at += 1
+    form = [(m, -n) for (_, m), n in ranked]
+    form.insert(at, (w, den))
     return _identity_from_ints(den, form, train=True, ty=ty)
 
 
 def admit(ty, max_degree: int = 10) -> tuple[int, ...]:
     """The normalized type, once ``generate_train_basis`` would accept
     it: a ShapeError for an unsupported shape, then for a total degree
-    over the cap."""
+    over the cap.  The record of a type over the cap is not built."""
     ty = normalize_type(ty)
-    _record(ty)  # ShapeError before the degree cap
-    if sum(ty) > max_degree:
-        raise ShapeError(
-            f"total degree {sum(ty)} exceeds the cap {max_degree}; "
-            "raise max_degree to override"
-        )
-    return ty
+    if sum(ty) <= max_degree:
+        _record(ty)
+        return ty
+    _shape(ty)  # ShapeError before the degree cap
+    raise ShapeError(
+        f"total degree {sum(ty)} exceeds the cap {max_degree}; "
+        "raise max_degree to override"
+    )
 
 
 def generate_train_basis(ty, max_degree: int = 10) -> list[Identity]:

@@ -93,6 +93,25 @@ def test_train_family_over_the_degree_cap_prints_nothing(capsys, family, cap):
     assert err == "error: total degree 11 exceeds the cap 10; raise max_degree to override\n"
 
 
+@pytest.mark.parametrize("cap", [str(10**8), str(10**20)])
+def test_train_family_over_the_cap_lists_no_type(capsys, cap):
+    code, out, err = run_cli(capsys, "train", "--type", "n,1", "--all", cap)
+    assert (code, out) == (2, "")
+    assert err == "error: total degree 11 exceeds the cap 10; raise max_degree to override\n"
+
+
+def test_train_type_over_the_cap_builds_no_family(capsys, monkeypatch):
+    from evanescent import trainsgen
+
+    def unbuilt(tag, n):
+        raise AssertionError("family built")
+
+    monkeypatch.setattr(trainsgen, "_family", unbuilt)
+    code, out, err = run_cli(capsys, "train", "--type", "200000")
+    assert (code, out) == (2, "")
+    assert err == "error: total degree 200000 exceeds the cap 10; raise max_degree to override\n"
+
+
 def test_homog_jsonl_reparses(capsys):
     from evanescent.syntax import polynomial_from_json
 
@@ -247,6 +266,14 @@ def test_too_deep_inputs_exit_2_with_one_line(capsys, argv):
     assert err == "error: input too large: maximum recursion depth exceeded\n"
 
 
+@pytest.mark.parametrize("command", ["homog", "enum", "wnumber"])
+def test_huge_type_entries_exit_2_with_one_line(capsys, command):
+    code, out, err = run_cli(capsys, command, "--type", "99999999999999999999")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: input too large: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def _write_algebra(tmp_path, name, matrix, weight):
     path = tmp_path / name
     spec = {"dim": len(weight), "mutation": {"matrix": matrix, "weight": weight}}
@@ -365,6 +392,10 @@ STDOUT_DIGESTS = {
         "15d2c94640258b9bc3c458472664aeedd40ba28d0df5f88b803b8c3a7b6dd4b3",
     ("homog", "--type", "6,2"):
         "2d132c6f8866ba1769e2994c62c85c72739780aa74b3faff520be1b4089bbeb3",
+    # recorded before the elimination ran on the distinct Peirce columns
+    # alone (1,314 columns, 539 distinct) and enumeration stopped sorting
+    ("homog", "--type", "7,1,1"):
+        "afbac9fd220dc1cc0468b7f7bfa5662da7a72cb3b6dda409f2d4e374f055f368",
 }
 
 

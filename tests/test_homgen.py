@@ -159,6 +159,41 @@ def test_nullspace_matches_fraction_nullspace():
     assert got != sorted(got)
 
 
+def test_nullspace_of_repeated_columns_matches_fraction_nullspace():
+    # repeated, zero and all-equal columns: each distinct column is
+    # eliminated once and its forms are read for every free column of
+    # its group
+    rng = random.Random(29)
+    for _ in range(300):
+        rows = random_rational_matrix(rng)
+        ncols = len(rows[0])
+        picks = [rng.randrange(ncols + 1) for _ in range(rng.randint(1, 10))]
+        rows = [[row[j] if j < ncols else 0 for j in picks] for row in rows]
+        got = nullspace(rows)
+        assert [dense(form, len(picks)) for form in got] == fraction_nullspace(rows), rows
+        for form in got:
+            assert_nullspace_form(form)
+    for rows in ([[3] * 5, [-1] * 5], [[0] * 4] * 3, [[Q(1, 2)] * 3]):
+        got = nullspace(rows)
+        assert [dense(form, len(rows[0])) for form in got] == fraction_nullspace(rows)
+
+
+def test_nullspace_eliminates_distinct_columns_once(monkeypatch):
+    # (6, 1, 1) has 497 columns, 246 of them distinct
+    matrix = peirce_matrix((6, 1, 1))
+    widths = []
+
+    def recorded(rows):
+        widths.append(len(rows[0]))
+        return rref(rows)
+
+    monkeypatch.setattr(homgen, "rref", recorded)
+    got = nullspace(matrix)
+    assert widths == [246] and matrix.shape[1] == 497
+    assert [dense(form, 497) for form in got] == fraction_nullspace(matrix.rows)
+    assert homogeneous_dimension((6, 1, 1)) == len(got) and widths == [246, 246]
+
+
 def test_dense_order_on_prefixes():
     """The nullspace sort key orders random forms (den, ((col, n), ...))
     as their dense tuples, including forms whose support is a prefix of

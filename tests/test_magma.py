@@ -169,6 +169,29 @@ def test_enumeration_is_sorted_and_duplicate_free():
             assert type_vector(w) == ty
 
 
+def test_enumeration_is_built_in_canonical_order():
+    # every type of degree <= 8 in <= 3 variables, zero entries included
+    for ty in itertools.product(range(9), repeat=3):
+        if 1 <= sum(ty) <= 8:
+            ms = monomials_of_type(ty)
+            assert ms == tuple(sorted(set(ms))), ty
+
+
+def test_reenumerating_interned_monomials_makes_no_comparison(monkeypatch):
+    types = [(4, 2), (0, 3, 2), (3, 1, 1)]
+    want = [monomials_of_type(ty) for ty in types]
+    magma._enumerate.cache_clear()
+    calls = []
+    less = magma.Monomial.__lt__
+
+    def counted(a, b):
+        calls.append((a, b))
+        return less(a, b)
+
+    monkeypatch.setattr(magma.Monomial, "__lt__", counted)
+    assert [monomials_of_type(ty) for ty in types] == want and calls == []
+
+
 # random products of leaves, some under a left chain x^{r} deeper than the
 # recursion limit; few variables and degrees, so that many pairs tie on
 # degree and type vector

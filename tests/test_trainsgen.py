@@ -5,6 +5,7 @@ import pytest
 
 from evanescent import homgen, trainsgen
 from evanescent.magma import (
+    Monomial,
     Variable,
     X,
     Y,
@@ -32,6 +33,8 @@ from evanescent.trainsgen import (
     solve_Pw,
     train_identity,
 )
+
+from conftest import nested_key
 
 
 def test_solve_examples():
@@ -84,6 +87,43 @@ def test_shape_errors():
     with pytest.raises(ShapeError):
         generate_train_basis((11,))
     assert generate_train_basis((11,), max_degree=11)
+
+
+def test_admit_checks_the_cap_before_building_the_family(monkeypatch):
+    def unbuilt(tag, n):
+        raise AssertionError("family built")
+
+    monkeypatch.setattr(trainsgen, "_family", unbuilt)
+    with pytest.raises(ShapeError, match="total degree 200000 exceeds the cap 10"):
+        trainsgen.admit((200000,), 10)
+    with pytest.raises(ShapeError, match="not one of the supported shapes"):
+        trainsgen.admit((200000, 2, 2), 10)
+
+
+def test_w_is_placed_by_its_rank(monkeypatch):
+    # terms in canonical order, in the type's own letters, with w placed
+    # among P(w)'s terms by rank, compared only with those of its degree
+    for ty in [(5,), (4, 1), (1, 4), (3, 2), (2, 0, 3), (4, 1, 1), (1, 0, 4, 1), (0, 1, 1, 3)]:
+        for identity in generate_train_basis(ty):
+            ms = [m for m, _ in identity.terms]
+            assert ms == sorted(set(ms), key=nested_key), identity
+    ws = [w for w in monomials_of_type((1, 0, 4, 1)) if not is_basis_monomial(w)]
+    ws += [parse_monomial("(z(zy))x")]
+    for w in ws:
+        train_identity(w)  # caches warm
+    calls = []
+    less = Monomial.__lt__
+
+    def counted(a, b):
+        calls.append((a, b))
+        return less(a, b)
+
+    monkeypatch.setattr(Monomial, "__lt__", counted)
+    for w in ws:
+        calls.clear()
+        identity = train_identity(w)
+        same_degree = [m for m, _ in identity.terms if m.degree == w.degree and m is not w]
+        assert len(calls) <= len(same_degree) <= 3
 
 
 def test_basis_of_type_matches_canonical_membership():
