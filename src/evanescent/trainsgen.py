@@ -32,6 +32,13 @@ into a ``Polynomial``.
 int form in canonical order, P(w)'s terms ordered by their rank in the
 span basis put in the type's own letters.  Everything known of a type
 (shape, letters, span order, basis) is one ``TypeRecord``, found once.
+
+P(w) depends only on w's Peirce polynomials, so ``generate_train_basis``
+reduces and ranks one monomial per Peirce class of its type (the
+monomials with one packed Peirce entry) and places each member's w into
+that form; every identity is still checked on its own.  The classes live
+for one call: ``_REDUCE_CACHE`` holds only forms the rewriting computed,
+so ``reduce`` vs ``solve_Pw`` stays an independent check.
 """
 
 from __future__ import annotations
@@ -58,7 +65,7 @@ from .magma import (
     product,
     type_vector,
 )
-from .peirce import Identity, _identity_from_ints
+from .peirce import Identity, _identity_from_ints, _packed
 from .poly import Polynomial
 from .rationals import Q
 
@@ -328,20 +335,31 @@ def train_identity(w: Monomial, shape=None) -> Identity:
     which is not an identity.
     """
     wc, record, ty = _prepare(w, shape)
+    return _placed(w, ty, _ranked(wc, record))
+
+
+def _ranked(wc: Monomial, record: TypeRecord) -> tuple:
+    """(den, -P(w) in w's letters and canonical order, the index of its
+    first term of w's degree) for w in canonical letters.
+
+    P(w) lies in the span of the basis and w does not, so w goes in
+    between its terms.  The span's monomials of w's degree are the basis
+    monomials of w's type and rank last: w goes after every term ranked
+    below them, the returned index, and after each of them below w.
+    """
     den, terms = _reduce(wc)
     order = record.order
-    # -P(w) in w's letters and canonical order; P(w) lies in the span of
-    # the basis and w does not, so w goes in between its terms.  The span's
-    # monomials of w's degree are the basis monomials of w's type and rank
-    # last: w goes after every term ranked below them, and after each of
-    # them that is below w
     ranked = sorted((order[m], n) for m, n in terms)
     at = bisect.bisect_left(ranked, len(order) - len(record.basis), key=lambda item: item[0][0])
-    while at < len(ranked) and ranked[at][0][1] < w:
+    return den, tuple((m, -n) for (_, m), n in ranked), at
+
+
+def _placed(w: Monomial, ty, ranked: tuple) -> Identity:
+    """The checked identity w - P(w), from P(w) as ``_ranked`` gives it."""
+    den, form, at = ranked
+    while at < len(form) and form[at][0] < w:
         at += 1
-    form = [(m, -n) for (_, m), n in ranked]
-    form.insert(at, (w, den))
-    return _identity_from_ints(den, form, train=True, ty=ty)
+    return _identity_from_ints(den, (*form[:at], (w, den), *form[at:]), train=True, ty=ty)
 
 
 def admit(ty, max_degree: int = 10) -> tuple[int, ...]:
@@ -360,10 +378,28 @@ def admit(ty, max_degree: int = 10) -> tuple[int, ...]:
 
 
 def generate_train_basis(ty, max_degree: int = 10) -> list[Identity]:
-    """All train identities of a type, one per non-basis monomial."""
+    """All train identities of a type, one per non-basis monomial.
+
+    P(w) depends only on w's Peirce polynomials, so it is reduced and
+    ranked once per Peirce class: the monomials with the same packed
+    Peirce entry in the type's variables, whose coefficients are at most
+    the degree and so fit their 64-bit slots.  Each member's identity is
+    still built from its own w and checked on its own.
+    """
     ty = admit(ty, max_degree)
-    basis = _record(ty).basis
-    return [train_identity(w) for w in monomials_of_type(ty) if w not in basis]
+    record = _record(ty)
+    variables = tuple(i + 1 for i, count in enumerate(ty) if count)
+    classes = {}  # packed Peirce entry -> P(w) of the class, as ``_ranked`` gives it
+    identities = []
+    for w in monomials_of_type(ty):
+        if w in record.basis:
+            continue
+        key = _packed(w, variables, 64)
+        ranked = classes.get(key)
+        if ranked is None:
+            ranked = classes[key] = _ranked(relabel_monomial(w, record.moved), record)
+        identities.append(_placed(w, ty, ranked))
+    return identities
 
 
 def rule_sources() -> dict:

@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
@@ -274,6 +278,23 @@ def test_huge_type_entries_exit_2_with_one_line(capsys, command):
     assert "Traceback" not in err
 
 
+def test_python_dash_m_runs_the_cli(capsys):
+    # ``python -m evanescent`` from the source tree gives main's stdout and exit status
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "evanescent", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+
+    done = run("wnumber", "--type", "6,6")
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == run_cli(capsys, "wnumber", "--type", "6,6")[1]
+    done = run("homog", "--type", "0")
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+
+
 def _write_algebra(tmp_path, name, matrix, weight):
     path = tmp_path / name
     spec = {"dim": len(weight), "mutation": {"matrix": matrix, "weight": weight}}
@@ -396,6 +417,12 @@ STDOUT_DIGESTS = {
     # alone (1,314 columns, 539 distinct) and enumeration stopped sorting
     ("homog", "--type", "7,1,1"):
         "afbac9fd220dc1cc0468b7f7bfa5662da7a72cb3b6dda409f2d4e374f055f368",
+    # recorded before train reduced once per Peirce class: a type whose
+    # letters are not the canonical ones, and a large n,2 type in jsonl
+    ("train", "--type", "1,7,1"):
+        "255eff8e80ef2437c6b2731b5cb5c627bcc2b77a625a706b310215f35b823458",
+    ("train", "--type", "8,2", "--format", "jsonl"):
+        "1c0f5fc8610dfacd9e372d1105e09b9bbf18da591434090ba7ef9b3f72d793b7",
 }
 
 

@@ -18,7 +18,7 @@ from evanescent.magma import (
     type_vector,
     w_number,
 )
-from evanescent.peirce import EvanescenceError, is_evanescent, peirce_tree
+from evanescent.peirce import EvanescenceError, _packed, is_evanescent, peirce_tree
 from evanescent.poly import Polynomial
 from evanescent.rationals import Q
 from evanescent.syntax import format_polynomial, parse, parse_monomial
@@ -575,13 +575,20 @@ def _basis_kinds(max_degree):
     return kinds
 
 
+def _train_types():
+    """The types of the families n, n,1, n,2 and n,1,1 up to total degree 9."""
+    return [(n,) + suffix for suffix in [(), (1,), (2,), (1, 1)] for n in range(1, 10 - sum(suffix))]
+
+
 def test_closed_forms_equal_derived_rules(monkeypatch):
-    # every rule reached by the train types to degree 9, from empty caches
+    # every rule reached by reducing each non-basis monomial of the train
+    # types to degree 9, from empty caches
     monkeypatch.setattr(trainsgen, "_RULES", {})
     monkeypatch.setattr(trainsgen, "_REDUCE_CACHE", {})
-    for suffix in [(), (1,), (2,), (1, 1)]:
-        for n in range(1, 10 - sum(suffix)):
-            generate_train_basis((n,) + suffix)
+    for ty in _train_types():
+        for w in monomials_of_type(ty):
+            if not is_basis_monomial(w):
+                reduce(w)
     kinds = _basis_kinds(9)
     closed, without = 0, []
     for pattern in trainsgen._RULES:
@@ -610,3 +617,46 @@ def test_closed_forms_equal_derived_rules(monkeypatch):
     for (k1, _, l1), (k2, _, l2) in without:
         assert k1 == k2 == "pmix" and l1 != l2
     assert trainsgen.rule_sources() == dict.fromkeys(trainsgen._RULES, "derived")
+
+
+# ---------------------------------------------------------------------------
+# Peirce classes: the monomials of a type with the same packed Peirce entry
+
+
+def test_a_peirce_class_has_one_normal_form(monkeypatch):
+    # P(w) depends only on w's Peirce polynomials: within a class, reduce
+    # gives one polynomial, and it is the direct solve's for every member
+    monkeypatch.setattr(trainsgen, "_RULES", {})
+    monkeypatch.setattr(trainsgen, "_REDUCE_CACHE", {})
+    members = classes = 0
+    for ty in _train_types():
+        variables = tuple(i + 1 for i, count in enumerate(ty) if count)
+        normal = {}
+        for w in monomials_of_type(ty):
+            if is_basis_monomial(w):
+                continue
+            got = reduce(w)
+            assert normal.setdefault(_packed(w, variables, 64), got) == got, w
+            assert got == solve_Pw(w), w
+            members += 1
+        classes += len(normal)
+    assert (members, classes) == (3750, 1781)
+
+
+def test_generation_reduces_once_per_class(monkeypatch):
+    reduced, checked = [], []
+    reduce_form, check = trainsgen._reduce, trainsgen._identity_from_ints
+
+    def counted_reduce(w):
+        reduced.append(w)
+        return reduce_form(w)
+
+    def counted_check(*args, **kwargs):
+        checked.append(args)
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(trainsgen, "_reduce", counted_reduce)
+    monkeypatch.setattr(trainsgen, "_identity_from_ints", counted_check)
+    identities = generate_train_basis((6, 1, 1))
+    assert (len(reduced), len(checked), len(identities)) == (243, 494, 494)
+    assert len(set(identities)) == 494
