@@ -22,8 +22,9 @@ denominator and its (monomial, int) terms in ascending canonical order,
 with no common factor, so the form is canonical.  ``make_identity`` and
 the generators in ``trainsgen`` and ``homgen`` still check every
 identity they wrap, in those ints, including those that are evanescent
-by construction; the ``Q`` polynomial and the decoded report are built
-only when asked for.
+by construction (``trainsgen`` by each w's own packed entry against sums
+taken once per Peirce class); the ``Q`` polynomial and the decoded
+report are built only when asked for, or when a check fails.
 """
 
 from __future__ import annotations
@@ -134,9 +135,10 @@ class PeircePolynomial:
         return acc
 
     def to_string(self, sym: str = "t") -> str:
-        powers = ["", sym, *(f"{sym}^{k}" for k in range(2, len(self.coeffs)))][: len(self.coeffs)]
-        terms = zip(self.coeffs[::-1], powers[::-1])
-        return format_sum(((c.numerator, c.denominator, p) for c, p in terms if c), sep="")
+        den, nums = as_ints(self.coeffs)
+        powers = ["", sym, *(f"{sym}^{k}" for k in range(2, len(nums)))]
+        terms = [(k, nums[k]) for k in range(len(nums) - 1, -1, -1) if nums[k]]
+        return format_sum(den, terms, powers, sep="")
 
     def __str__(self):
         return self.to_string()
@@ -379,6 +381,11 @@ def _identity_from_ints(den: int, terms, *, train: bool, ty) -> Identity:
     monomials = [m for m, _ in terms]
     nums = [n for _, n in terms]
     if not terms or sum(nums) or any(_peirce_sums(monomials, nums)[2]):
-        report = _report(monomials, nums, den)
-        raise EvanescenceError("polynomial is not an evanescent identity", report)
+        raise _not_evanescent(den, terms)
     return Identity(den, tuple(terms), None if ty is None else tuple(ty), train)
+
+
+def _not_evanescent(den: int, terms) -> EvanescenceError:
+    """The error for the int form sum(n m) / den, carrying its full report."""
+    report = _report([m for m, _ in terms], [n for _, n in terms], den)
+    return EvanescenceError("polynomial is not an evanescent identity", report)

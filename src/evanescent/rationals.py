@@ -24,24 +24,30 @@ def q_text(num: int, den: int) -> str:
     return str(num) if den == 1 else f"{num}/{den}"
 
 
-def format_sum(terms, sep: str = " ") -> str:
-    """Render (num, den, text) triples, num / den a nonzero rational in
-    lowest terms with den > 0, as a signed sum: each as its magnitude,
-    printed as ``q_text`` prints it, then sep and text; a magnitude 1 is
-    left out unless text is empty."""
+def format_sum(den: int, terms, texts, sep: str = " ") -> str:
+    """Render sum(n key) / den, den > 0, as a signed sum, from its (key, n)
+    pairs in print order, n a nonzero int, and a lookup ``texts[key]``:
+    each term as its magnitude |n| / den, printed as ``q_text`` prints it
+    in lowest terms, then sep and its text; a magnitude 1 is left out
+    unless the text is empty.  One loop renders every term, and only a
+    den other than 1 is reduced, by one gcd per term."""
     parts = []
-    for num, den, text in terms:
-        if num > 0:
+    for key, n in terms:
+        if n > 0:
             sign = "+ " if parts else ""
         else:
-            sign, num = "- " if parts else "-", -num
-        if den != 1:
-            mag = f"{num}/{den}"
-        elif num == 1 and text:
+            sign, n = "- " if parts else "-", -n
+        text, d = texts[key], den
+        if d != 1:
+            g = math.gcd(n, d)
+            n, d = n // g, d // g
+        if d != 1:
+            mag = f"{n}/{d}"
+        elif n == 1 and text:
             parts.append(sign + text)
             continue
         else:
-            mag = str(num)
+            mag = str(n)
         parts.append(f"{sign}{mag}{sep}{text}" if text else sign + mag)
     return " ".join(parts) if parts else "0"
 

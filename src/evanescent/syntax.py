@@ -25,19 +25,19 @@ juxtaposition and ``x^{r} m`` costs r.  A factor becomes a
 product is a ``Polynomial`` product only when one factor is.
 
 The printer renders each interned monomial once: ``_TEXT`` caches its
-text, and whether it is a principal power, per node.  The cache is
+text, and a lookup of a monomial not yet there renders it.  The cache is
 filled bottom-up with an explicit stack, so printing a deep monomial
 does not recurse.
 
 Sums are printed from int forms, sum(n m) / den with the terms (m, n)
 held in ascending canonical order, as an ``Identity`` keeps them:
 ``format_form`` and ``form_to_json`` walk that order in reverse, so the
-printer never sorts, and reduce each n / den with one gcd, printing it
-as ``str`` prints the ``Q``.  The walk reads each monomial's text from
-``_TEXT`` and renders only a monomial that is not there yet;
-``rationals.format_sum``, the one renderer of signed sums, builds each
-part of the line in the same loop.  ``format_polynomial`` and
-``polynomial_to_json`` print a ``Polynomial`` from its ``int_form``.
+printer never sorts.  ``format_form`` hands the int form and ``_TEXT``
+to ``rationals.format_sum``, the one renderer of signed sums, which
+builds the line in one loop and reduces n / den by a gcd only when den
+is not 1, printing it as ``str`` prints the ``Q``.
+``format_polynomial`` and ``polynomial_to_json`` print a ``Polynomial``
+from its ``int_form``.
 """
 
 from __future__ import annotations
@@ -285,21 +285,27 @@ def _chain_prefix(m: Monomial):
     return r, v, m
 
 
-# monomial -> (its text, whether it is a principal power v^k)
-_TEXT: dict[Monomial, tuple[str, bool]] = {}
+class _Texts(dict):
+    """monomial -> its text; a lookup of a monomial not yet there renders it."""
+
+    def __missing__(self, m):
+        return _render(m)
 
 
-def _render(m: Monomial) -> tuple[str, bool]:
-    """The cached (text, is principal power) of m, filling the cache
-    bottom-up with an explicit stack, so deep monomials do not recurse.
-    It is a walk of its own rather than a ``magma.fold``: a chain descends
-    to its core, not to both children, so a fold would render (and cache)
-    every inner node of the chain.
+_TEXT: dict[Monomial, str] = _Texts()
+
+
+def _render(m: Monomial) -> str:
+    """The cached text of m, filling the cache bottom-up with an explicit
+    stack, so deep monomials do not recurse.  It is a walk of its own
+    rather than a ``magma.fold``: a chain descends to its core, not to
+    both children, so a fold would render (and cache) every inner node
+    of the chain.
 
     A principal power prints as v^k; a leading chain of r >= 2 left
     multiplications by v as v^{r} followed by its core; any other node
     as its larger child, then its smaller one.  A part that is not a
-    principal power is parenthesized.
+    principal power is parenthesized: those are the texts with a space.
     """
     got = _TEXT.get(m)
     if got is not None:
@@ -313,7 +319,7 @@ def _render(m: Monomial) -> tuple[str, bool]:
         pp = principal_power_of(node)
         if pp is not None:
             v, k = pp
-            _TEXT[node] = (v.name if k == 1 else f"{v.name}^{k}", True)
+            _TEXT[node] = v.name if k == 1 else f"{v.name}^{k}"
             stack.pop()
             continue
         r, v, core = _chain_prefix(node)
@@ -326,42 +332,30 @@ def _render(m: Monomial) -> tuple[str, bool]:
         if missing:
             stack += missing
             continue
-        text = " ".join(t if is_pp else f"({t})" for t, is_pp in map(_TEXT.get, parts))
-        _TEXT[node] = (f"{v.name}^{{{r}}} {text}" if r >= 2 else text, False)
+        text = " ".join(f"({t})" if " " in t else t for t in map(_TEXT.get, parts))
+        _TEXT[node] = f"{v.name}^{{{r}}} {text}" if r >= 2 else text
         stack.pop()
     return _TEXT[m]
 
 
 def format_monomial(m: Monomial) -> str:
-    return _render(m)[0]
-
-
-def _reduced(den: int, terms):
-    """(num, den, monomial text) of each term (m, n) of sum(n m) / den, in
-    descending canonical order: the held terms walked in reverse, each
-    n / den put in lowest terms by one gcd.  The text is read from
-    ``_TEXT``; a monomial not yet there is rendered."""
-    cached = _TEXT.get
-    for m, n in reversed(terms):
-        g = math.gcd(n, den)
-        yield n // g, den // g, (cached(m) or _render(m))[0]
+    return _render(m)
 
 
 def format_form(den: int, terms) -> str:
     """Canonical rendering of the int form sum(n m) / den, its terms in
     ascending canonical order: printed in descending order."""
-    return format_sum(_reduced(den, terms))
+    return format_sum(den, reversed(terms), _TEXT)
 
 
 def form_to_json(den: int, terms, ty=None) -> dict:
     """JSON-lines payload of an int form: exact coefficients plus grammar
     monomials, in the order ``format_form`` prints them."""
-    return {
-        "type": list(ty) if ty is not None else None,
-        "terms": [
-            {"coeff": q_text(num, d), "monomial": text} for num, d, text in _reduced(den, terms)
-        ],
-    }
+    out = []
+    for m, n in reversed(terms):
+        g = math.gcd(n, den)
+        out.append({"coeff": q_text(n // g, den // g), "monomial": _TEXT[m]})
+    return {"type": list(ty) if ty is not None else None, "terms": out}
 
 
 def format_polynomial(f: Polynomial) -> str:

@@ -423,6 +423,15 @@ STDOUT_DIGESTS = {
         "255eff8e80ef2437c6b2731b5cb5c627bcc2b77a625a706b310215f35b823458",
     ("train", "--type", "8,2", "--format", "jsonl"):
         "1c0f5fc8610dfacd9e372d1105e09b9bbf18da591434090ba7ef9b3f72d793b7",
+    # recorded before format_sum took int forms and train checked each
+    # Peirce class once: the other callers of the sum renderer (Peirce
+    # polynomials, with denominators), and an n,1,1 type in jsonl
+    ("peirce", "1/2 x^2 y - 2/3 x (x y) + 5/7 (y x) x - 3/4 y^2 z", "--format", "jsonl"):
+        "f1c947326abf8c5340e575b4bbfa8addca1e216407ec31cdeb7f10e87082d836",
+    ("check", "x^2 y - 1/3 x (x y) + 2/5 y^2 - 7/9 x^2", "--format", "jsonl"):
+        "f3ef39a66c640446ba31cd1f5254619e95ffb30c19c0dd5b9ac648d66e60020c",
+    ("train", "--type", "4,1,1", "--format", "jsonl"):
+        "b4ef7e8791e038eb59f7a7cfe2e1de7cd4c0ef5b87f65b39930b71202a91ad0f",
 }
 
 

@@ -1,10 +1,11 @@
 import math
 import random
+from fractions import Fraction
 import sys
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from evanescent.magma import (
     T_FRESH,
@@ -69,6 +70,47 @@ class TestPeircePolynomial:
         assert upoly(1, -1).to_string() == "-t + 1"
         assert upoly(-1, 0, Q(-5, 21), Q(1, 7)).to_string() == "1/7t^3 - 5/21t^2 - 1"
         assert upoly(Q(2, 3)).to_string() == "2/3" and upoly(0, -1).to_string("X") == "-X"
+
+
+def reference_to_string(coeffs, sym):
+    """The signed sum of c sym^k, highest power first, by Fraction
+    arithmetic: a magnitude as str(Fraction) prints it, left out when it
+    is 1 before a power of sym."""
+    parts = []
+    for k in reversed(range(len(coeffs))):
+        c = Fraction(coeffs[k])
+        if not c:
+            continue
+        power = "" if k == 0 else sym if k == 1 else f"{sym}^{k}"
+        mag = "" if abs(c) == 1 and power else str(abs(c))
+        if parts:
+            sign = "- " if c < 0 else "+ "
+        else:
+            sign = "-" if c < 0 else ""
+        parts.append(sign + mag + power)
+    return " ".join(parts) or "0"
+
+
+_COEFFS = st.lists(
+    st.one_of(
+        st.just(Fraction(0)),
+        st.integers(-9, 9).map(Fraction),
+        st.fractions(min_value=-40, max_value=40, max_denominator=30),
+    ),
+    max_size=9,
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(coeffs=_COEFFS, sym=st.sampled_from(["t", "X"]))
+@example(coeffs=[Fraction(1, 2), Fraction(0), Fraction(0), Fraction(-3, 4)], sym="t")
+@example(coeffs=[Fraction(-5, 6), Fraction(0), Fraction(7, 10), Fraction(-1)], sym="X")
+@example(coeffs=[Fraction(0), Fraction(3, 3), Fraction(0), Fraction(-2, 7), Fraction(0)], sym="t")
+@example(coeffs=[Fraction(0), Fraction(0)], sym="X")
+def test_to_string_matches_a_fraction_reference(coeffs, sym):
+    # interior zeros, a negative lead and mixed denominators: each
+    # coefficient printed in lowest terms, as str(Q) prints it
+    assert PeircePolynomial(coeffs).to_string(sym) == reference_to_string(coeffs, sym)
 
 
 def test_worked_example_both_algorithms():

@@ -644,19 +644,78 @@ def test_a_peirce_class_has_one_normal_form(monkeypatch):
 
 
 def test_generation_reduces_once_per_class(monkeypatch):
-    reduced, checked = [], []
-    reduce_form, check = trainsgen._reduce, trainsgen._identity_from_ints
+    # per class one reduction and one pass over -P(w)'s terms; per member
+    # one check of its own Peirce entry, and no pass over its terms
+    from evanescent import peirce
 
-    def counted_reduce(w):
-        reduced.append(w)
-        return reduce_form(w)
+    counts = {"_reduce": 0, "_sums": 0, "_placed": 0, "_peirce_sums": 0}
 
-    def counted_check(*args, **kwargs):
-        checked.append(args)
-        return check(*args, **kwargs)
+    def counted(module, name):
+        real = getattr(module, name)
 
-    monkeypatch.setattr(trainsgen, "_reduce", counted_reduce)
-    monkeypatch.setattr(trainsgen, "_identity_from_ints", counted_check)
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for name in ("_reduce", "_sums", "_placed"):
+        counted(trainsgen, name)
+    counted(peirce, "_peirce_sums")
     identities = generate_train_basis((6, 1, 1))
-    assert (len(reduced), len(checked), len(identities)) == (243, 494, 494)
-    assert len(set(identities)) == 494
+    assert counts == {"_reduce": 243, "_sums": 243, "_placed": 494, "_peirce_sums": 0}
+    assert len(identities) == len(set(identities)) == 494
+
+
+def _classes(ty):
+    """The Peirce classes of a type's non-basis monomials, as lists."""
+    variables = trainsgen._record(ty).variables
+    classes = {}
+    for w in monomials_of_type(ty):
+        if not is_basis_monomial(w):
+            classes.setdefault(trainsgen._class_key(w, variables), []).append(w)
+    return list(classes.values())
+
+
+def test_a_wrong_class_form_fails_every_member(monkeypatch):
+    # one unit moved between two coefficients of P(w): the coefficient
+    # sum stays 0, but the class's Peirce sums no longer match any
+    # member's own entry, so every member raises with its own report
+    ty = (1, 4, 1)
+    record = trainsgen._record(ty)
+    reduce_form = trainsgen._reduce
+    want = len(generate_train_basis(ty))
+    members = 0
+    for ws in _classes(ty):
+        wc = trainsgen.relabel_monomial(ws[0], record.moved)
+        den, terms = reduce_form(wc)
+        (m1, n1), (m2, n2), *rest = terms
+        moved = tuple((m, n) for m, n in ((m1, n1 + 1), (m2, n2 - 1), *rest) if n)
+        monkeypatch.setattr(trainsgen, "_reduce", lambda w, form=(den, moved): form)
+        cls = trainsgen._ranked(wc, record)
+        wrong = trainsgen._polynomial((den, moved), record.inverse)
+        for w in ws:
+            with pytest.raises(EvanescenceError) as raised:
+                trainsgen._placed(w, ty, cls)
+            report = raised.value.report
+            oracle = is_evanescent(Polynomial.monomial(w) - wrong)
+            assert report.at_ones == oracle.at_ones == 0
+            assert report.peirce == oracle.peirce
+            assert not report.is_peirce_evanescent and not oracle.is_peirce_evanescent
+            assert not report.is_evanescent_identity and not oracle.is_evanescent_identity
+            members += 1
+    assert members == want == 66
+
+
+def test_a_coarse_class_key_raises(monkeypatch):
+    # classes keyed by the first letter's Peirce polynomial alone merge
+    # monomials with different P(w): a member placed into another's P(w)
+    # fails its own check instead of printing a wrong line
+    ty = (4, 1, 1)
+    variables = trainsgen._record(ty).variables
+    keys = [trainsgen._class_key(ws[0], variables) for ws in _classes(ty)]
+    assert len({key[:1] for key in keys}) < len(keys)
+    monkeypatch.setattr(trainsgen, "_class_key", lambda w, variables: _packed(w, variables, 64)[:1])
+    with pytest.raises(EvanescenceError) as raised:
+        generate_train_basis(ty)
+    assert not raised.value.report.is_evanescent_identity
