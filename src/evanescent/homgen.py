@@ -23,6 +23,8 @@ right-hand side alone, and returns its solution over one denominator
 too: no ``Q`` is built here.  Each generated identity is the int form
 of its nullspace vector; its columns index the sorted
 ``monomials_of_type``, so its terms are already in canonical order.
+The forms of one group of equal free columns share every term but the
+last, so ``generate_homogeneous`` checks each group as one Peirce class.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import math
 from dataclasses import dataclass
 
 from .magma import Monomial, Variable, monomials_of_type, normalize_type
-from .peirce import Identity, _identity_from_ints, _packed, _peirce_counts
+from .peirce import Identity, _packed, _peirce_counts, peirce_class, placed
 from .rationals import as_ints
 
 
@@ -267,13 +269,22 @@ def homogeneous_nullspace(ty):
 
 
 def generate_homogeneous(ty) -> list[Identity]:
-    """One verified Identity per nullspace basis vector."""
+    """One verified Identity per nullspace basis vector.  The forms of a
+    group of equal free columns share den and every term but the last,
+    (f, lcm // g): each group is one Peirce class, its member the last term."""
     ty = normalize_type(ty)
     monomials, basis = homogeneous_nullspace(ty)
-    return [
-        _identity_from_ints(den, [(monomials[k], n) for k, n in terms], train=False, ty=ty)
-        for den, terms in basis
-    ]
+    variables = tuple(i + 1 for i, count in enumerate(ty) if count)
+    classes = {}  # (den, the shared terms, the member's coefficient) -> the class
+    identities = []
+    for den, (*shared, (k, n)) in basis:
+        key = (den, *shared, n)
+        cls = classes.get(key)
+        if cls is None:
+            form = [(monomials[j], c) for j, c in shared]
+            cls = classes[key] = peirce_class(den, form, n, monomials[k], variables)
+        identities.append(placed(monomials[k], cls, len(shared), ty, False))
+    return identities
 
 
 def homogeneous_dimension(ty) -> int:

@@ -19,12 +19,14 @@ the same ints.
 
 An ``Identity`` is held as the int form it was checked in: one positive
 denominator and its (monomial, int) terms in ascending canonical order,
-with no common factor, so the form is canonical.  ``make_identity`` and
-the generators in ``trainsgen`` and ``homgen`` still check every
-identity they wrap, in those ints, including those that are evanescent
-by construction (``trainsgen`` by each w's own packed entry against sums
-taken once per Peirce class); the ``Q`` polynomial and the decoded
-report are built only when asked for, or when a check fails.
+with no common factor, so the form is canonical.  Every identity is
+checked, and built, by ``placed``, as a member of a ``PeirceClass``:
+the terms all members share, whose sums ``peirce_class`` takes once,
+and the member's own term, checked by its own packed entry.  A class
+is -P(w) in ``trainsgen``, a group of equal free columns of a nullspace
+in ``homgen``, and every term but the last in ``make_identity``.  The
+``Q`` polynomial and the decoded report are built only when asked for,
+or when a check fails.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from operator import add, lshift, mul
+from typing import NamedTuple
 
 from .magma import Monomial, T_FRESH, Variable, degree_in, fold, leaf, leaves, product
 from .poly import Polynomial
@@ -271,17 +274,11 @@ def is_evanescent(f: Polynomial) -> EvanescenceReport:
     return _report(f.terms, nums, den)
 
 
-def _peirce_sums(monomials, nums) -> tuple:
-    """(variables, slot width, packed sums) of sum(n m): the variables of
-    the monomials, and for each its packed Peirce polynomial."""
-    variables = tuple(sorted({i for m in monomials for i, _ in m.counts}))
-    bits = _slot_bits(monomials, nums)
-    return variables, bits, _sums(monomials, nums, variables, bits)
-
-
 def _report(monomials, nums, den) -> EvanescenceReport:
     """The report of sum(n m) / den, over distinct monomials m and ints n."""
-    variables, bits, sums = _peirce_sums(monomials, nums)
+    variables = tuple(sorted({i for m in monomials for i, _ in m.counts}))
+    bits = _slot_bits(monomials, nums)
+    sums = _sums(monomials, nums, variables, bits)
     ppolys = {leaf(i).var: _decode(s, den, bits) for i, s in zip(variables, sums)}
     total = Q(sum(nums), den)
     pe = bool(monomials) and not any(sums)
@@ -368,21 +365,57 @@ class Identity:
 
 
 def make_identity(f: Polynomial, *, train: bool = False, ty=None) -> Identity:
-    """Wrap a polynomial as an Identity, verifying evanescence."""
+    """Wrap a polynomial as an Identity, verifying evanescence: a class of
+    one, whose member is the last term, in the letters of every term."""
     den, terms = f.int_form()
-    return _identity_from_ints(den, terms, train=train, ty=ty)
-
-
-def _identity_from_ints(den: int, terms, *, train: bool, ty) -> Identity:
-    """The verified Identity of the int form sum(n m) / den, its terms
-    (m, n) in ascending canonical order, n nonzero, with no common factor:
-    the form must be nonempty, with coefficient sum 0 and every packed
-    Peirce sum 0.  Otherwise EvanescenceError carries the full report."""
-    monomials = [m for m, _ in terms]
-    nums = [n for _, n in terms]
-    if not terms or sum(nums) or any(_peirce_sums(monomials, nums)[2]):
+    if not terms:
         raise _not_evanescent(den, terms)
-    return Identity(den, tuple(terms), None if ty is None else tuple(ty), train)
+    *form, (m, n) = terms
+    variables = tuple(sorted({i for t, _ in terms for i, _ in t.counts}))
+    cls = peirce_class(den, form, n, m, variables)
+    return placed(m, cls, len(form), None if ty is None else tuple(ty), train)
+
+
+class PeirceClass(NamedTuple):
+    """The terms that the identities of one class share, over ``den``,
+    and what each member's own term (m, coef) must satisfy."""
+
+    den: int
+    form: tuple  # the shared terms (m, n), in canonical order
+    coef: int  # the member's coefficient
+    variables: tuple  # the indices of the letters of every term
+    bits: int  # the slot width of the check
+    target: tuple | None  # a member's packed entry at 2^bits; None if no m has it
+
+
+def peirce_class(den: int, form, coef: int, member: Monomial, variables: tuple) -> PeirceClass:
+    """The class of the shared terms ``form`` and the member coefficient,
+    for members of ``member``'s degree, which fixes the slot width.  An
+    identity of the class is evanescent when its coefficient sum is 0 and
+    its packed Peirce sums, the form's plus coef times the member's entry,
+    are 0: when the member's entry is the form's sums over -coef, the
+    target.  Both sums are taken here, once per class."""
+    monomials = [m for m, _ in form]
+    nums = [n for _, n in form]
+    bits = _slot_bits([*monomials, member], [*nums, coef])
+    sums = _sums(monomials, nums, variables, bits)
+    fails = coef + sum(nums) or any(s % coef for s in sums)
+    target = None if fails else tuple(-s // coef for s in sums)
+    return PeirceClass(den, tuple(form), coef, variables, bits, target)
+
+
+def placed(m: Monomial, cls: PeirceClass, at: int, ty, train: bool) -> Identity:
+    """The verified Identity of the member m of a class, its term placed
+    after the form's terms below ``at`` and each later one below m.  It
+    is checked by m's own packed entry against the target; a member that
+    fails raises EvanescenceError with the full report of its own form."""
+    den, form, coef, variables, bits, target = cls
+    while at < len(form) and form[at][0] < m:
+        at += 1
+    terms = (*form[:at], (m, coef), *form[at:])
+    if _packed(m, variables, bits) != target:
+        raise _not_evanescent(den, terms)
+    return Identity(den, terms, ty, train)
 
 
 def _not_evanescent(den: int, terms) -> EvanescenceError:

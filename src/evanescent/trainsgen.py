@@ -36,12 +36,13 @@ letters, span order, basis) is one ``TypeRecord``, found once.
 P(w) depends only on w's Peirce polynomials, so ``generate_train_basis``
 works once per Peirce class of its type (the monomials with one packed
 Peirce entry): it reduces and ranks one member, and takes -P(w)'s
-coefficient sum and packed Peirce sums, a ``PeirceClass``.  Each
-member's w is placed into that form and checked on its own, by its own
-packed Peirce entry against the class's sums; ``train_identity`` is a
-class of one.  The classes live for one call: ``_REDUCE_CACHE`` holds
-only forms the rewriting computed, so ``reduce`` vs ``solve_Pw`` stays
-an independent check.
+coefficient sum and packed Peirce sums, a ``peirce.PeirceClass`` whose
+shared terms are -P(w) and whose member coefficient is den.  Each
+member's w is placed into that form and checked on its own by
+``peirce.placed``, by its own packed Peirce entry against the class's
+sums; ``train_identity`` is a class of one.  The classes live for one
+call: ``_REDUCE_CACHE`` holds only forms the rewriting computed, so
+``reduce`` vs ``solve_Pw`` stays an independent check.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ from .magma import (
     product,
     type_vector,
 )
-from .peirce import Identity, _not_evanescent, _packed, _slot_bits, _sums
+from .peirce import Identity, _packed, peirce_class, placed
 from .poly import Polynomial
 from .rationals import Q
 
@@ -340,68 +341,22 @@ def train_identity(w: Monomial, shape=None) -> Identity:
     which is not an identity.
     """
     wc, record, ty = _prepare(w, shape)
-    return _placed(w, ty, _ranked(wc, record))
+    return placed(w, *_ranked(wc, record), ty, True)
 
 
-class PeirceClass(NamedTuple):
-    """What the identities w - P(w) of one Peirce class share: P(w), ranked
-    for placing each member's w, and its part of every member's check."""
-
-    den: int
-    form: tuple  # -P(w) over den, in w's letters and canonical order
-    at: int  # the index of its first term of w's degree
-    variables: tuple  # the indices of the type's letters
-    bits: int  # the slot width of the check
-    # the packed Peirce entry at 2^bits that a member's w must have; None
-    # when no w can have it
-    target: tuple | None
-
-
-def _ranked(wc: Monomial, record: TypeRecord) -> PeirceClass:
-    """The class of w, for w in canonical letters.
-
-    P(w) lies in the span of the basis and w does not, so w goes in
-    between its terms.  The span's monomials of w's degree are the basis
-    monomials of w's type and rank last: w goes after every term ranked
-    below them, ``at``, and after each of them below w.
-
-    w - P(w) is sum(n m) / den with den w among its terms.  Its slot
-    width is ``_slot_bits`` over -P(w)'s terms and (w, den): every member
-    has the same, since they share den, P(w)'s numerators and the degree.
-    The identity is evanescent when its coefficient sum den + sum(n over
-    -P(w)) is 0 and its packed Peirce sums, -P(w)'s plus den times w's
-    entry, are 0 in every variable: when w's entry is -P(w)'s sums over
-    -den, the target.
-    """
+def _ranked(wc: Monomial, record: TypeRecord) -> tuple:
+    """(the Peirce class of w, at), for w in canonical letters: the form
+    -P(w) over den, in w's letters and canonical order, and the member
+    coefficient den.  P(w) lies in the span of the basis and w does not,
+    so w goes in between its terms.  The span's monomials of w's degree
+    are the basis monomials of w's type and rank last: w goes after every
+    term ranked below them, ``at``, and after each of them below w."""
     den, terms = _reduce(wc)
     order = record.order
     ranked = sorted((order[m], n) for m, n in terms)
     at = bisect.bisect_left(ranked, len(order) - len(record.basis), key=lambda item: item[0][0])
-    form = tuple((m, -n) for (_, m), n in ranked)
-    monomials = [m for m, _ in form]
-    nums = [n for _, n in form]
-    bits = _slot_bits([*monomials, wc], [*nums, den])
-    sums = _sums(monomials, nums, record.variables, bits)
-    if den + sum(nums) or any(s % den for s in sums):
-        target = None
-    else:
-        target = tuple(-s // den for s in sums)
-    return PeirceClass(den, form, at, record.variables, bits, target)
-
-
-def _placed(w: Monomial, ty, cls: PeirceClass) -> Identity:
-    """The identity w - P(w) of a member w of the class, checked on its
-    own: w's own packed Peirce entry at the class's slot width must be
-    the target, O(#variables) instead of a pass over every term.  A
-    member that fails raises EvanescenceError with the full report of
-    its own form."""
-    den, form, at, variables, bits, target = cls
-    while at < len(form) and form[at][0] < w:
-        at += 1
-    terms = (*form[:at], (w, den), *form[at:])
-    if _packed(w, variables, bits) != target:
-        raise _not_evanescent(den, terms)
-    return Identity(den, terms, ty, True)
+    form = [(m, -n) for (_, m), n in ranked]
+    return peirce_class(den, form, den, wc, record.variables), at
 
 
 def admit(ty, max_degree: int = 10) -> tuple[int, ...]:
@@ -423,31 +378,24 @@ def generate_train_basis(ty, max_degree: int = 10) -> list[Identity]:
     """All train identities of a type, one per non-basis monomial.
 
     P(w) depends only on w's Peirce polynomials, so once per Peirce class
-    (the monomials with one ``_class_key``) it is reduced and ranked, and
-    its coefficient sum and packed Peirce sums are taken, by ``_ranked``.
+    (one packed entry at 64 bits, where each coefficient fits its slot)
+    it is reduced and ranked, and its sums are taken, by ``_ranked``.
     Each member's identity is still built from its own w and checked on
-    its own, against its own packed Peirce entry, by ``_placed``.
+    its own, against its own packed Peirce entry, by ``peirce.placed``.
     """
     ty = admit(ty, max_degree)
     record = _record(ty)
-    classes = {}  # class key -> the class, as ``_ranked`` gives it
+    classes = {}  # packed Peirce entry -> (the class, at), as ``_ranked`` gives them
     identities = []
     for w in monomials_of_type(ty):
         if w in record.basis:
             continue
-        key = _class_key(w, record.variables)
-        cls = classes.get(key)
-        if cls is None:
-            cls = classes[key] = _ranked(relabel_monomial(w, record.moved), record)
-        identities.append(_placed(w, ty, cls))
+        key = _packed(w, record.variables, 64)
+        ranked = classes.get(key)
+        if ranked is None:
+            ranked = classes[key] = _ranked(relabel_monomial(w, record.moved), record)
+        identities.append(placed(w, *ranked, ty, True))
     return identities
-
-
-def _class_key(w: Monomial, variables: tuple) -> tuple:
-    """w's packed Peirce entry in the type's variables at 64 bits: every
-    coefficient is at most the degree and fits its slot, so equal keys
-    mean equal Peirce polynomials."""
-    return _packed(w, variables, 64)
 
 
 def rule_sources() -> dict:

@@ -432,6 +432,18 @@ STDOUT_DIGESTS = {
         "f3ef39a66c640446ba31cd1f5254619e95ffb30c19c0dd5b9ac648d66e60020c",
     ("train", "--type", "4,1,1", "--format", "jsonl"):
         "b4ef7e8791e038eb59f7a7cfe2e1de7cd4c0ef5b87f65b39930b71202a91ad0f",
+    # recorded before homog checked each distinct-column group as one
+    # Peirce class: 165 of the 548 forms of (4,4) have den != 1, and 28
+    # of the 156 of (2,2,2) have a negative last coefficient
+    ("homog", "--type", "4,4"):
+        "4fbd936ca1c5c55e6105eaf4e8081df2e0ed4c92db85fd2a23112caa1f65fabe",
+    ("homog", "--type", "2,2,2", "--format", "jsonl"):
+        "190b1217161bca1f0f266b432a23853fa6a08e9c05b95acba10e63e36684ff5f",
+    # spectra with repeated eigenvalues and the eigenvalue 1
+    ("spectrum", "--eigenvalues", "1,1,1/2"):
+        "6e7d580c2da4d15c9653dcf80c971f03f6eebd17f3c0a4898fa5c780e02bf807",
+    ("spectrum", "--eigenvalues", "0,0,-1/3,5,5/7", "--format", "jsonl"):
+        "338f3c0401a7f915353985caa1bada22d88fcea27f8e57b22a455c0ff9d4fc36",
 }
 
 

@@ -19,7 +19,8 @@ from evanescent.homgen import (
 )
 from evanescent import trainsgen
 from evanescent.magma import monomials_of_type, w_number
-from evanescent.peirce import height_counts, peirce_tree
+from evanescent.peirce import EvanescenceError, height_counts, is_evanescent, peirce_tree
+from evanescent.poly import Polynomial
 from evanescent.rationals import ONE, Q, ZERO
 from evanescent.syntax import parse
 
@@ -455,6 +456,76 @@ def test_generated_identities_verify():
             assert ident.report.is_evanescent_identity
             assert ident.polynomial.homogeneous_type() == ty
             assert not ident.train
+
+
+# ---------------------------------------------------------------------------
+# Peirce classes: the nullspace forms of one group of equal free columns
+
+
+def _groups(basis):
+    """The indices of the forms of each class key: the denominator, every
+    term but the last, and the last coefficient."""
+    groups = {}
+    for i, (den, terms) in enumerate(basis):
+        groups.setdefault((den, terms[:-1], terms[-1][1]), []).append(i)
+    return list(groups.values())
+
+
+def _raised_report(monkeypatch, ty, monomials, basis):
+    monkeypatch.setattr(homgen, "homogeneous_nullspace", lambda t: (monomials, basis))
+    with pytest.raises(EvanescenceError) as raised:
+        generate_homogeneous(ty)
+    return raised.value.report
+
+
+def _assert_own_report(report, monomials, form):
+    den, terms = form
+    oracle = is_evanescent(Polynomial({monomials[k]: Q(n, den) for k, n in terms}))
+    assert report.peirce == oracle.peirce and report.at_ones == oracle.at_ones == 0
+    assert not report.is_peirce_evanescent and not oracle.is_peirce_evanescent
+    assert not report.is_evanescent_identity and not oracle.is_evanescent_identity
+
+
+def test_a_wrong_shared_form_fails_every_member(monkeypatch):
+    # one unit moved between two shared coefficients of a group: the
+    # coefficient sum stays 0, but the class's Peirce sums no longer match
+    # any member's own entry, so each member raises with its own report
+    ty = (4, 2)
+    monomials, basis = homogeneous_nullspace(ty)
+    members = max(_groups(basis), key=len)
+    den, terms = basis[members[0]]
+    shared = list(terms[:-1])
+    # a unit from the first coefficient that is not 1 to another one
+    i = next(i for i, (_, n) in enumerate(shared) if n != 1)
+    j = next(j for j, (_, n) in enumerate(shared) if j != i and n != -1)
+    shared[i] = (shared[i][0], shared[i][1] - 1)
+    shared[j] = (shared[j][0], shared[j][1] + 1)
+    wrong = [(den, (*shared, basis[i][1][-1])) for i in members]
+    for k in range(len(wrong)):
+        # the group's forms in their places, member k first
+        rotated = iter(wrong[k:] + wrong[:k])
+        corrupted = [next(rotated) if i in members else form for i, form in enumerate(basis)]
+        report = _raised_report(monkeypatch, ty, monomials, corrupted)
+        _assert_own_report(report, monomials, wrong[k])
+    assert len(members) == 4
+
+
+def test_a_member_of_another_column_fails_its_own_check(monkeypatch):
+    # the second form of a group pointed at the last column of another
+    # group: it shares the class of the first form, which passes, and it
+    # raises on its own packed Peirce entry
+    ty = (4, 2)
+    monomials, basis = homogeneous_nullspace(ty)
+    groups = _groups(basis)
+    members = max(groups, key=len)
+    other = basis[next(g for g in groups if g is not members)[0]][1][-1][0]
+    den, terms = basis[members[1]]
+    wrong = (den, (*terms[:-1], (other, terms[-1][1])))
+    corrupted = list(basis)
+    corrupted[members[1]] = wrong
+    report = _raised_report(monkeypatch, ty, monomials, corrupted)
+    _assert_own_report(report, monomials, wrong)
+    assert members[0] < members[1]
 
 
 def test_exact_dimensions_regression():

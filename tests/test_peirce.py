@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 from fractions import Fraction
@@ -25,7 +26,6 @@ from evanescent.baric import evaluate, spectrum_algebra
 from evanescent.peirce import (
     _PEIRCE_CACHE,
     EvanescenceError,
-    _identity_from_ints,
     PeircePolynomial,
     delta,
     height_counts,
@@ -481,7 +481,12 @@ def test_packed_cache_of_a_deep_monomial_among_many_variables(monkeypatch):
     assert report.peirce[Y] == PeircePolynomial((0,) * 1500 + (1,))
     assert peak < 32 << 20
 
-def test_identity_from_ints_checks_int_forms():
+
+def _polynomial(den, terms):
+    return Polynomial({m: Q(n, den) for m, n in terms})
+
+
+def test_make_identity_checks_int_forms():
     # nullspace forms and train forms are checked in their ints; a
     # perturbed form is rejected exactly when its Fraction polynomial is
     # not an evanescent identity
@@ -496,29 +501,28 @@ def test_identity_from_ints_checks_int_forms():
                 forms.append((den, [(w, den)] + [(m, -n) for m, n in terms], ty))
     rejected = 0
     for den, terms, ty in forms:
-        identity = _identity_from_ints(den, terms, train=False, ty=ty)
-        f = Polynomial({m: Q(n, den) for m, n in terms})
+        f = _polynomial(den, terms)
+        identity = make_identity(f, train=False, ty=ty)
         assert identity.polynomial == f and identity.type == ty
         assert all(type(c) is Q for c in identity.polynomial.terms.values())
         assert identity.report.is_evanescent_identity
         # one coefficient moved: the coefficient sum is no longer zero
         bumped = [(terms[0][0], terms[0][1] + 1)] + terms[1:]
         with pytest.raises(EvanescenceError):
-            _identity_from_ints(den, [(m, n) for m, n in bumped if n], train=False, ty=ty)
+            make_identity(_polynomial(den, [(m, n) for m, n in bumped if n]), train=False, ty=ty)
         # one unit moved between two coefficients: the sum stays zero, and
         # only the Peirce conditions can reject it
         for i in range(1, len(terms)):
             moved = list(terms)
             moved[0] = (terms[0][0], terms[0][1] + 1)
             moved[i] = (terms[i][0], terms[i][1] - 1)
-            moved = [(m, n) for m, n in moved if n]
-            oracle = Polynomial({m: Q(n, den) for m, n in moved})
+            oracle = _polynomial(den, [(m, n) for m, n in moved if n])
             if is_evanescent(oracle).is_evanescent_identity:
-                assert _identity_from_ints(den, moved, train=True, ty=ty).polynomial == oracle
+                assert make_identity(oracle, train=True, ty=ty).polynomial == oracle
             else:
                 rejected += 1
                 with pytest.raises(EvanescenceError):
-                    _identity_from_ints(den, moved, train=True, ty=ty)
+                    make_identity(oracle, train=True, ty=ty)
     assert len(forms) > 50 and rejected > 200
 
 
@@ -551,11 +555,11 @@ def test_identity_is_its_checked_int_form():
 
 def _raised_report(den, terms):
     with pytest.raises(EvanescenceError) as raised:
-        _identity_from_ints(den, terms, train=False, ty=None)
+        make_identity(_polynomial(den, terms))
     return raised.value.report
 
 
-def test_identity_from_ints_rejects_with_the_full_report():
+def test_make_identity_rejects_with_the_full_report():
     x, y, z = leaf(X), leaf(Y), leaf(Z)
     xy = product(x, y)
     z2 = product(z, z)
@@ -576,6 +580,68 @@ def test_identity_from_ints_rejects_with_the_full_report():
     report = _raised_report(1, [])
     assert report.peirce == {} and report.at_ones == 0
     assert not report.is_peirce_evanescent and not report.is_evanescent_identity
+
+
+@functools.cache
+def _small_forms():
+    """The nullspace forms of small types, as polynomials.  Those of (6,)
+    have no y and sort after those of the other types, so a sum that
+    holds one ends in a monomial that lacks a variable of an earlier term."""
+    forms = []
+    for ty in [(2, 2), (2, 1, 1), (4, 1), (3, 2), (6,)]:
+        monomials, basis = homgen.homogeneous_nullspace(ty)
+        forms += [_polynomial(den, [(monomials[k], n) for k, n in terms]) for den, terms in basis]
+    return forms
+
+
+# (form index, numerator, denominator) of a scaled nullspace form
+_SCALED = st.tuples(st.integers(0, 999), st.integers(-4, 4).filter(bool), st.integers(1, 6))
+# (term i, term j, d): d / 3 moved from term i to term j, or added to it
+# when i and j are one term
+_CHANGE = st.tuples(st.integers(0, 999), st.integers(0, 999), st.integers(-2, 2).filter(bool))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+# den 3, the last coefficient -1/3 and the last monomial x^6, with no y
+@example(picks=[(0, 1, 1), (17, -1, 3)], changes=[])
+# the same with 1/3 moved between two terms of (2,2): the sum stays 0
+@example(picks=[(0, 1, 1), (17, -1, 3)], changes=[(0, 1, 1)])
+# a form of (2,1,1) and x^6 last, 1/3 moved: only the Peirce polynomials
+# in y and z, the letters the last monomial lacks, are nonzero
+@example(picks=[(2, 1, 1), (17, -1, 3)], changes=[(0, 2, 1)])
+# den 2 and a negative last coefficient, then one coefficient bumped
+@example(picks=[(10, -1, 1)], changes=[])
+@example(picks=[(10, -1, 1)], changes=[(2, 2, -1)])
+# a form and its negative: the zero polynomial
+@example(picks=[(5, 1, 2), (5, -1, 2)], changes=[])
+@given(picks=st.lists(_SCALED, min_size=1, max_size=3), changes=st.lists(_CHANGE, max_size=2))
+def test_make_identity_agrees_with_is_evanescent(picks, changes):
+    # the class of one that make_identity checks accepts exactly the
+    # evanescent identities, and rejects the rest with their full report
+    forms = _small_forms()
+    f = Polynomial.zero()
+    for k, p, q in picks:
+        f = f + forms[k % len(forms)].scale(Q(p, q))
+    terms = dict(f.terms)
+    monomials = list(terms)
+    for i, j, d in changes:
+        if monomials:
+            a, b = monomials[i % len(monomials)], monomials[j % len(monomials)]
+            if a is not b:
+                terms[a] -= Q(d, 3)
+            terms[b] += Q(d, 3)
+    f = Polynomial(terms)
+    expected = is_evanescent(f)
+    if expected.is_evanescent_identity:
+        identity = make_identity(f)
+        assert identity.polynomial == f and identity.report.peirce == expected.peirce
+    else:
+        with pytest.raises(EvanescenceError) as raised:
+            make_identity(f)
+        report = raised.value.report
+        assert report.peirce == expected.peirce and report.at_ones == expected.at_ones
+        assert report.is_peirce_evanescent == expected.is_peirce_evanescent
+        assert not report.is_evanescent_identity
 
 
 def test_walks_on_a_monomial_deeper_than_the_recursion_limit():

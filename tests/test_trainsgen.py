@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from evanescent import homgen, trainsgen
+from evanescent import homgen, peirce, trainsgen
 from evanescent.magma import (
     Monomial,
     Variable,
@@ -646,9 +646,7 @@ def test_a_peirce_class_has_one_normal_form(monkeypatch):
 def test_generation_reduces_once_per_class(monkeypatch):
     # per class one reduction and one pass over -P(w)'s terms; per member
     # one check of its own Peirce entry, and no pass over its terms
-    from evanescent import peirce
-
-    counts = {"_reduce": 0, "_sums": 0, "_placed": 0, "_peirce_sums": 0}
+    counts = {"_reduce": 0, "peirce_class": 0, "_sums": 0, "placed": 0, "_report": 0}
 
     def counted(module, name):
         real = getattr(module, name)
@@ -659,11 +657,12 @@ def test_generation_reduces_once_per_class(monkeypatch):
 
         monkeypatch.setattr(module, name, wrapper)
 
-    for name in ("_reduce", "_sums", "_placed"):
+    for name in ("_reduce", "peirce_class", "placed"):
         counted(trainsgen, name)
-    counted(peirce, "_peirce_sums")
+    for name in ("_sums", "_report"):
+        counted(peirce, name)
     identities = generate_train_basis((6, 1, 1))
-    assert counts == {"_reduce": 243, "_sums": 243, "_placed": 494, "_peirce_sums": 0}
+    assert counts == {"_reduce": 243, "peirce_class": 243, "_sums": 243, "placed": 494, "_report": 0}
     assert len(identities) == len(set(identities)) == 494
 
 
@@ -673,7 +672,7 @@ def _classes(ty):
     classes = {}
     for w in monomials_of_type(ty):
         if not is_basis_monomial(w):
-            classes.setdefault(trainsgen._class_key(w, variables), []).append(w)
+            classes.setdefault(trainsgen._packed(w, variables, 64), []).append(w)
     return list(classes.values())
 
 
@@ -692,11 +691,11 @@ def test_a_wrong_class_form_fails_every_member(monkeypatch):
         (m1, n1), (m2, n2), *rest = terms
         moved = tuple((m, n) for m, n in ((m1, n1 + 1), (m2, n2 - 1), *rest) if n)
         monkeypatch.setattr(trainsgen, "_reduce", lambda w, form=(den, moved): form)
-        cls = trainsgen._ranked(wc, record)
+        cls, at = trainsgen._ranked(wc, record)
         wrong = trainsgen._polynomial((den, moved), record.inverse)
         for w in ws:
             with pytest.raises(EvanescenceError) as raised:
-                trainsgen._placed(w, ty, cls)
+                peirce.placed(w, cls, at, ty, True)
             report = raised.value.report
             oracle = is_evanescent(Polynomial.monomial(w) - wrong)
             assert report.at_ones == oracle.at_ones == 0
@@ -713,9 +712,11 @@ def test_a_coarse_class_key_raises(monkeypatch):
     # fails its own check instead of printing a wrong line
     ty = (4, 1, 1)
     variables = trainsgen._record(ty).variables
-    keys = [trainsgen._class_key(ws[0], variables) for ws in _classes(ty)]
+    keys = [_packed(ws[0], variables, 64) for ws in _classes(ty)]
     assert len({key[:1] for key in keys}) < len(keys)
-    monkeypatch.setattr(trainsgen, "_class_key", lambda w, variables: _packed(w, variables, 64)[:1])
+    # the key is coarsened in trainsgen alone: the members' checks read
+    # peirce._packed, which still gives each one's full entry
+    monkeypatch.setattr(trainsgen, "_packed", lambda w, variables, bits: _packed(w, variables, bits)[:1])
     with pytest.raises(EvanescenceError) as raised:
         generate_train_basis(ty)
     assert not raised.value.report.is_evanescent_identity
