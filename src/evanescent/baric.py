@@ -11,15 +11,22 @@ holds (i, j, ((k, n), ...)) for i <= j, with c[i][j][k] = n / D.  A vector
 v is scaled to (den_v, V), an int vector V with v = V / den_v; ``_times``
 gives the numerator of a product over D * den_u * den_v.  So the int value
 N(m) of a monomial tree m stands for N(m) / (D^(deg m - 1) * prod over v
-of den_v^(count of v in m)).  Evaluation adds the terms over the lcm of
-their denominators: the int sum is zero exactly when the value is, and
-rationals come back only in what ``mul``, ``evaluate`` and
-``weighted_evaluate`` return.
+of den_v^(count of v in m)).  Evaluation adds the terms over one
+denominator, fixed when the plan is built: the int sum is zero exactly
+when the value is, and rationals come back only in what ``mul``,
+``evaluate`` and ``weighted_evaluate`` return, and in a counterexample.
 
 Evaluation has one mechanism, ``_Plan``: f folded once into a
-straight-line program over int vectors.  ``evaluate`` and
-``weighted_evaluate`` build one per call; ``verify_identity`` builds one
-per identity and runs it for every trial and mode.
+straight-line program over int vectors, with each term's coefficient
+put over the plan's one denominator L, the lcm over its terms c m of
+c.den * D^(deg m - 1).  A run scales each term by ints alone and adds it
+straight into one int vector.  ``evaluate`` and ``weighted_evaluate``
+build one plan per call; ``verify_identity`` builds one per identity and
+runs it for every trial and mode.  Its weight-1 points are built in
+ints too, in O(d) each: the draws for the coordinates off the pivot
+(the first nonzero weight entry), and the pivot coordinate solved from
+omega(x) = 1.  ``load_algebra`` reads each distinct entry text of a
+file once.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from math import gcd, lcm, prod
+from math import gcd, lcm
 
 from .magma import Variable, fold, leaf
 from .peirce import PeircePolynomial
@@ -171,9 +178,18 @@ def make_mutation(spec: MutationSpec) -> BaricAlgebra:
     for j in range(d):
         if sum(wi[k] * m[k][j] for k in range(d)) != wi[j] * mden:
             raise AlgebraError("weight is not fixed by the mutation map")
-    # c[i][j][k] = (w_j M_ki + w_i M_kj) / 2, over 2 * wden * mden
-    flat = [wi[j] * m[k][i] + wi[i] * m[k][j] for i in range(d) for j in range(d) for k in range(d)]
-    return BaricAlgebra._from_ints(d, 2 * wden * mden, _cells(d, flat), w)
+    # c[i][j][k] = (w_j M_ki + w_i M_kj) / 2, over 2 * wden * mden; a pair
+    # with w_i = w_j = 0 has no cell
+    cells = {}
+    for i in range(d):
+        for j in range(d):
+            if wi[i] or wi[j]:
+                row = tuple(
+                    (k, n) for k in range(d) if (n := wi[j] * m[k][i] + wi[i] * m[k][j])
+                )
+                if row:
+                    cells[i, j] = row
+    return BaricAlgebra._from_ints(d, 2 * wden * mden, cells, w)
 
 
 def _cells(d, flat):
@@ -225,11 +241,14 @@ class _Plan:
 
     Slot i < len(variables) holds the value of variables[i]; each distinct
     inner node of f's monomials, bottom-up, appends one slot as
-    ``_times`` of two earlier slots (``nodes``).  A term c m is (slot of m,
-    c.numerator, c.denominator * D^(deg m - 1), m's count of each variable).
+    ``_times`` of two earlier slots (``nodes``).  One denominator L
+    (``den``) is fixed for the plan: the lcm over its terms c m of c.den *
+    D^(deg m - 1).  A term is (slot of m, num with c / D^(deg m - 1) =
+    num / L, num * wden^(deg m), and (variable, deficit) for each
+    variable whose count in m falls short of its full degree in f).
     """
 
-    __slots__ = ("algebra", "variables", "full", "nodes", "terms")
+    __slots__ = ("algebra", "variables", "full", "nodes", "den", "terms")
 
     def __init__(self, f: Polynomial, algebra: BaricAlgebra):
         variables = f.variables()
@@ -240,59 +259,61 @@ class _Plan:
             nodes.append((a, b))
             return len(variables) + len(nodes) - 1
 
-        terms = []
-        for m, c in f.terms.items():
+        full = tuple(f.degree_in(v) for v in variables)
+        D, wden = algebra._den, algebra._weight_den
+        terms = [(m, c, c.denominator * D ** (m.degree - 1)) for m, c in f.terms.items()]
+        den = lcm(*(t for _, _, t in terms))
+        self.terms = []
+        for m, c, t in terms:
             counts = dict(m.counts)
-            terms.append((
-                fold(m, slots, node),
-                c.numerator,
-                c.denominator * algebra._den ** (m.degree - 1),
-                tuple(counts.get(v.index, 0) for v in variables),
-            ))
+            num = c.numerator * (den // t)
+            deficits = tuple(
+                (i, e)
+                for i, (v, n) in enumerate(zip(variables, full))
+                if (e := n - counts.get(v.index, 0))
+            )
+            self.terms.append((fold(m, slots, node), num, num * wden**m.degree, deficits))
         self.algebra = algebra
         self.variables = variables
-        self.full = tuple(f.degree_in(v) for v in variables)
+        self.full = full
         self.nodes = nodes
-        self.terms = terms
+        self.den = den
 
     def run(self, points, weighted: bool):
         """(ints, den) with f = ints / den, plain or weighted, where points
-        holds one (den_v, int vector) per variable.  A term c m is over
-        c.den * D^(deg m - 1) * prod den_v^count; weighting by
-        omega(v) = Omega_v / (wden * den_v) to each deficit makes that
-        prod den_v^full for every term, so it is applied at the end."""
-        algebra, dim = self.algebra, self.algebra.dim
+        holds one (den_v, int vector) per variable.  Over the plan's
+        denominator L, a term c m stands for num * N(m) / (L * prod
+        den_v^count); every term is put over L * prod den_v^full, so in
+        plain mode it is scaled by prod den_v^deficit.  Weighting by
+        omega(v) = Omega_v / (wden * den_v) to each deficit puts every
+        term over L * prod den_v^full * wden^(sum of full), so a weighted
+        term is scaled by prod Omega_v^deficit * wden^(deg m).  Each term
+        is added straight into one int vector."""
+        algebra = self.algebra
         times = algebra._times
         values = [ints for _, ints in points]
         for a, b in self.nodes:
             values.append(times(values[a], values[b]))
-        dens = [den for den, _ in points]
+        den = self.den
+        for (den_v, _), full in zip(points, self.full):
+            den *= den_v**full
         if weighted:
-            wden, w = algebra._weight_den, algebra._weight_ints
-            omegas = [sum(a * x for a, x in zip(w, ints)) for _, ints in points]
-        groups: dict[int, list] = {}
-        for slot, num, den, counts in self.terms:
+            w = algebra._weight_ints
+            bases = [sum(a * x for a, x in zip(w, ints)) for _, ints in points]
+            den *= algebra._weight_den ** sum(self.full)
+        else:
+            bases = [den_v for den_v, _ in points]
+        total = [0] * algebra.dim
+        for slot, num, wnum, deficits in self.terms:
             if weighted:
-                for omega, full, count in zip(omegas, self.full, counts):
-                    num *= omega ** (full - count)
-                    den *= wden ** (full - count)
-                if not num:
-                    continue
-            else:
-                for den_v, count in zip(dens, counts):
-                    den *= den_v**count
-            acc = groups.setdefault(den, [0] * dim)
-            for k, x in enumerate(values[slot]):
-                if x:
-                    acc[k] += num * x
-        common = lcm(*groups)
-        total = [
-            sum(acc[k] * (common // den) for den, acc in groups.items())
-            for k in range(dim)
-        ]
-        if weighted:
-            common *= prod(den_v**full for den_v, full in zip(dens, self.full))
-        return total, common
+                num = wnum
+            for i, e in deficits:
+                num *= bases[i] ** e
+            if num:
+                for k, x in enumerate(values[slot]):
+                    if x:
+                        total[k] += num * x
+        return total, den
 
 
 def _evaluate(f: Polynomial, algebra: BaricAlgebra, bindings: dict, weighted: bool):
@@ -327,35 +348,33 @@ class VerificationResult:
         return self.passed
 
 
-_DENOMINATORS = (1, 1, 2)
-
-
-def _random_ratio(rng):
-    """(rng.randint(-3, 3), rng.choice(_DENOMINATORS)), drawn as CPython
-    draws them: each is getrandbits of the bit length of its range size,
-    retried while out of range.  That is a CPython implementation detail,
-    not a documented guarantee; every pinned refutation rests on this
-    stream, and ``test_random_ratio_replicates_randint_and_choice``
-    compares it with ``randint`` and ``choice``."""
+def _draw(rng, n):
+    """n random rationals randint(-3, 3) / choice((1, 1, 2)), as (s, ints)
+    over s = 1 when every one is an int and s = 2 otherwise.  They are
+    drawn as CPython draws them: each is getrandbits of the bit length of
+    its range size, retried while out of range.  That is a CPython
+    implementation detail, not a documented guarantee; every pinned
+    refutation rests on this stream, and
+    ``test_draw_replicates_randint_and_choice`` compares it with
+    ``randint`` and ``choice``."""
     bits = rng.getrandbits
-    p = bits(3)
-    while p >= 7:
+    twice = []  # each draw times 2
+    for _ in range(n):
         p = bits(3)
-    q = bits(2)
-    while q >= 3:
+        while p >= 7:
+            p = bits(3)
         q = bits(2)
-    return p - 3, _DENOMINATORS[q]
+        while q >= 3:
+            q = bits(2)
+        twice.append(p - 3 if q == 2 else 2 * p - 6)
+    if any(t & 1 for t in twice):
+        return 2, twice
+    return 1, [t // 2 for t in twice]
 
 
 def _random_q(rng):
-    return Q(*_random_ratio(rng))
-
-
-def _draw(rng, n):
-    """n random rationals p/q, as (s, ints) over s = lcm of the q."""
-    draws = [_random_ratio(rng) for _ in range(n)]
-    s = lcm(*(q for _, q in draws))
-    return s, [p * (s // q) for p, q in draws]
+    s, (n,) = _draw(rng, 1)
+    return Q(n, s)
 
 
 def verify_identity(
@@ -364,27 +383,30 @@ def verify_identity(
     """Randomized refutation: weight-1 bindings through plain evaluation
     and general bindings through weighted evaluation.  A pass is
     evidence, not proof.  The points are drawn as rationals p/q but built
-    and evaluated as int vectors; only a counterexample is converted back."""
+    and evaluated as int vectors; only a counterexample is converted back.
+
+    A weight-1 point is the weight-1 anchor plus sum c_i of the kernel
+    basis, with c_i = C_i / s drawn for each i other than the pivot p,
+    the first index with w_p != 0.  Its coordinate at i is c_i, and its
+    pivot coordinate is solved from omega(x) = 1: with w = W / wden, the
+    point is over s |W_p|, at C_i |W_p| and sign(W_p) (s wden - sum C_i W_i)."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     plan = _Plan(f, algebra)
-    d = algebra.dim
-    # the weight-1 anchor and the kernel basis, as int vectors over frame_den
-    frame = (algebra.weight_one_anchor(), *algebra.kernel_basis())
-    frame_den, flat = as_ints([c for vec in frame for c in vec])
-    anchor, *kernel = [flat[i : i + d] for i in range(0, len(flat), d)]
+    wden, w = algebra._weight_den, algebra._weight_ints
+    pivot = next(i for i, c in enumerate(w) if c)
+    w_pivot = w[pivot]
+    w_rest = w[:pivot] + w[pivot + 1 :]
+    sign, w_abs = (1, w_pivot) if w_pivot > 0 else (-1, -w_pivot)
     for trial in range(trials):
         rng = random.Random(seed * 1_000_003 + trial)
         weight_one = []
         for _ in plan.variables:
-            s, coeffs = _draw(rng, len(kernel))
-            vec = [s * a for a in anchor]
-            for c, b in zip(coeffs, kernel):
-                if c:
-                    for k in range(d):
-                        vec[k] += c * b[k]
-            weight_one.append((s * frame_den, vec))
-        general = [_draw(rng, d) for _ in plan.variables]
+            s, coeffs = _draw(rng, len(w_rest))
+            vec = [c * w_abs for c in coeffs]
+            vec.insert(pivot, sign * (s * wden - sum(c * b for c, b in zip(coeffs, w_rest))))
+            weight_one.append((s * w_abs, vec))
+        general = [_draw(rng, algebra.dim) for _ in plan.variables]
         for mode, points in (("weight-1", weight_one), ("weighted", general)):
             if any(plan.run(points, mode == "weighted")[0]):
                 return VerificationResult(
@@ -422,26 +444,25 @@ def left_mult_matrix(algebra: BaricAlgebra, e):
 
 def char_poly(matrix) -> PeircePolynomial:
     """Exact characteristic polynomial det(X I - M), monic, by the
-    Faddeev-LeVerrier recursion."""
+    Faddeev-LeVerrier recursion run in ints on N = den * M, with den the
+    lcm of M's denominators: N_1 = N, c_k = -tr(N_k) / k, N_(k+1) =
+    N (N_k + c_k I).  Every c_k(N) is an int, so each division by k is
+    exact, and c_k(M) = c_k(N) / den^k."""
     d = len(matrix)
-    m = [[Q(c) for c in row] for row in matrix]
-    coeffs = [ONE]  # X^d downward
-    mk = [row[:] for row in m]
+    den, flat = as_ints([as_q(c) for row in matrix for c in row])
+    n = [flat[i * d : (i + 1) * d] for i in range(d)]
+    coeffs = [1]  # X^d downward
+    nk = [row[:] for row in n]
     for k in range(1, d + 1):
-        ck = -sum((mk[i][i] for i in range(d)), ZERO) / k
+        ck = -sum(nk[i][i] for i in range(d)) // k
         coeffs.append(ck)
         if k == d:
             break
         for i in range(d):
-            mk[i][i] += ck
-        mk = [
-            [
-                sum((m[i][l] * mk[l][j] for l in range(d)), ZERO)
-                for j in range(d)
-            ]
-            for i in range(d)
-        ]
-    return PeircePolynomial(list(reversed(coeffs)))
+            nk[i][i] += ck
+        columns = list(zip(*nk))
+        nk = [[sum(a * b for a, b in zip(row, col)) for col in columns] for row in n]
+    return PeircePolynomial([Q(c, den**k) for k, c in reversed(list(enumerate(coeffs)))])
 
 
 def apply_univariate(p: PeircePolynomial, matrix, vec):
@@ -591,6 +612,22 @@ def read_q(c):
         raise AlgebraError(f"{c!r} is not a rational p/q with q != 0") from None
 
 
+def _reader():
+    """``read_q`` that reads each distinct text once, through a memo
+    local to the reader: a text that raises is not kept, so it raises
+    again, at each entry that has it."""
+    memo = {}
+
+    def read(c):
+        text = str(c)
+        q = memo.get(text)
+        if q is None:
+            q = memo[text] = read_q(c)
+        return q
+
+    return read
+
+
 def load_algebra(source) -> BaricAlgebra:
     """Load an algebra from JSON: {"dim": d, "weight": [...],
     "structure": [[i, j, k, "p/q"], ...]} or {"dim": d,
@@ -610,13 +647,14 @@ def load_algebra(source) -> BaricAlgebra:
         dim = int(dim)
     except (TypeError, ValueError, OverflowError):
         raise AlgebraError(f"dim must be an integer, not {dim!r}") from None
+    read = _reader()
     if "mutation" in obj:
         mut = obj["mutation"]
         rows = _json_list(_json_field(mut, "matrix", "mutation"), "matrix")
-        matrix = [[read_q(c) for c in _json_list(row, "matrix row")] for row in rows]
-        weight = [read_q(c) for c in _json_list(_json_field(mut, "weight", "mutation"), "weight")]
+        matrix = [[read(c) for c in _json_list(row, "matrix row")] for row in rows]
+        weight = [read(c) for c in _json_list(_json_field(mut, "weight", "mutation"), "weight")]
         return make_mutation(MutationSpec.make(matrix, weight))
-    weight = [read_q(c) for c in _json_list(_json_field(obj, "weight"), "weight")]
+    weight = [read(c) for c in _json_list(_json_field(obj, "weight"), "weight")]
     if len(weight) != dim:
         raise AlgebraError(f"weight has {len(weight)} entries, expected dim = {dim}")
     entries = {}
@@ -630,7 +668,7 @@ def load_algebra(source) -> BaricAlgebra:
                 f"structure entry {entry!r} is not [i, j, k, value] with 0 <= i, j, k < {dim}"
             )
         i, j, k, value = entry
-        value = read_q(value)
+        value = read(value)
         for a, b in ((i, j), (j, i)):
             if entries.setdefault((a, b, k), value) != value:
                 raise AlgebraError(f"inconsistent structure entries for ({a}, {b}, {k})")

@@ -129,13 +129,18 @@ def test_weighted_evaluate_homogeneous_is_scaled_plain(rng):
     assert plain == weighted  # full type terms carry no weight factors
 
 
-def test_random_ratio_replicates_randint_and_choice():
-    # _random_ratio draws the same bits as randint and choice do in CPython;
-    # a Python whose randrange draws otherwise fails here at once
+def test_draw_replicates_randint_and_choice():
+    # _draw draws the same bits as randint and choice do in CPython, and
+    # leaves the generator where they leave it; a Python whose randrange
+    # draws otherwise fails here at once
     for seed in range(2000):
         rng, rng2 = random.Random(seed), random.Random(seed)
-        got = [baric._random_ratio(rng) for _ in range(30)]
-        assert got == [(rng2.randint(-3, 3), rng2.choice((1, 1, 2))) for _ in range(30)]
+        n = seed % 31
+        s, ints = baric._draw(rng, n)
+        want = [Q(rng2.randint(-3, 3), rng2.choice((1, 1, 2))) for _ in range(n)]
+        assert [Q(c, s) for c in ints] == want
+        assert s == max((q.denominator for q in want), default=1)
+        assert rng.getstate() == rng2.getstate()
 
 
 def test_verify_identity_pass_and_fail():
@@ -488,6 +493,17 @@ def _rational(rng):
     return Q(rng.randint(-5, 5), rng.choice(_ORACLE_DENOMINATORS))
 
 
+def _fixing_matrix(rng, weight, pivot):
+    """A random M with the pivot row solved so that w M = w."""
+    dim = len(weight)
+    matrix = [[_rational(rng) for _ in range(dim)] for _ in range(dim)]
+    for j in range(dim):
+        matrix[pivot][j] = ZERO
+        rest = sum((weight[k] * matrix[k][j] for k in range(dim)), ZERO)
+        matrix[pivot][j] = (weight[j] - rest) / weight[pivot]
+    return matrix
+
+
 def _oracle_algebra(rng, kind, dim):
     """A random algebra of the kind with a random weight, its product as
     an independent function, and the weight."""
@@ -495,11 +511,7 @@ def _oracle_algebra(rng, kind, dim):
     pivot = rng.randrange(dim)
     weight[pivot] = Q(rng.choice((1, -2, 3)), rng.choice((1, 7, 12)))
     if kind == "mutation":
-        matrix = [[_rational(rng) for _ in range(dim)] for _ in range(dim)]
-        for j in range(dim):  # solve the pivot row so that w M = w
-            matrix[pivot][j] = ZERO
-            rest = sum((weight[k] * matrix[k][j] for k in range(dim)), ZERO)
-            matrix[pivot][j] = (weight[j] - rest) / weight[pivot]
+        matrix = _fixing_matrix(rng, weight, pivot)
         algebra = make_mutation(MutationSpec.make(matrix, weight))
         return algebra, _mutation_mul(matrix, weight), weight
     structure = [[None] * dim for _ in range(dim)]
@@ -607,3 +619,126 @@ def test_verify_refutations_are_pinned():
         assert verify_identity(f, algebra, trials=16, seed=seed) == VerificationResult(
             False, 16, seed, 0, "weight-1", point
         )
+
+
+def _mutation_json(rng, weight):
+    """A mutation algebra's JSON with the given weight and a random M
+    that fixes it."""
+    matrix = _fixing_matrix(rng, weight, next(i for i, w in enumerate(weight) if w))
+    texts = lambda row: [str(c) for c in row]
+    return {"dim": len(weight), "mutation": {"matrix": [texts(r) for r in matrix], "weight": texts(weight)}}
+
+
+def test_a_passing_verification_builds_no_q(monkeypatch):
+    # from the loaded algebra to the verdict the check runs in ints
+    obj = _mutation_json(random.Random(22), [ZERO, Q(-2), Q(1, 3), Q(5, 2)])
+    algebra = load_algebra(obj)
+    f = parse("x^2 y^2 - (x y)(x y) + 1/2 x^2 x^2 - x^3 + 1/2 x^2")
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return Q(*args)
+
+    monkeypatch.setattr(baric, "Q", counted)
+    result = verify_identity(f, algebra, trials=32, seed=3)
+    assert result.passed and built == []
+    # a refutation builds its counterexample, and only that
+    result = verify_identity(parse("x^2 - x"), algebra, trials=4, seed=0)
+    assert not result.passed and len(built) == algebra.dim
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.data())
+def test_make_mutation_matches_the_dense_build(data):
+    # make_mutation skips the pairs (i, j) with w_i = w_j = 0; the d^3
+    # build of every c[i][j][k] = (w_j M_ki + w_i M_kj) / 2 gives the same cells
+    dim = data.draw(st.integers(2, 5))
+    pivot = data.draw(st.integers(0, dim - 2))
+    ratio = st.builds(Q, st.integers(-5, 5), st.sampled_from([1, 2, 3, 7]))
+    weight = [ZERO] * pivot + [-data.draw(st.builds(Q, st.integers(1, 5), st.integers(1, 4)))]
+    weight += data.draw(st.lists(ratio, min_size=dim - pivot - 1, max_size=dim - pivot - 1))
+    if not any(weight[pivot + 1 :]):
+        weight[-1] = ONE
+    obj = _mutation_json(random.Random(data.draw(st.integers(0, 1 << 16))), weight)
+    matrix = [[Q(c) for c in row] for row in obj["mutation"]["matrix"]]
+    algebra = make_mutation(MutationSpec.make(matrix, weight))
+
+    mden, entries = as_ints([c for row in matrix for c in row])
+    m = [entries[k * dim : (k + 1) * dim] for k in range(dim)]
+    wden, w = as_ints(weight)
+    flat = [
+        w[j] * m[k][i] + w[i] * m[k][j]
+        for i in range(dim) for j in range(dim) for k in range(dim)
+    ]
+    dense = {ij: row for ij, row in baric._cells(dim, flat).items() if ij[0] <= ij[1]}
+    assert algebra._den == 2 * wden * mden
+    assert {(i, j): row for i, j, row in algebra._pairs} == dense
+    assert algebra.structure == [
+        [[(weight[j] * matrix[k][i] + weight[i] * matrix[k][j]) / 2 for k in range(dim)]
+         for j in range(dim)]
+        for i in range(dim)
+    ]
+
+
+def test_load_algebra_reads_each_text_once(monkeypatch):
+    read, read_q = [], baric.read_q
+
+    def counted(c):
+        read.append(c)
+        return read_q(c)
+
+    monkeypatch.setattr(baric, "read_q", counted)
+    spelled = load_algebra({
+        "dim": 3,
+        "mutation": {
+            "matrix": [["1", "0", "0"], ["1/2", "2/4", "0.5"], ["0", "1", "-1/3"]],
+            "weight": ["1", "0", "0"],
+        },
+    })
+    assert sorted(read) == ["-1/3", "0", "0.5", "1", "1/2", "2/4"]
+    plain = make_mutation(MutationSpec.make(
+        [[1, 0, 0], [Q(1, 2), Q(1, 2), Q(1, 2)], [0, 1, Q(-1, 3)]], [1, 0, 0]
+    ))
+    assert spelled.structure == plain.structure and spelled.weight == plain.weight
+    # the memo is the call's own: the next file reads its texts again
+    read.clear()
+    load_algebra({"dim": 1, "weight": ["1"], "structure": [[0, 0, 0, "1"]]})
+    assert read == ["1"]
+    # a text that raises is not kept: it raises at every entry that has it
+    read_once = baric._reader()
+    for _ in range(2):
+        with pytest.raises(AlgebraError, match="'1/0' is not a rational"):
+            read_once("1/0")
+    assert read[1:] == ["1/0", "1/0"]
+
+
+def _fraction_char_poly(matrix):
+    """det(X I - M) by the Faddeev-LeVerrier recursion in Fraction."""
+    d = len(matrix)
+    m = [[Q(c) for c in row] for row in matrix]
+    coeffs = [ONE]  # X^d downward
+    mk = [row[:] for row in m]
+    for k in range(1, d + 1):
+        ck = -sum((mk[i][i] for i in range(d)), ZERO) / k
+        coeffs.append(ck)
+        if k == d:
+            break
+        for i in range(d):
+            mk[i][i] += ck
+        mk = [
+            [sum((m[i][l] * mk[l][j] for l in range(d)), ZERO) for j in range(d)]
+            for i in range(d)
+        ]
+    return PeircePolynomial(list(reversed(coeffs)))
+
+
+def test_char_poly_matches_the_fraction_reference():
+    rng = random.Random(4)
+    for n in range(200):
+        d = n % 7 + 1
+        matrix = [[_rational(rng) for _ in range(d)] for _ in range(d)]
+        if n % 5 == 0:  # a sparse one, with repeated eigenvalues likely
+            matrix = [[c if rng.random() < 0.3 else ZERO for c in row] for row in matrix]
+        assert char_poly(matrix) == _fraction_char_poly(matrix)
+    assert char_poly([]) == _fraction_char_poly([]) == PeircePolynomial([1])

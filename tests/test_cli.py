@@ -444,6 +444,16 @@ STDOUT_DIGESTS = {
         "6e7d580c2da4d15c9653dcf80c971f03f6eebd17f3c0a4898fa5c780e02bf807",
     ("spectrum", "--eigenvalues", "0,0,-1/3,5,5/7", "--format", "jsonl"):
         "338f3c0401a7f915353985caa1bada22d88fcea27f8e57b22a455c0ff9d4fc36",
+    # recorded before char_poly ran in ints: large integer eigenvalues,
+    # and fractions with a repeat and a negative
+    ("spectrum", "--eigenvalues", "2,3,4,5,6,7,8,9,10,11,12"):
+        "c85c78b4e6932b3410731b8755cf5a6d6a4734bb1ffda52f67c1bc52fa422ae7",
+    ("spectrum", "--eigenvalues", "2,3,4,5,6,7,8,9,10,11,12", "--format", "jsonl"):
+        "f7dc9dc1fe3b336ad8dd3a1302eb0a52e0a250bac52c4a8abf9bc0055f8fbbef",
+    ("spectrum", "--eigenvalues", "1/2,-3/4,5/6,5/6,7/9,-11/13,2"):
+        "5cb85fbacc991c94082d98dea729ba2fa55be8aeba1b4522b69de9512d677eff",
+    ("spectrum", "--eigenvalues", "1/2,-3/4,5/6,5/6,7/9,-11/13,2", "--format", "jsonl"):
+        "6965400b021fbdc79de2f3c4739bc7a0c474b4a1c2d5ef52bc51d99213bbb0a6",
 }
 
 
@@ -484,6 +494,35 @@ MUTATION_3 = {
     },
 }
 SPECTRUM_1_2 = {"dim": 2, "mutation": {"matrix": [["1", "0"], ["0", "4"]], "weight": ["1", "0"]}}
+# a structure-form algebra whose first nonzero weight entry, -2, is at
+# index 1: the weight-1 points are solved for that pivot
+NEGATIVE_PIVOT = {
+    "dim": 3,
+    "weight": ["0", "-2", "1/3"],
+    "structure": [
+        [0, 0, 0, "-2"], [0, 1, 0, "2"], [0, 1, 1, "-1/6"], [0, 1, 2, "-1"],
+        [0, 2, 0, "-1"], [0, 2, 1, "1/6"], [0, 2, 2, "1"], [1, 1, 0, "1/3"],
+        [1, 1, 1, "-5/3"], [1, 1, 2, "2"], [1, 2, 0, "1"], [1, 2, 1, "1/4"],
+        [1, 2, 2, "-1/2"], [2, 2, 0, "-2"], [2, 2, 2, "1/3"],
+    ],
+}
+# one value spelled three ways, and "0" and "1" repeated; M has the
+# characteristic polynomial (t - 1)(t^2 - t/6 - 2/3), so the plenary powers
+# of the identity SPELLINGS_IDENTITY satisfy it on this algebra alone
+SPELLINGS = {
+    "dim": 3,
+    "mutation": {
+        "matrix": [["1", "0", "0"], ["1/2", "2/4", "0.5"], ["0", "1", "-1/3"]],
+        "weight": ["1", "0", "0"],
+    },
+}
+SPELLINGS_IDENTITY = "(x^2 x^2)(x^2 x^2) - 7/6 x^2 x^2 - 1/2 x^2 + 2/3 x"
+VERIFY_ALGEBRAS = {
+    "mutation": MUTATION_3,
+    "spectrum": SPECTRUM_1_2,
+    "negative-pivot": NEGATIVE_PIVOT,
+    "spellings": SPELLINGS,
+}
 
 # sha256 of stdout, recorded before evaluation went through one compiled
 # plan per identity: (algebra, identity, trials, seed, format) -> exit, digest
@@ -496,6 +535,16 @@ VERIFY_STDOUT_DIGESTS = {
         (0, "c58450dc3a069008e24ef5f7773c0bccc1bd71bd644c3f257a9c2ca03dfdadf3"),
     ("spectrum", "x^2 - x", "8", "0", "jsonl"):
         (1, "0f8c2e6168642b2555b820649627694f627bbe836f463a58778891ec7104f361"),
+    # recorded before the weight-1 points were built in ints and
+    # load_algebra read each distinct entry text once
+    ("negative-pivot", "x^2 y^2 - (x y)(x y)", "8", "1", "text"):
+        (1, "eaa22f20ef59828bbda1712e75118a76b9e39263c5d0bf017580970b44e22427"),
+    ("negative-pivot", "x^2 y^2 - (x y)(x y)", "8", "1", "jsonl"):
+        (1, "4c2f23d70d6207961ec464795924dc275fd0717dc6e267df5fb31b67f9672195"),
+    ("spellings", SPELLINGS_IDENTITY, "8", "1", "text"):
+        (0, "c00a695c9fddfbc64476cfce10cf0d2b864655de07dc8bb005c5ba8f230a6d64"),
+    ("spellings", SPELLINGS_IDENTITY, "8", "1", "jsonl"):
+        (0, "ca16e6ffda4d1ba8e5950e66e7bd0aa30ca93e9a9adb72c2f3a382f1c425da96"),
 }
 
 
@@ -503,8 +552,7 @@ VERIFY_STDOUT_DIGESTS = {
 def test_verify_stdout_is_byte_identical(capsys, tmp_path, case):
     name, identity, trials, seed, fmt = case
     path = tmp_path / f"{name}.json"
-    spec = MUTATION_3 if name == "mutation" else SPECTRUM_1_2
-    path.write_text(json.dumps(spec), encoding="utf-8")
+    path.write_text(json.dumps(VERIFY_ALGEBRAS[name]), encoding="utf-8")
     code, out, err = run_cli(
         capsys, "verify", "--algebra", str(path), "--identity", identity,
         "--trials", trials, "--seed", seed, "--format", fmt,
