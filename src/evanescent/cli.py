@@ -24,12 +24,7 @@ def _parse_type(text):
     try:
         return magma.normalize_type(int(part) for part in text.split(","))
     except ValueError as exc:
-        raise SystemExit(_usage_error(f"bad type {text!r}: {exc}"))
-
-
-def _usage_error(message) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return 2
+        raise ValueError(f"bad type {text!r}: {exc}")
 
 
 def _emit_identity(identity, fmt, out):
@@ -98,7 +93,7 @@ def _train_types(args):
     if args.type not in _FAMILIES:
         return [_parse_type(args.type)]
     if args.all is None:
-        raise SystemExit(_usage_error("family types like 'n,1' need --all MAXDEG"))
+        raise ValueError("family types like 'n,1' need --all MAXDEG")
     fixed = _FAMILIES[args.type]
     top = args.all - sum(fixed)  # the family's types are (n, *fixed) for n <= top
     over = max(args.max_degree - sum(fixed), 0) + 1  # the least n over the cap
@@ -115,7 +110,7 @@ def cmd_train(args, out) -> int:
         _emit_identity(identity, args.format, out)
         return 0
     if not args.type:
-        raise SystemExit(_usage_error("train needs --of EXPR or --type TYPE"))
+        raise ValueError("train needs --of EXPR or --type TYPE")
     types = _train_types(args)
     for ty in types:  # all admitted before any is printed
         trainsgen.admit(ty, args.max_degree)
@@ -283,14 +278,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2
-    except (syntax.ParseError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # a syntax.ParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:
-        # the backstop for the walks that still recurse (magma._enumerate and
-        # magma._w over sub-types, the parser over nested parentheses); they
-        # stay until an admission budget exists, since without one the inputs
-        # that stop here would run without bound instead
+        # the backstop for the walks that still recurse, magma._enumerate and
+        # magma._w over sub-types; they stay until an admission budget exists,
+        # since without one the inputs that stop here would run without bound
         print("error: input too large: maximum recursion depth exceeded", file=sys.stderr)
         return 2
     except OverflowError as exc:

@@ -17,6 +17,11 @@ Grammar (whitespace insignificant between tokens):
 follows.  Juxtaposition associates to the LEFT: "a b c" parses as
 "(a b) c".  The input "0" denotes the zero polynomial.
 
+``parse`` is one loop over the tokens, (value, offset) pairs, with an
+explicit stack of the enclosing sums, so nesting costs no recursion.  A
+``ParseError`` works out its line and column from an offset only when
+it is raised.
+
 A factor that is a single monomial with coefficient 1 (a variable, a
 power, or a parenthesized sum that reduces to one such term) is parsed
 as a ``Monomial``, so a chain of them costs one ``magma.product`` per
@@ -67,170 +72,23 @@ class ParseError(ValueError):
         self.col = col
 
 
-_TOKEN_RE = re.compile(r"t\d+|[A-Za-z]+|\d+|[][(){}^+/-]|\S")
+_TOKEN_RE = re.compile(r"t\d+|[A-Za-z]+|\d+|\S")
 _VAR_RE = re.compile(r"^(x|y|z|t\d+)$")
+_LETTERS = {"x": 1, "y": 2, "z": 3}
+_CLOSING = {"{": "}", "[": "]"}
 
 
 def _tokenize(text: str):
+    """The (value, offset) pairs of the tokens of text.  A word of the
+    letters x, y and z alone is one token per letter: "xy" is x y."""
     tokens = []
-    line, line_start, seen = 1, 0, 0
     for match in _TOKEN_RE.finditer(text):
-        value = match.group()
-        if value.isspace():
-            continue
-        start = match.start()
-        # count only the newlines since the previous token: linear in text
-        newlines = text.count("\n", seen, start)
-        if newlines:
-            line += newlines
-            line_start = text.rfind("\n", seen, start) + 1
-        seen = start
-        col = start - line_start + 1
-        if value.isalpha() and len(value) > 1 and set(value) <= {"x", "y", "z"}:
-            # juxtaposed single-letter variables, e.g. "xy"
-            for offset, ch in enumerate(value):
-                tokens.append((ch, line, col + offset))
+        value, start = match.group(), match.start()
+        if len(value) > 1 and set(value) <= _LETTERS.keys():
+            tokens += zip(value, range(start, start + len(value)))
         else:
-            tokens.append((value, line, col))
+            tokens.append((value, start))
     return tokens
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
-
-    def peek(self):
-        if self.pos < len(self.tokens):
-            return self.tokens[self.pos][0]
-        return None
-
-    def next(self):
-        if self.pos >= len(self.tokens):
-            self.fail("unexpected end of input")
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, value):
-        tok = self.next()
-        if tok[0] != value:
-            self.fail(f"expected {value!r}, found {tok[0]!r}", tok)
-        return tok
-
-    def fail(self, message, tok=None):
-        if tok is None:
-            if self.pos < len(self.tokens):
-                tok = self.tokens[self.pos]
-            else:
-                line = self.text.count("\n") + 1
-                tail = self.text.rfind("\n") + 1
-                raise ParseError(message, line, len(self.text) - tail + 1)
-        raise ParseError(message, tok[1], tok[2])
-
-    def parse_int(self) -> int:
-        tok = self.next()
-        if not tok[0].isdigit():
-            self.fail(f"expected an integer, found {tok[0]!r}", tok)
-        return int(tok[0])
-
-    def parse_poly(self) -> Polynomial:
-        sign = 1
-        if self.peek() in ("+", "-"):
-            if self.next()[0] == "-":
-                sign = -1
-        # one dict for the whole sum, zeros dropped as Polynomial.__add__ does
-        out = {}
-        while True:
-            for m, c in self.parse_term():
-                c = c if sign > 0 else -c
-                s = out[m] + c if m in out else c
-                if s:
-                    out[m] = s
-                else:
-                    out.pop(m, None)
-            if self.peek() not in ("+", "-"):
-                return Polynomial._raw(out)
-            sign = -1 if self.next()[0] == "-" else 1
-
-    def parse_term(self):
-        """The (monomial, coefficient) pairs of one term."""
-        coeff = ONE
-        tok = self.peek()
-        if tok is not None and tok.isdigit():
-            num = self.parse_int()
-            if self.peek() == "/":
-                self.next()
-                den = self.parse_int()
-                if den == 0:
-                    self.fail("zero denominator")
-                coeff = Q(num, den)
-            else:
-                coeff = Q(num)
-        result = self.parse_factor()
-        while self._at_factor():
-            result = _times(result, self.parse_factor())
-        if isinstance(result, Monomial):
-            return ((result, coeff),)
-        return (result if coeff == 1 else result.scale(coeff)).terms.items()
-
-    def _at_factor(self) -> bool:
-        tok = self.peek()
-        return tok is not None and (tok == "(" or _VAR_RE.match(tok))
-
-    def parse_variable(self, tok) -> Variable:
-        name = tok[0]
-        if name == "x":
-            return Variable(1)
-        if name == "y":
-            return Variable(2)
-        if name == "z":
-            return Variable(3)
-        index = int(name[1:])
-        if index == 0:
-            self.fail("variable t0 is reserved", tok)
-        return Variable(index)
-
-    def parse_factor(self) -> Monomial | Polynomial:
-        """A Monomial when the factor is one (coefficient 1), else a Polynomial."""
-        tok = self.next()
-        if tok[0] == "(":
-            inner = self.parse_poly()
-            self.expect(")")
-            if len(inner.terms) == 1:
-                ((m, c),) = inner.terms.items()
-                if c == 1:
-                    return m
-            return inner
-        if not _VAR_RE.match(tok[0]):
-            if re.match(r"^[A-Za-z]", tok[0]):
-                self.fail(f"unknown variable name {tok[0]!r}", tok)
-            self.fail(f"expected a factor, found {tok[0]!r}", tok)
-        v = self.parse_variable(tok)
-        if self.peek() != "^":
-            return leaf(v)
-        self.next()
-        nxt = self.peek()
-        if nxt == "{":
-            self.next()
-            r = self.parse_int()
-            self.expect("}")
-            arg = self.parse_factor()
-            for _ in range(r):
-                arg = _times(leaf(v), arg)
-            return arg
-        if nxt == "[":
-            self.next()
-            k = self.parse_int()
-            self.expect("]")
-            if k < 1:
-                self.fail("plenary power needs k >= 1", tok)
-            return plenary_power(v, k)
-        k = self.parse_int()
-        if k < 1:
-            self.fail("power needs k >= 1", tok)
-        return principal_power(v, k)
 
 
 def _times(a, b):
@@ -246,16 +104,137 @@ def _as_polynomial(f):
 
 
 def parse(text: str) -> Polynomial:
-    """Parse a polynomial in the surface grammar."""
+    """Parse a polynomial in the surface grammar.
+
+    One loop over the tokens, with no recursion.  Each '(' pushes the
+    enclosing sum's state: its terms so far, and its open term's signed
+    coefficient, chain and pending v^{r} prefixes.  Each ')' pops it.  A
+    completed factor takes the pending prefixes, innermost first, and
+    joins its term's chain.  Tokens carry their offsets, and a line and
+    column are worked out only for an error.
+    """
     if text.strip() == "0":
         return Polynomial.zero()
-    parser = _Parser(text)
-    if not parser.tokens:
+    tokens = _tokenize(text)
+    if not tokens:
         raise ParseError("empty input", 1, 1)
-    result = parser.parse_poly()
-    if parser.pos != len(parser.tokens):
-        parser.fail("trailing input")
-    return result
+    tokens.append(("", len(text)))  # the end of the input
+
+    def fail(message, i):
+        offset = tokens[i][1]  # the only place a line and column are counted
+        line_start = text.rfind("\n", 0, offset) + 1
+        raise ParseError(message, text.count("\n", 0, offset) + 1, offset - line_start + 1)
+
+    def expected(what, i):
+        value = tokens[i][0]
+        if not value:
+            fail("unexpected end of input", i)
+        fail(f"expected {what}, found {value!r}", i)
+
+    def integer(i) -> int:
+        value = tokens[i][0]
+        if not value.isdigit():
+            expected("an integer", i)
+        return int(value)
+
+    stack = []  # the state of each enclosing sum, one per open '('
+    out, coeff, chain, prefixes = {}, None, None, []
+    factor = None  # a completed factor, not yet in its term's chain
+    i = 0
+    while True:
+        if factor is None:
+            value = tokens[i][0]
+            if coeff is None:  # a term: an optional sign, then a coefficient
+                sign = -1 if value == "-" else 1
+                if value == "+" or value == "-":
+                    i += 1
+                    value = tokens[i][0]
+                num, den = 1, 1
+                if value.isdigit():
+                    num = int(value)
+                    i += 1
+                    if tokens[i][0] == "/":
+                        den = integer(i + 1)
+                        i += 2
+                        if den == 0:
+                            fail("zero denominator", i)
+                    value = tokens[i][0]
+                coeff = Q(sign * num, den)  # the term's sign goes with it
+            at = i
+            i += 1
+            if value == "(":
+                stack.append((out, coeff, chain, prefixes))
+                out, coeff, chain, prefixes = {}, None, None, []
+                continue
+            if not _VAR_RE.match(value):
+                if re.match(r"[A-Za-z]", value):
+                    fail(f"unknown variable name {value!r}", at)
+                expected("a factor", at)
+            index = _LETTERS.get(value) or int(value[1:])
+            if index == 0:
+                fail("variable t0 is reserved", at)
+            v = Variable(index)
+            if tokens[i][0] != "^":
+                factor = leaf(v)
+            else:
+                power = tokens[i + 1][0]  # '{' for a prefix, '[' for plenary
+                closing = _CLOSING.get(power)
+                i += 2 if closing else 1
+                k = integer(i)
+                i += 1
+                if closing:
+                    if tokens[i][0] != closing:
+                        expected(repr(closing), i)
+                    i += 1
+                if power == "{":
+                    prefixes.append((v, k))
+                    continue
+                if power == "[":
+                    if k < 1:
+                        fail("plenary power needs k >= 1", at)
+                    factor = plenary_power(v, k)
+                else:
+                    if k < 1:
+                        fail("power needs k >= 1", at)
+                    factor = principal_power(v, k)
+        while prefixes:
+            v, r = prefixes.pop()
+            for _ in range(r):
+                factor = _times(leaf(v), factor)
+        chain = factor if chain is None else _times(chain, factor)
+        factor = None
+        value = tokens[i][0]
+        if value == "(" or _VAR_RE.match(value):
+            continue  # the term's next factor
+        # the term ends: one dict for the whole sum, zeros dropped as
+        # Polynomial.__add__ does
+        if isinstance(chain, Monomial):
+            terms = ((chain, coeff),)
+        else:
+            terms = (chain if coeff == 1 else chain.scale(coeff)).terms.items()
+        for m, c in terms:
+            s = out[m] + c if m in out else c
+            if s:
+                out[m] = s
+            else:
+                out.pop(m, None)
+        coeff = chain = None
+        if value == "+" or value == "-":
+            continue  # the sum's next term
+        if not stack:
+            if value:
+                fail("trailing input", i)
+            return Polynomial._raw(out)
+        if value != ")":
+            expected("')'", i)
+        i += 1
+        # a sum of one term with coefficient 1 is a monomial factor
+        factor = Polynomial._raw(out)
+        if len(out) == 1:
+            ((m, c),) = out.items()
+            if c == 1:
+                factor = m
+        out, coeff, chain, prefixes = stack.pop()
 
 
 def parse_monomial(text: str) -> Monomial:

@@ -73,9 +73,6 @@ from .peirce import Identity, _packed, peirce_class, placed
 from .poly import Polynomial
 from .rationals import Q
 
-SHAPES = ("n", "n1", "n2", "n11")
-
-
 class ShapeError(ValueError):
     pass
 

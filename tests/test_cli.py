@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import pathlib
@@ -7,6 +9,7 @@ import sys
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from evanescent.cli import build_parser, main
 from evanescent.homgen import peirce_matrix
@@ -260,14 +263,26 @@ def test_large_variable_index_costs_no_memory_per_node(capsys):
         ("wnumber", "--type", "200,200,200"),
         ("enum", "--type", "1200"),
         ("train", "--type", "1200", "--max-degree", "2000"),
-        ("check", "(" * 3000 + "x" + ")" * 3000),
     ],
-    ids=["wnumber", "enum", "train", "parens"],
+    ids=["wnumber", "enum", "train"],
 )
 def test_too_deep_inputs_exit_2_with_one_line(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert err == "error: input too large: maximum recursion depth exceeded\n"
+
+
+@pytest.mark.parametrize(
+    "expr, same_as",
+    [("(" * 3000 + "x" + ")" * 3000, "x"), ("x^{1} " * 2000 + "y", "x^{2000} y")],
+    ids=["parens", "prefixes"],
+)
+def test_deep_nesting_gets_an_answer(capsys, expr, same_as):
+    # the parser keeps its own stack, so nesting depth is bounded by
+    # nothing but the length of the text
+    code, out, err = run_cli(capsys, "check", expr)
+    assert (code, err) == (0, "")
+    assert out == run_cli(capsys, "check", same_as)[1]
 
 
 @pytest.mark.parametrize("command", ["homog", "enum", "wnumber"])
@@ -276,6 +291,53 @@ def test_huge_type_entries_exit_2_with_one_line(capsys, command):
     assert (code, out) == (2, "")
     assert err.startswith("error: input too large: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+_EXPRESSIONS = st.recursive(
+    st.sampled_from(
+        ["x", "y", "z", "t2", "xy", "x^2", "y^[2]", "x^[3]", "2 x", "1/2 z", "x^{3} y"]
+    ),
+    lambda inner: st.one_of(
+        st.tuples(inner, inner).map(" ".join),
+        st.tuples(inner, st.sampled_from(["+", "-"]), inner).map(" ".join),
+        inner.map("({})".format),
+        st.tuples(st.sampled_from(["x", "t3"]), st.integers(0, 2), inner).map(
+            lambda t: f"{t[0]}^{{{t[1]}}} {t[2]}"
+        ),
+    ),
+    max_leaves=5,
+)
+
+
+@st.composite
+def _cli_expressions(draw):
+    """A valid, mutated, unbalanced or deeply nested expression."""
+    text = draw(_EXPRESSIONS)
+    how = draw(st.sampled_from(["valid", "mutated", "unbalanced", "nested"]))
+    if how == "mutated":
+        k = draw(st.integers(0, len(text)))
+        text = text[:k] + draw(st.sampled_from(list("xyzt()[]{}^+-/0 \n"))) + text[k + 1:]
+    elif how == "unbalanced":
+        k = draw(st.integers(0, len(text)))
+        text = text[:k] + draw(st.sampled_from(["(", ")", "((", "))"])) + text[k:]
+    elif how == "nested":
+        depth = draw(st.integers(1, 3000))
+        text = "(" * depth + text + ")" * (depth + draw(st.integers(-1, 1)))
+    return text
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(st.sampled_from([("check",), ("peirce",), ("train", "--of")]), _cli_expressions())
+def test_cli_answers_any_expression_or_exits_2_with_one_line(command, expr):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([*command, expr])
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 2:
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
 
 
 def test_python_dash_m_runs_the_cli(capsys):

@@ -1,6 +1,8 @@
+import hashlib
 import json
 import pathlib
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -308,3 +310,92 @@ def test_json_roundtrip(rng):
 def test_no_power_on_parenthesized_factor():
     with pytest.raises(ParseError):
         parse("(x y)^2")
+
+
+
+_SPACES = ("", " ", " ", " ", "\n", "\t", " \n\t ")
+_NAMES = ("x", "y", "z", "x", "y", "z", "t1", "t2", "t12", "xy", "yzx", "zx")
+
+
+def _pin_factor(rng, depth):
+    """A random factor of the surface grammar, with random whitespace and,
+    now and then, a reserved or unknown name or an exponent of 0."""
+    sp = lambda: rng.choice(_SPACES)  # noqa: E731
+    name = rng.choice(_NAMES) if rng.random() > 0.03 else rng.choice(("t0", "w", "xw"))
+    k = rng.randint(1, 3) if rng.random() > 0.03 else 0
+    kind = rng.randrange(7 if depth else 3)
+    if kind == 0:
+        return name
+    if kind == 1:
+        return f"{name}{sp()}^{sp()}{k}"
+    if kind == 2:
+        return f"{name}^{sp()}[{sp()}{k}{sp()}]"
+    if kind == 3:
+        return f"{name}^{{{sp()}{k - 1}{sp()}}}{sp()}{_pin_factor(rng, depth - 1)}"
+    return f"({sp()}{_pin_sum(rng, depth - 1)}{sp()})"
+
+
+def _pin_sum(rng, depth):
+    """A random sum of terms, each an optional rational coefficient and a
+    chain of juxtaposed factors."""
+    parts = [rng.choice(("", "", "-", "+"))]
+    for n in range(rng.randint(1, 3)):
+        if n:
+            parts.append(rng.choice(("+", "-")))
+        coeff = rng.choice(("", "", "", "", "2", "0", "1/2", "3/7", "12 "))
+        if rng.random() < 0.02:
+            coeff = "5/0"
+        factors = [_pin_factor(rng, depth) for _ in range(rng.randint(1, 3))]
+        parts.append(coeff + rng.choice(_SPACES) + rng.choice((" ", "")).join(factors))
+    return rng.choice((" ", " \n", "\t")).join(parts)
+
+
+def _pin_inputs():
+    """The inputs of the parser pin: grammar-directed expressions, and
+    one-character insertions, deletions and truncations of them.  No digit
+    is inserted, since one after a plenary exponent would ask for a
+    monomial of 2^30 leaves."""
+    rng = random.Random(1907)
+    alphabet = "xyztw ()[]{}^+-/\n\t"
+    inputs = ["0", " 0\n", "", " \n\t", "00", "(0)"]
+    for _ in range(1500):
+        text = _pin_sum(rng, rng.randint(0, 4))
+        k = rng.randint(0, len(text))
+        inputs.append(text)
+        inputs.append(text[:k] + rng.choice(alphabet) + text[k:])
+        k = rng.randrange(len(text))
+        inputs.append(text[:k] + text[k + 1:])
+        inputs.append(text[: rng.randrange(len(text))])
+    return inputs
+
+
+def test_parser_results_and_errors_are_pinned():
+    # one sha256 over every input's printed polynomial or its ParseError
+    # (message, line, column), recorded before the parser became one loop
+    digest = hashlib.sha256()
+    kinds = set()
+    inputs = _pin_inputs()
+    for text in inputs:
+        try:
+            outcome = format_polynomial(parse(text))
+        except ParseError as exc:
+            outcome = repr((str(exc), exc.line, exc.col))
+            kinds.add(re.sub(r"'[^']*'", "'.'", str(exc).rsplit(" (line", 1)[0]))
+        digest.update(f"{text!r}\0{outcome}\0".encode())
+    assert len(inputs) == 6006
+    assert kinds == {
+        "empty input",
+        "expected '.', found '.'",
+        "expected a factor, found '.'",
+        "expected an integer, found '.'",
+        "plenary power needs k >= 1",
+        "power needs k >= 1",
+        "trailing input",
+        "unexpected end of input",
+        "unknown variable name '.'",
+        "variable t0 is reserved",
+        "zero denominator",
+    }
+    assert digest.hexdigest() == (
+        "513d68b475f410d31aeffcf053b6da9e9204a726454ed2e0f3a6e94d9451c6ae"
+    )
