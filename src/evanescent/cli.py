@@ -98,7 +98,8 @@ def _train_types(args):
     top = args.all - sum(fixed)  # the family's types are (n, *fixed) for n <= top
     over = max(args.max_degree - sum(fixed), 0) + 1  # the least n over the cap
     if top >= over:
-        # rejected as the admission loop would reject it, before any type is listed
+        # every family type is admitted here, before anything is printed: each
+        # has a supported shape, so the least type over the cap is the one check
         trainsgen.admit((over, *fixed), args.max_degree)
     return [(n, *fixed) for n in range(1, top + 1)]
 
@@ -111,10 +112,7 @@ def cmd_train(args, out) -> int:
         return 0
     if not args.type:
         raise ValueError("train needs --of EXPR or --type TYPE")
-    types = _train_types(args)
-    for ty in types:  # all admitted before any is printed
-        trainsgen.admit(ty, args.max_degree)
-    for ty in types:
+    for ty in _train_types(args):
         for identity in trainsgen.generate_train_basis(ty, max_degree=args.max_degree):
             _emit_identity(identity, args.format, out)
     return 0

@@ -239,25 +239,6 @@ def left_iterate(v, r: int, f: Monomial) -> Monomial:
     return f
 
 
-def principal_power_of(w: Monomial):
-    """(v, k) when w is the left-normed power v^k, else None.
-
-    In one variable, w is a principal power exactly when every node on
-    the way down has a leaf child; k is then the degree of w.
-    """
-    if len(w.counts) != 1:
-        return None
-    node = w
-    while not node.is_leaf:
-        if node.left.is_leaf:
-            node = node.right
-        elif node.right.is_leaf:
-            node = node.left
-        else:
-            return None
-    return (node.var, w.degree)
-
-
 def normalize_type(ty) -> tuple[int, ...]:
     ty = tuple(int(c) for c in ty)
     if any(c < 0 for c in ty):

@@ -159,7 +159,7 @@ def peirce_recursive(f, v) -> PeircePolynomial:
     """Peirce polynomial by the defining recursion d(uv) = t(d(u)+d(v))."""
     idx = v.index if isinstance(v, Variable) else v
     if isinstance(f, Monomial):
-        return PeircePolynomial(_peirce_counts(f, (idx,))[0])
+        f = Polynomial.monomial(f)
     den, nums = as_ints(f.terms.values())
     bits = _slot_bits(f.terms, nums)
     return _decode(_sums(f.terms, nums, (idx,), bits)[0], den, bits)

@@ -80,14 +80,7 @@ class Polynomial:
     def __sub__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m, ZERO) - c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        return Polynomial._raw(out)
+        return self + (-other)
 
     def __neg__(self):
         return Polynomial._raw({m: -c for m, c in self.terms.items()})

@@ -57,9 +57,7 @@ from .magma import (
     leaf,
     plenary_power,
     principal_power,
-    principal_power_of,
     product,
-    var_name,
 )
 from .poly import Polynomial
 from .rationals import ONE, Q, format_sum, q_text
@@ -72,8 +70,8 @@ class ParseError(ValueError):
         self.col = col
 
 
-_TOKEN_RE = re.compile(r"t\d+|[A-Za-z]+|\d+|\S")
-_VAR_RE = re.compile(r"^(x|y|z|t\d+)$")
+_TOKEN_RE = re.compile(r"t[0-9]+|[A-Za-z]+|[0-9]+|\S")
+_VAR_RE = re.compile(r"^(x|y|z|t[0-9]+)$")
 _LETTERS = {"x": 1, "y": 2, "z": 3}
 _CLOSING = {"{": "}", "[": "]"}
 
@@ -133,7 +131,7 @@ def parse(text: str) -> Polynomial:
 
     def integer(i) -> int:
         value = tokens[i][0]
-        if not value.isdigit():
+        if not (value.isascii() and value.isdigit()):
             expected("an integer", i)
         return int(value)
 
@@ -150,7 +148,7 @@ def parse(text: str) -> Polynomial:
                     i += 1
                     value = tokens[i][0]
                 num, den = 1, 1
-                if value.isdigit():
+                if value.isascii() and value.isdigit():
                     num = int(value)
                     i += 1
                     if tokens[i][0] == "/":
@@ -249,7 +247,9 @@ def parse_monomial(text: str) -> Monomial:
 
 
 def _chain_prefix(m: Monomial):
-    """(r, v, core) for the maximal leading v-leaf chain v(v(...(v core)))."""
+    """(r, v, core) for the maximal leading v-leaf chain v(v(...(v core))),
+    the one walk down a node's chain: a leaf, or a chain whose core is a
+    leaf of its own letter v, is the principal power v^(r+1)."""
     v = None
     r = 0
     while not m.is_leaf:
@@ -281,39 +281,37 @@ def _render(m: Monomial) -> str:
     both children, so a fold would render (and cache) every inner node
     of the chain.
 
-    A principal power prints as v^k; a leading chain of r >= 2 left
-    multiplications by v as v^{r} followed by its core; any other node
-    as its larger child, then its smaller one.  A part that is not a
-    principal power is parenthesized: those are the texts with a space.
+    Each node's chain is walked once, by ``_chain_prefix``.  A leaf, or a
+    chain whose core is a leaf of the chain's own letter v, prints as the
+    principal power v^(r+1); a chain of r >= 2 left multiplications by v
+    as v^{r} followed by its core; any other node as its larger child,
+    then its smaller one.  A part that is not a principal power is
+    parenthesized: those are the texts with a space.
     """
     got = _TEXT.get(m)
     if got is not None:
         return got
-    stack = [m]
+    stack = [(m, None)]  # (node, its chain walk once it waits on its parts)
     while stack:
-        node = stack[-1]
+        node, walk = stack.pop()
         if node in _TEXT:
-            stack.pop()
             continue
-        pp = principal_power_of(node)
-        if pp is not None:
-            v, k = pp
-            _TEXT[node] = v.name if k == 1 else f"{v.name}^{k}"
-            stack.pop()
+        r, v, core = walk or _chain_prefix(node)
+        if core.is_leaf and (r == 0 or core.var == v):
+            name = core.var.name
+            _TEXT[node] = f"{name}^{r + 1}" if r else name
             continue
-        r, v, core = _chain_prefix(node)
         if r >= 2:
             parts = (core,)
         else:
             smaller, larger = children(node)
             parts = (larger, smaller)
-        missing = [p for p in parts if p not in _TEXT]
+        missing = [(p, None) for p in parts if p not in _TEXT]
         if missing:
-            stack += missing
+            stack += [(node, (r, v, core)), *missing]
             continue
         text = " ".join(f"({t})" if " " in t else t for t in map(_TEXT.get, parts))
         _TEXT[node] = f"{v.name}^{{{r}}} {text}" if r >= 2 else text
-        stack.pop()
     return _TEXT[m]
 
 

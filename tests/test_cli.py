@@ -293,6 +293,20 @@ def test_huge_type_entries_exit_2_with_one_line(capsys, command):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "expr, err",
+    [
+        ("x^\u0663", "error: expected an integer, found '\u0663' (line 1, column 3)\n"),
+        ("x^\u00b2", "error: expected an integer, found '\u00b2' (line 1, column 3)\n"),
+        ("t\u0663", "error: unknown variable name 't' (line 1, column 1)\n"),
+    ],
+    ids=["arabic-indic-digit", "superscript-two", "variable-index"],
+)
+def test_non_ascii_digits_exit_2_with_one_line(capsys, expr, err):
+    # only the ASCII digits 0-9 are digits of the grammar
+    assert run_cli(capsys, "check", expr) == (2, "", err)
+
+
 _EXPRESSIONS = st.recursive(
     st.sampled_from(
         ["x", "y", "z", "t2", "xy", "x^2", "y^[2]", "x^[3]", "2 x", "1/2 z", "x^{3} y"]
@@ -329,15 +343,57 @@ def _cli_expressions(draw):
 @settings(derandomize=True, max_examples=400, deadline=None)
 @given(st.sampled_from([("check",), ("peirce",), ("train", "--of")]), _cli_expressions())
 def test_cli_answers_any_expression_or_exits_2_with_one_line(command, expr):
+    assert_answers_or_exits_2_with_one_line([*command, expr])
+
+
+def assert_answers_or_exits_2_with_one_line(argv):
+    """Run main in process: exit 0, 1 or 2 with no traceback, and on
+    exit 2 an empty stdout and one error line."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main([*command, expr])
+        code = main(argv)
     out, err = out.getvalue(), err.getvalue()
     assert code in (0, 1, 2)
     assert "Traceback" not in err
     if code == 2:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+
+
+_HUGE = "100000000000000000000"
+_MALFORMED_TYPES = ["", "1,,2", "-1", "a", "0", _HUGE, f"3,{_HUGE}"]
+
+
+@st.composite
+def _type_commands(draw):
+    """The argv of enum, wnumber, homog or train --type: a type of total
+    degree at most 7 (for wnumber, 1-3 entries of 0-6), a malformed or
+    huge one, or for train a family with or without --all, then an
+    optional --max-degree and a --format."""
+    command = draw(st.sampled_from(["enum", "wnumber", "homog", "train"]))
+    if command == "wnumber":
+        entries = st.lists(st.integers(0, 6), min_size=1, max_size=3)
+    else:
+        entries = st.lists(st.integers(0, 7), min_size=1, max_size=3).filter(
+            lambda ty: sum(ty) <= 7
+        )
+    entries = entries.map(lambda ty: ",".join(map(str, ty)))
+    ty = draw(st.one_of(entries, st.sampled_from(_MALFORMED_TYPES)))
+    argv = [command, "--type", ty]
+    if command == "train":
+        if draw(st.booleans()):
+            argv[2] = draw(st.sampled_from(["n", "n,1", "n,2", "n,1,1"]))
+            if draw(st.integers(0, 4)):
+                argv += ["--all", str(draw(st.integers(0, 9)))]
+        if draw(st.booleans()):
+            argv += ["--max-degree", str(draw(st.integers(-1, 12)))]
+    return argv + ["--format", draw(st.sampled_from(["text", "jsonl"]))]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_type_commands())
+def test_type_commands_answer_or_exit_2_with_one_line(argv):
+    assert_answers_or_exits_2_with_one_line(argv)
 
 
 def test_python_dash_m_runs_the_cli(capsys):

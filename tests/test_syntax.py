@@ -399,3 +399,67 @@ def test_parser_results_and_errors_are_pinned():
     assert digest.hexdigest() == (
         "513d68b475f410d31aeffcf053b6da9e9204a726454ed2e0f3a6e94d9451c6ae"
     )
+
+
+_PIN_LETTERS = (X, Y, Z, Variable(4))
+_PIN_TYPES = ((2,), (1, 1), (3,), (2, 1), (1, 2), (1, 1, 1), (2, 2))
+
+
+def _pin_monomial(rng, depth):
+    """A random monomial built with the magma's constructors: principal
+    and plenary powers, chains of r = 1, 2 or 5 left multiplications
+    whose core is a leaf of the chain's letter, another leaf or a product,
+    chains that switch letters, and products of two monomials of one
+    type."""
+    v = rng.choice(_PIN_LETTERS)
+    kind = rng.randrange(6 if depth else 2)
+    if kind == 0:
+        return principal_power(v, rng.randint(1, 7))
+    if kind == 1:
+        return plenary_power(v, rng.randint(1, 3))
+    if kind == 2:
+        core = rng.choice((leaf(v), leaf(rng.choice(_PIN_LETTERS)), _pin_monomial(rng, depth - 1)))
+        return left_iterate(v, rng.choice((1, 2, 5)), core)
+    if kind == 3:  # a chain that switches letters
+        inner = left_iterate(v, rng.choice((1, 2, 5)), _pin_monomial(rng, depth - 1))
+        return left_iterate(rng.choice(_PIN_LETTERS), rng.choice((1, 2, 5)), inner)
+    if kind == 4:  # children of equal type
+        same = monomials_of_type(rng.choice(_PIN_TYPES))
+        return product(rng.choice(same), rng.choice(same))
+    return product(_pin_monomial(rng, depth - 1), _pin_monomial(rng, depth - 1))
+
+
+def _pin_monomials():
+    """The monomials of the printer pin: 3,000 different seeded ones,
+    every principal power up to degree 8 and plenary power up to ^[6] in
+    each letter, and left combs x y x y ... of up to 300 letters."""
+    rng = random.Random(1907)
+    seeded = {}
+    while len(seeded) < 3000:
+        seeded[_pin_monomial(rng, rng.randint(0, 4))] = None
+    monomials = list(seeded)
+    for v in _PIN_LETTERS:
+        monomials += [principal_power(v, k) for k in range(1, 9)]
+        monomials += [plenary_power(v, k) for k in range(1, 7)]
+    for n in (*range(1, 40), 100, 299, 300):
+        comb = leaf(X)
+        for i in range(1, n):
+            comb = product(comb, leaf((X, Y)[i % 2]))
+        monomials.append(comb)
+    return monomials
+
+
+def test_printer_is_pinned(monkeypatch):
+    # one sha256 over every pinned monomial's text, recorded before the
+    # printer walked each node's chain once
+    monomials = _pin_monomials()
+    cold = []
+    for m in monomials:
+        monkeypatch.setattr(syntax, "_TEXT", syntax._Texts())
+        cold.append(format_monomial(m))
+    monkeypatch.setattr(syntax, "_TEXT", syntax._Texts())
+    assert [format_monomial(m) for m in monomials] == cold
+    assert [format_monomial(m) for m in reversed(monomials)] == cold[::-1]
+    assert all(parse_monomial(text) is m for text, m in zip(cold, monomials))
+    digest = hashlib.sha256("\0".join(cold).encode()).hexdigest()
+    assert digest == "2a2e1c326f0a99a964f5e1164b8946e15cc415d3170b2e1af774579db52502bf"
