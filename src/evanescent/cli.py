@@ -27,12 +27,15 @@ def _parse_type(text):
         raise ValueError(f"bad type {text!r}: {exc}")
 
 
+def _jsonl(out, obj):
+    out.write(json.dumps(obj, sort_keys=True) + "\n")
+
+
 def _emit_identity(identity, fmt, out):
     """Print an identity from the int form it was checked in."""
     den, terms = identity.den, identity.terms
     if fmt == "jsonl":
-        obj = syntax.form_to_json(den, terms, identity.type)
-        out.write(json.dumps(obj, sort_keys=True) + "\n")
+        _jsonl(out, syntax.form_to_json(den, terms, identity.type))
     else:
         out.write(syntax.format_form(den, terms) + "\n")
 
@@ -48,12 +51,11 @@ def cmd_peirce(args, out) -> int:
     for v in variables:
         p = peirce_recursive(f, v)
         if args.format == "jsonl":
-            obj = {
+            _jsonl(out, {
                 "variable": v.name,
                 "coeffs": [str(c) for c in p.coeffs],
                 "pretty": p.to_string(),
-            }
-            out.write(json.dumps(obj, sort_keys=True) + "\n")
+            })
         else:
             out.write(f"d_{v.name} = {p.to_string()}\n")
     return 0
@@ -63,7 +65,7 @@ def cmd_check(args, out) -> int:
     f = syntax.parse(args.expr)
     report = is_evanescent(f)
     if args.format == "jsonl":
-        obj = {
+        _jsonl(out, {
             "polynomial": syntax.format_polynomial(f),
             "at_ones": str(report.at_ones),
             "peirce": {
@@ -71,8 +73,7 @@ def cmd_check(args, out) -> int:
             },
             "peirce_evanescent": report.is_peirce_evanescent,
             "evanescent_identity": report.is_evanescent_identity,
-        }
-        out.write(json.dumps(obj, sort_keys=True) + "\n")
+        })
     else:
         out.write(f"polynomial: {syntax.format_polynomial(f)}\n")
         for v, p in sorted(report.peirce.items()):
@@ -105,12 +106,12 @@ def _train_types(args):
 
 
 def cmd_train(args, out) -> int:
-    if args.of:
+    if args.of is not None:
         w = syntax.parse_monomial(args.of)
         identity = trainsgen.train_identity(w)
         _emit_identity(identity, args.format, out)
         return 0
-    if not args.type:
+    if args.type is None:
         raise ValueError("train needs --of EXPR or --type TYPE")
     for ty in _train_types(args):
         for identity in trainsgen.generate_train_basis(ty, max_degree=args.max_degree):
@@ -129,10 +130,7 @@ def cmd_enum(args, out) -> int:
     ty = _parse_type(args.type)
     for m in magma.monomials_of_type(ty):
         if args.format == "jsonl":
-            out.write(
-                json.dumps({"monomial": syntax.format_monomial(m)}, sort_keys=True)
-                + "\n"
-            )
+            _jsonl(out, {"monomial": syntax.format_monomial(m)})
         else:
             out.write(syntax.format_monomial(m) + "\n")
     return 0
@@ -141,10 +139,7 @@ def cmd_enum(args, out) -> int:
 def cmd_wnumber(args, out) -> int:
     ty = _parse_type(args.type)
     if args.format == "jsonl":
-        out.write(
-            json.dumps({"type": list(ty), "count": magma.w_number(ty)}, sort_keys=True)
-            + "\n"
-        )
+        _jsonl(out, {"type": list(ty), "count": magma.w_number(ty)})
     else:
         out.write(f"{magma.w_number(ty)}\n")
     return 0
@@ -157,7 +152,7 @@ def cmd_verify(args, out) -> int:
     result = baric.verify_identity(f, algebra, trials=args.trials, seed=args.seed)
     out.write(f"# seed={args.seed} trials={args.trials}\n")
     if args.format == "jsonl":
-        obj = {
+        _jsonl(out, {
             "passed": result.passed,
             "trials": result.trials,
             "seed": result.seed,
@@ -168,8 +163,7 @@ def cmd_verify(args, out) -> int:
                 for name, vec in (result.counterexample or {}).items()
             }
             or None,
-        }
-        out.write(json.dumps(obj, sort_keys=True) + "\n")
+        })
     elif result.passed:
         out.write("PASS\n")
     else:
@@ -187,13 +181,12 @@ def cmd_spectrum(args, out) -> int:
     poly = baric.char_poly(matrix)
     roots, remainder = baric.rational_roots(poly)
     if args.format == "jsonl":
-        obj = {
+        _jsonl(out, {
             "dim": algebra.dim,
             "char_poly": [str(c) for c in poly.coeffs],
             "roots": [[str(r), m] for r, m in roots],
             "unfactored": [str(c) for c in remainder.coeffs],
-        }
-        out.write(json.dumps(obj, sort_keys=True) + "\n")
+        })
     else:
         out.write(f"dim = {algebra.dim}\n")
         out.write(f"char poly = {poly.to_string(sym='X')}\n")

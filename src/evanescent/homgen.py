@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass
 
 from .magma import Monomial, Variable, monomials_of_type, normalize_type
-from .peirce import Identity, _packed, _peirce_counts, peirce_class, placed
+from .peirce import Identity, _digits, _packed, peirce_class, placed
 from .rationals import as_ints
 
 
@@ -226,15 +226,15 @@ def peirce_column(m: Monomial, ty) -> list[int]:
     For each variable of ty in turn, the coefficients of t^1 .. t^(d-1)
     in m's Peirce polynomial (d = sum(ty)), then 1 for the coefficient
     sum.  The t^0 coefficient is zero for every monomial of degree >= 2,
-    so it is left out.  The coefficients of all of ty's variables are
-    decoded from m's one entry in the packed Peirce cache, which the
-    evanescence re-check then reads too.
+    so it is left out.  The coefficients of all of ty's variables, each at
+    most m's degree, are decoded from m's one 64-bit entry in the packed
+    Peirce cache, which the evanescence re-check then reads too.
     """
     degree = sum(ty)
     variables = tuple(i + 1 for i, count in enumerate(ty) if count)
     column = []
-    for counts in _peirce_counts(m, variables):
-        column += (counts + [0] * degree)[1:degree]
+    for s in _packed(m, variables, 64):
+        column += (_digits(s, 64) + [0] * degree)[1:degree]
     column.append(1)
     return column
 

@@ -165,13 +165,6 @@ def peirce_recursive(f, v) -> PeircePolynomial:
     return _decode(_sums(f.terms, nums, (idx,), bits)[0], den, bits)
 
 
-def _peirce_counts(m: Monomial, variables: tuple) -> list[list[int]]:
-    """m's Peirce coefficients in each of the variables as ints, decoded
-    from its 64-bit packed values: each is at most m's degree, so each
-    fits its slot."""
-    return [_digits(s, 64) for s in _packed(m, variables, 64)]
-
-
 def _packed(m: Monomial, variables: tuple, bits: int) -> tuple:
     """m's Peirce polynomials in the variables at t = 2^bits, all of them
     filled by one fold."""

@@ -3,15 +3,17 @@
 P(w) is the unique element of the span of the shape's basis family
 whose Peirce polynomials match those of w and whose coefficient sum is
 1.  It is found by an exact linear solve: the system depends only on the
-type, so it is factored once per type and reused for every monomial.
-Two routes use it:
+type, so it is factored once, on the type's ``TypeRecord``, and reused
+for every monomial.  Two routes use it:
 
-* ``solve_Pw``: the solve for w itself.
+* ``solve_Pw``: the solve for w itself, in w's own letters.
 
 * ``reduce``: bottom-up normalization; the two children are normalized
   and each product m1 m2 of two basis monomials is rewritten by the
-  rule m1 m2 -> P(m1 m2), which is the solve for that product, done
-  once in the canonical letters of its type and cached.
+  rule m1 m2 -> P(m1 m2), which is the solve for that product in its
+  own letters, done once and cached.  P is unique, so any letters give
+  it.  Only the fold runs in canonical letters, where every
+  sub-monomial's roles agree with w's (see ``_prepare``).
 
 On a product of two basis monomials the routes coincide; on deeper
 monomials ``reduce`` vs ``solve_Pw`` checks the rewriting.
@@ -31,7 +33,7 @@ into a ``Polynomial``.
 ``train_identity`` builds no ``Q``: it builds w - P(w) as an int form in
 canonical order, P(w)'s terms ordered by their rank in the span basis
 put in the type's own letters.  Everything known of a type (shape,
-letters, span order, basis) is one ``TypeRecord``, found once.
+letters, span order, basis, span system) is one ``TypeRecord``.
 
 P(w) depends only on w's Peirce polynomials, so ``generate_train_basis``
 works once per Peirce class of its type (the monomials with one packed
@@ -50,9 +52,9 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-from typing import NamedTuple
+from dataclasses import dataclass
 
-from .homgen import factor, peirce_column, solve_unique
+from .homgen import FactoredSystem, factor, peirce_column, solve_unique
 from .magma import (
     Monomial,
     Variable,
@@ -81,28 +83,19 @@ class BasisMonomialError(ValueError):
     pass
 
 
+# the shape of a type by its counts after the largest, each list largest first
+_SHAPES = {(): "n", (1,): "n1", (2,): "n2", (1, 1): "n11"}
+
+
 def classify_type(ty):
     """(shape tag, role map original->canonical variable) or (None, None)."""
     ty = normalize_type(ty)
     active = [(Variable(i + 1), c) for i, c in enumerate(ty) if c]
     active.sort(key=lambda vc: (-vc[1], vc[0].index))
-    degrees = tuple(c for _, c in active)
-    if len(degrees) == 1:
-        tag = "n"
-        targets = (X,)
-    elif len(degrees) == 2 and degrees[1] == 1:
-        tag = "n1"
-        targets = (X, Y)
-    elif len(degrees) == 2 and degrees[1] == 2 and degrees[0] >= 2:
-        tag = "n2"
-        targets = (X, Y)
-    elif len(degrees) == 3 and degrees[1] == 1 and degrees[2] == 1:
-        tag = "n11"
-        targets = (X, Y, Z)
-    else:
+    tag = _SHAPES.get(tuple(c for _, c in active[1:]))
+    if tag is None:
         return None, None
-    roles = {v: t for (v, _), t in zip(active, targets)}
-    return tag, roles
+    return tag, {v: t for (v, _), t in zip(active, (X, Y, Z))}
 
 
 def relabel_monomial(m: Monomial, mapping: dict) -> Monomial:
@@ -112,15 +105,8 @@ def relabel_monomial(m: Monomial, mapping: dict) -> Monomial:
     return fold(m, cache, product)
 
 
-def _relabel(terms, mapping: dict) -> tuple:
-    """The terms (m, n) of a form with each monomial m relabelled by a
-    map of a ``TypeRecord``, in which an empty map is the identity."""
-    if not mapping:
-        return tuple(terms)
-    return tuple((relabel_monomial(m, mapping), n) for m, n in terms)
-
-
-class TypeRecord(NamedTuple):
+@dataclass(frozen=True, eq=False)
+class TypeRecord:
     """What the rewriting knows of one type, found once per type."""
 
     tag: str  # the shape
@@ -131,7 +117,15 @@ class TypeRecord(NamedTuple):
     # letters, that monomial in those letters), in span order
     order: dict
     basis: frozenset  # the span monomials in own letters that have this type
+    type: tuple  # the type itself
     variables: tuple  # the indices of the type's letters
+
+    @functools.cached_property
+    def system(self) -> FactoredSystem:
+        """The span's Peirce system in the type's letters, factored at the
+        first solve, not when ``admit`` builds the record: column k is the
+        Peirce column of span monomial k."""
+        return factor(list(zip(*(peirce_column(m, self.type) for _, m in self.order.values()))))
 
 
 def _shape(ty):
@@ -154,7 +148,7 @@ def _record(ty) -> TypeRecord:
     order = {b: (rank[m], m) for b, m in zip(span, own)}
     basis = frozenset(m for m in own if type_vector(m) == ty)
     variables = tuple(i + 1 for i, count in enumerate(ty) if count)
-    return TypeRecord(tag, moved, inverse, order, basis, variables)
+    return TypeRecord(tag, moved, inverse, order, basis, ty, variables)
 
 
 # ---------------------------------------------------------------------------
@@ -202,30 +196,11 @@ def _family(tag: str, n: int) -> list[Monomial]:
 # exact linear solve over the span
 
 
-# canonical type -> (span basis, factored system of its Peirce conditions)
-_SPAN_SYSTEMS: dict[tuple, tuple] = {}
-
-
-def _span_system(ty):
-    """The span basis of a canonical type and its system, factored once.
-
-    Column k of the system is the Peirce column of basis monomial k: its
-    Peirce coefficients and the coefficient-sum condition.
-    """
-    got = _SPAN_SYSTEMS.get(ty)
-    if got is None:
-        basis = span_basis(ty)
-        columns = [peirce_column(m, ty) for m in basis]
-        got = _SPAN_SYSTEMS[ty] = (basis, factor(list(zip(*columns))))
-    return got
-
-
 def _solve_in_span(w: Monomial) -> tuple:
     """Form of the unique P in the span with w's Peirce polynomials and sum 1."""
-    ty = type_vector(w)
-    basis, system = _span_system(ty)
-    den, nums = solve_unique(system, peirce_column(w, ty))
-    return den, tuple((m, n) for m, n in zip(basis, nums) if n)
+    record = _record(type_vector(w))
+    den, nums = solve_unique(record.system, peirce_column(w, record.type))
+    return den, tuple((m, n) for (_, m), n in zip(record.order.values(), nums) if n)
 
 
 # ---------------------------------------------------------------------------
@@ -240,16 +215,14 @@ def _rule(m1: Monomial, m2: Monomial) -> tuple:
     pattern = product(m1, m2)
     got = _RULES.get(pattern)
     if got is None:
-        pc, record, _ = _prepare(pattern, allow_basis=True)
-        den, terms = _solve_in_span(pc)
-        got = _RULES[pattern] = (den, _relabel(terms, record.inverse))
+        got = _RULES[pattern] = _solve_in_span(pattern)
     return got
 
 
 def _polynomial(form, inverse) -> Polynomial:
     """The polynomial of an int form, relabelled by inverse."""
     den, terms = form
-    return Polynomial._raw({m: Q(n, den) for m, n in _relabel(terms, inverse)})
+    return Polynomial._raw({relabel_monomial(m, inverse): Q(n, den) for m, n in terms})
 
 
 # monomial -> the form of its normal form
@@ -296,15 +269,26 @@ def _rewrite(left: tuple, right: tuple) -> tuple:
 # public entry points
 
 
-def _prepare(w: Monomial, shape=None, *, allow_basis=False):
-    """(w in canonical letters, the record of w's type, w's type)."""
-    ty = type_vector(w)
-    record = _record(ty)
+def _checked(w: Monomial, shape=None, *, allow_basis=False) -> TypeRecord:
+    """w's record, once w is of the shape asked and, unless allowed, no basis monomial."""
+    record = _record(type_vector(w))
     if shape is not None and shape != record.tag:
         raise ShapeError(f"monomial has shape {record.tag!r}, not {shape!r}")
     if not allow_basis and w in record.basis:
         raise BasisMonomialError("basis monomial has no train identity")
-    return relabel_monomial(w, record.moved), record, ty
+    return record
+
+
+def _prepare(w: Monomial, shape=None, *, allow_basis=False):
+    """(w in canonical letters, the record of w's type, w's type), for the
+    fold.  The fold runs in canonical letters, where each letter's index
+    follows its count, so a tie between equal counts, broken by letter
+    index, falls the same way in every sub-monomial as in w, and every
+    sub-monomial's roles agree with w's.  In w's own letters they need not:
+    in (0,2,5), z is w's x and y its y, but a sub-monomial of type (0,2,2)
+    would take y as its x, and the fold would leave terms outside w's span."""
+    record = _checked(w, shape, allow_basis=allow_basis)
+    return relabel_monomial(w, record.moved), record, record.type
 
 
 def reduce(w: Monomial, shape=None) -> Polynomial:
@@ -318,7 +302,7 @@ def reduce(w: Monomial, shape=None) -> Polynomial:
 
 
 def solve_Pw(w: Monomial, shape=None) -> Polynomial:
-    """P(w) by the direct exact linear solve over the span.
+    """P(w) by the direct exact linear solve over the span, in w's letters.
 
     The system depends only on the type of w, so it is one elimination
     per type, reused for every monomial: solving for w reads only the
@@ -327,8 +311,8 @@ def solve_Pw(w: Monomial, shape=None) -> Polynomial:
     independent cross-check of ``reduce`` on the monomials that have a
     train identity; a basis monomial raises BasisMonomialError.
     """
-    wc, record, _ = _prepare(w, shape)
-    return _polynomial(_solve_in_span(wc), record.inverse)
+    _checked(w, shape)
+    return _polynomial(_solve_in_span(w), {})
 
 
 def train_identity(w: Monomial, shape=None) -> Identity:

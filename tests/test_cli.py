@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import hashlib
 import io
@@ -15,6 +16,7 @@ from evanescent.cli import build_parser, main
 from evanescent.homgen import peirce_matrix
 from evanescent.peirce import is_evanescent
 from evanescent.poly import Polynomial
+from evanescent.rationals import Q
 from evanescent.syntax import parse
 
 from conftest import fraction_format, fraction_nullspace
@@ -348,7 +350,7 @@ def test_cli_answers_any_expression_or_exits_2_with_one_line(command, expr):
 
 def assert_answers_or_exits_2_with_one_line(argv):
     """Run main in process: exit 0, 1 or 2 with no traceback, and on
-    exit 2 an empty stdout and one error line."""
+    exit 2 an empty stdout and one error line.  Returns (exit, stdout)."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
@@ -358,6 +360,7 @@ def assert_answers_or_exits_2_with_one_line(argv):
     if code == 2:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+    return code, out
 
 
 _HUGE = "100000000000000000000"
@@ -393,6 +396,121 @@ def _type_commands(draw):
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(_type_commands())
 def test_type_commands_answer_or_exit_2_with_one_line(argv):
+    assert_answers_or_exits_2_with_one_line(argv)
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["--type", ""], "error: bad type '': invalid literal for int() with base 10: ''\n"),
+        (["--of", ""], "error: empty input (line 1, column 1)\n"),
+        (["--of", "", "--type", "3"], "error: empty input (line 1, column 1)\n"),
+    ],
+    ids=["type", "of", "of-and-type"],
+)
+def test_empty_train_texts_are_given_values(capsys, argv, err):
+    # an empty --type or --of is read as the text it is, as enum and check read it
+    assert run_cli(capsys, "train", *argv) == (2, "", err)
+
+
+def _rationals(size):
+    """Texts n/d, or n when d = 1, with |n| <= size and 1 <= d <= size."""
+    return st.builds(
+        lambda n, d: f"{n}/{d}" if d > 1 else str(n), st.integers(-size, size), st.integers(1, size)
+    )
+
+
+_MALFORMED_RATIONALS = [",", "1/0", "1e3", "a", "1//2"]
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    st.one_of(st.lists(_rationals(30), max_size=5), st.sampled_from(_MALFORMED_RATIONALS)),
+    st.sampled_from(["text", "jsonl"]),
+)
+def test_spectrum_answers_or_exits_2_with_one_line(values, fmt):
+    # the Peirce spectrum of the built algebra is 1 and the given values;
+    # the list is joined to its flag, since argparse takes "-1/2" for an option
+    text = values if isinstance(values, str) else ",".join(values)
+    code, out = assert_answers_or_exits_2_with_one_line(["spectrum", f"--eigenvalues={text}", "--format", fmt])
+    assert code == (2 if isinstance(values, str) else 0)
+    if code:
+        return
+    if fmt == "jsonl":
+        roots = json.loads(out)["roots"]
+    else:
+        (line,) = [line for line in out.splitlines() if line.startswith("roots = ")]
+        roots = [root[:-1].split(" (x") for root in line[len("roots = "):].split(", ")]
+    got = collections.Counter()
+    for r, m in roots:
+        got[Q(r)] += int(m)
+    assert got == collections.Counter([Q(1), *map(Q, values)])
+
+
+_ENTRIES = _rationals(3)
+
+
+@st.composite
+def _algebra_texts(draw):
+    """The JSON text of an algebra of dimension 1-3 in either form, most
+    often a baric one, or of one with a missing key, a wrong type, an
+    exponent, a zero denominator or an index out of range."""
+    dim = draw(st.integers(1, 3))
+    # the weight (a, 0, ...) is a character when only e0 e0 has an e0 term, a,
+    # and it is fixed by a mutation map whose first row is (1, 0, ...)
+    a = draw(_ENTRIES.filter(lambda c: Q(c) != 0))
+    weight = [a] + ["0"] * (dim - 1)
+    entries = st.lists(_ENTRIES, min_size=dim, max_size=dim)
+    if draw(st.booleans()):
+        matrix = [["1"] + ["0"] * (dim - 1), *draw(st.lists(entries, min_size=dim - 1, max_size=dim - 1))]
+        spec = {"dim": dim, "mutation": {"matrix": matrix, "weight": weight}}
+    else:
+        cells = st.tuples(st.integers(0, dim - 1), st.integers(0, dim - 1), st.integers(1, 3), _ENTRIES)
+        cells = cells.filter(lambda cell: cell[2] < dim).map(list)
+        unordered = lambda cell: (min(cell[:2]), max(cell[:2]), cell[2])
+        structure = [[0, 0, 0, a], *draw(st.lists(cells, max_size=6, unique_by=unordered))]
+        spec = {"dim": dim, "weight": weight, "structure": structure}
+    if draw(st.booleans()):
+        # a structure form's weight is then most often no character
+        weight[0] = draw(st.sampled_from(["-1", "2", "1/2"]))
+    fault = draw(st.sampled_from([None] * 5 + ["missing", "type", "exponent", "zero", "index"]))
+    if fault == "missing":
+        del spec["dim"]
+    elif fault == "type":
+        spec["dim"] = [dim]
+    elif fault == "exponent":
+        weight[-1] = "1e3"
+    elif fault == "zero":
+        weight[-1] = "1/0"
+    elif fault == "index":
+        (spec.get("structure") or spec["mutation"]["matrix"]).append([0, dim, 0, "1"])
+    return json.dumps(spec)
+
+
+_IDENTITIES = [
+    "x^2x^2-2x^3+x^2",
+    "(x^2x^2)y-2x^3y+x^2y",
+    "x^2(xy)-x(xy)-x^2y+xy",
+    "x^2 y^2 - (x y)(x y)",
+    "",
+    "x^",
+    "2 x - y",
+]
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    _algebra_texts(),
+    st.sampled_from(_IDENTITIES),
+    st.integers(-1, 3),
+    st.sampled_from([0, 7, -5, 2**70]),
+    st.sampled_from(["text", "jsonl"]),
+)
+def test_verify_answers_or_exits_2_with_one_line(tmp_path_factory, algebra, identity, trials, seed, fmt):
+    path = tmp_path_factory.mktemp("algebra") / "algebra.json"
+    path.write_text(algebra, encoding="utf-8")
+    argv = ["verify", "--algebra", str(path), "--identity", identity,
+            "--trials", str(trials), "--seed", str(seed), "--format", fmt]
     assert_answers_or_exits_2_with_one_line(argv)
 
 

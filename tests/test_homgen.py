@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 
@@ -379,7 +380,7 @@ def test_span_solve_factors_each_type_once(monkeypatch):
         return original(rows)
 
     monkeypatch.setattr(homgen, "rref", counted)
-    monkeypatch.setattr(trainsgen, "_SPAN_SYSTEMS", {})
+    monkeypatch.setattr(trainsgen, "_record", functools.cache(trainsgen._record.__wrapped__))
     basis = set(trainsgen.excluded_basis(ty))
     solved = [trainsgen.solve_Pw(w) for w in monomials_of_type(ty) if w not in basis]
     assert len(solved) > 1

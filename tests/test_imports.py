@@ -34,3 +34,47 @@ def test_the_guard_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_import_is_read(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def private_definitions(source: str) -> list[str]:
+    """The module-level private names a module defines: functions,
+    classes and assignment targets that start with ``_``, dunders exempt."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return [n for n in names if n.startswith("_") and not (n.startswith("__") and n.endswith("__"))]
+
+
+def unread_private_names(sources: dict) -> list[str]:
+    """``module.name`` for each module-level private name that no source
+    reads, as a name or as an attribute."""
+    read = set()
+    for source in sources.values():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return sorted(
+        f"{module}.{name}"
+        for module, source in sources.items()
+        for name in private_definitions(source)
+        if name not in read
+    )
+
+
+def test_the_guard_sees_an_unread_private_name():
+    sources = {
+        "a": "_CACHE: dict = {}\n_left = 1\n__all__ = []\n\ndef _helper():\n    return _CACHE\n\nclass _Gone:\n    pass\n",
+        "b": "from .a import _helper\n\ndef _unused(x):\n    return _helper() + x._left\n",
+    }
+    assert unread_private_names(sources) == ["a._Gone", "b._unused"]
+
+
+def test_every_private_name_is_read():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
+    assert unread_private_names(sources) == []

@@ -1,3 +1,6 @@
+import functools
+import hashlib
+import itertools
 import math
 import random
 
@@ -21,7 +24,7 @@ from evanescent.magma import (
 from evanescent.peirce import EvanescenceError, _packed, is_evanescent, peirce_tree
 from evanescent.poly import Polynomial
 from evanescent.rationals import Q
-from evanescent.syntax import format_polynomial, parse, parse_monomial
+from evanescent.syntax import format_monomial, format_polynomial, parse, parse_monomial
 from evanescent.trainsgen import (
     BasisMonomialError,
     ShapeError,
@@ -285,8 +288,10 @@ def test_integer_rewriting_from_cold_caches(monkeypatch):
 
 def test_large_spans_agree_from_cold_caches(monkeypatch):
     # the (40, 1) span system is 81 x 79, larger than any the workloads solve;
-    # each canonical type met along the way is factored exactly once
-    monkeypatch.setattr(trainsgen, "_SPAN_SYSTEMS", {})
+    # each type solved along the way is factored exactly once, on its record
+    records = {}
+    build = trainsgen._record.__wrapped__
+    monkeypatch.setattr(trainsgen, "_record", lambda ty: records.get(ty) or records.setdefault(ty, build(ty)))
     monkeypatch.setattr(trainsgen, "_RULES", {})
     monkeypatch.setattr(trainsgen, "_REDUCE_CACHE", {})
     calls = []
@@ -297,6 +302,7 @@ def test_large_spans_agree_from_cold_caches(monkeypatch):
         return original(rows)
 
     monkeypatch.setattr(homgen, "rref", counted)
+    solved = lambda: [record for record in records.values() if "system" in vars(record)]
     x, y, z = leaf(X), leaf(Y), leaf(Z)
     monomials = [
         product(principal_power(X, 20), left_iterate(X, 20, y)),
@@ -309,10 +315,10 @@ def test_large_spans_agree_from_cold_caches(monkeypatch):
     for w in monomials:
         assert type_vector(w) in ((40, 1), (12, 1, 1)) and not is_basis_monomial(w)
         assert reduce(w) == solve_Pw(w)
-    assert len(calls) == len(trainsgen._SPAN_SYSTEMS) and (81, 79) in calls
+    assert len(calls) == len(solved()) and (81, 79) in calls
     for w in monomials:
         solve_Pw(w)
-    assert len(calls) == len(trainsgen._SPAN_SYSTEMS)
+    assert len(calls) == len(solved())
 
 
 def test_reduce_accumulates_rational_rules_in_ints(monkeypatch):
@@ -720,3 +726,42 @@ def test_a_coarse_class_key_raises(monkeypatch):
     with pytest.raises(EvanescenceError) as raised:
         generate_train_basis(ty)
     assert not raised.value.report.is_evanescent_identity
+
+
+# ---------------------------------------------------------------------------
+# pins: one sha256 over what the rewriting and the shapes give
+
+
+def test_rules_are_pinned(monkeypatch):
+    # from cold caches, every non-basis monomial of the train workload's
+    # types and of four types in moved letters is reduced and solved; the
+    # digest covers every rule as cached and both routes' P(w)
+    monkeypatch.setattr(trainsgen, "_record", functools.cache(trainsgen._record.__wrapped__))
+    monkeypatch.setattr(trainsgen, "_RULES", {})
+    monkeypatch.setattr(trainsgen, "_REDUCE_CACHE", {})
+    texts = lambda p: [(format_monomial(m), str(c)) for m, c in p.terms.items()]
+    lines = []
+    for ty in _train_types() + [(0, 2, 5), (1, 6), (3, 0, 1), (1, 0, 4, 1)]:
+        for w in monomials_of_type(ty):
+            if not is_basis_monomial(w):
+                lines.append(repr((format_monomial(w), texts(reduce(w)), texts(solve_Pw(w)))))
+    for pattern, (den, terms) in trainsgen._RULES.items():
+        lines.append(repr((format_monomial(pattern), den, [(format_monomial(m), n) for m, n in terms])))
+    assert len(trainsgen._RULES) == 363
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "f7ddc71ea3a637173c429946037c579397ba7c957b91d49a8b7d6a1173e7f175"
+
+
+def test_classify_type_is_pinned():
+    # every type of 1-4 entries and total degree 1 to 8
+    lines, tags = [], set()
+    for size in range(1, 5):
+        for ty in itertools.product(range(9), repeat=size):
+            if 1 <= sum(ty) <= 8:
+                tag, roles = classify_type(ty)
+                tags.add(tag)
+                lines.append(repr((ty, tag, roles and sorted((v.index, t.index) for v, t in roles.items()))))
+    assert tags == {"n", "n1", "n2", "n11", None}
+    assert classify_type((2, 2, 1)) == (None, None)
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "e7415a1b5a3e67dbe3531ed09ec7fbd16fc3ce3e3f28482251d147828275da09"
