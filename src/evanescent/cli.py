@@ -4,6 +4,13 @@ Every run with identical inputs and seed produces byte-identical
 output.  Results go to stdout, diagnostics to stderr; exit status is 2
 on usage errors, 1 on a failed verification or a failed
 --expect-evanescent check, 0 otherwise.
+
+``homog`` and ``train --type`` stream: each identity is printed as soon
+as it is checked, from the frame of its Peirce class (``syntax.frame``),
+so a class's shared terms are rendered once.  Input errors are found
+before the first line.  A failed re-check mid-stream is a program fault,
+not an input error: the lines printed before it stay, then one
+``error:`` line, and the exit status is 2.
 """
 
 from __future__ import annotations
@@ -31,13 +38,20 @@ def _jsonl(out, obj):
     out.write(json.dumps(obj, sort_keys=True) + "\n")
 
 
-def _emit_identity(identity, fmt, out):
-    """Print an identity from the int form it was checked in."""
-    den, terms = identity.den, identity.terms
-    if fmt == "jsonl":
-        _jsonl(out, syntax.form_to_json(den, terms, identity.type))
-    else:
-        out.write(syntax.format_form(den, terms) + "\n")
+def _emit_identities(identities, fmt, out):
+    """Print each identity as soon as it is checked.  Its line is its
+    member's text spliced into the ``syntax.frame`` of its Peirce class
+    and its member's place, so the shared terms of a class are rendered
+    once: in ``homog`` the member is the largest term and goes first."""
+    frames = {}  # (id of a class, a place) -> (the class, kept so the id stays its own; the frame)
+    text = syntax.member_text(fmt)
+    for identity in identities:
+        cls, at = identity.cls, identity.at
+        got = frames.get((id(cls), at))
+        if got is None:
+            before, after = syntax.frame(cls.den, cls.form, cls.coef, at, fmt, identity.type)
+            got = frames[id(cls), at] = cls, before, after + "\n"
+        out.write(got[1] + text(identity.member) + got[2])
 
 
 def cmd_peirce(args, out) -> int:
@@ -108,21 +122,18 @@ def _train_types(args):
 def cmd_train(args, out) -> int:
     if args.of is not None:
         w = syntax.parse_monomial(args.of)
-        identity = trainsgen.train_identity(w)
-        _emit_identity(identity, args.format, out)
+        _emit_identities([trainsgen.train_identity(w)], args.format, out)
         return 0
     if args.type is None:
         raise ValueError("train needs --of EXPR or --type TYPE")
     for ty in _train_types(args):
-        for identity in trainsgen.generate_train_basis(ty, max_degree=args.max_degree):
-            _emit_identity(identity, args.format, out)
+        _emit_identities(trainsgen.iter_train_basis(ty, args.max_degree), args.format, out)
     return 0
 
 
 def cmd_homog(args, out) -> int:
     ty = _parse_type(args.type)
-    for identity in homgen.generate_homogeneous(ty):
-        _emit_identity(identity, args.format, out)
+    _emit_identities(homgen.iter_homogeneous(ty), args.format, out)
     return 0
 
 
@@ -261,10 +272,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the options that take a value, of every command
+_VALUE_OPTIONS = frozenset({
+    "--format", "--var", "--type", "--of", "--all", "--max-degree",
+    "--algebra", "--identity", "--trials", "--seed", "--eigenvalues",
+})
+
+
+def _attached(argv) -> list:
+    """argv with each value that begins with a single '-' attached to its
+    option, as --option=value: argparse would take "-1/2" after
+    --eigenvalues, or "-x^2" after --identity, for an unknown option."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in _VALUE_OPTIONS and arg[:1] == "-" and arg[:2] != "--":
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attached(sys.argv[1:] if argv is None else argv))
         return args.fn(args, sys.stdout)
     except SystemExit as exc:
         code = exc.code

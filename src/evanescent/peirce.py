@@ -17,16 +17,17 @@ exactly when that Peirce polynomial is; only a nonzero sum is decoded,
 with ``Q`` built per nonzero digit.  The coefficient sum is read from
 the same ints.
 
-An ``Identity`` is held as the int form it was checked in: one positive
-denominator and its (monomial, int) terms in ascending canonical order,
-with no common factor, so the form is canonical.  Every identity is
-checked, and built, by ``placed``, as a member of a ``PeirceClass``:
-the terms all members share, whose sums ``peirce_class`` takes once,
-and the member's own term, checked by its own packed entry.  A class
-is -P(w) in ``trainsgen``, a group of equal free columns of a nullspace
-in ``homgen``, and every term but the last in ``make_identity``.  The
-``Q`` polynomial and the decoded report are built only when asked for,
-or when a check fails.
+Every identity is checked, and built, by ``placed``, as a member of a
+``PeirceClass``: the terms all members share, whose sums ``peirce_class``
+takes once, and the member's own term, checked by its own packed entry.
+A class is -P(w) in ``trainsgen``, a group of equal free columns of a
+nullspace in ``homgen``, and every term but the last in ``make_identity``.
+An ``Identity`` holds its class, its member and the member's place among
+the shared terms, so the members of a class share one form.  Its own
+int form, one positive denominator and its (monomial, int) terms in
+ascending canonical order with no common factor, is canonical; it is
+built, like the ``Q`` polynomial and the decoded report, only when asked
+for, or when a check fails.
 """
 
 from __future__ import annotations
@@ -330,16 +331,29 @@ class EvanescenceError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class Identity:
-    """A verified evanescent identity sum(n m) / den, held as the int form
-    it was checked in: ``den`` > 0 and ``terms``, its (m, n) pairs with n
-    a nonzero int, in ascending canonical monomial order, with gcd(den,
-    n, ...) = 1.  The form is canonical, so equality and hashing read it;
-    the ``Q`` polynomial and the report are built when first asked for."""
+    """A verified evanescent identity sum(n m) / den: the member ``member``
+    of the Peirce class ``cls``, its own term (member, cls.coef) placed
+    at index ``at`` of its terms, between the class's shared terms.  Its
+    int form is ``den`` > 0 and ``terms``, its (m, n) pairs with n a
+    nonzero int, in ascending canonical monomial order, with gcd(den, n,
+    ...) = 1; ``terms`` is built when first asked for, and the form is
+    canonical, so equality and hashing read it.  The ``Q`` polynomial and
+    the report are built when first asked for too."""
 
-    den: int
-    terms: tuple
+    cls: PeirceClass
+    member: Monomial
+    at: int
     type: tuple | None
     train: bool
+
+    @property
+    def den(self) -> int:
+        return self.cls.den
+
+    @functools.cached_property
+    def terms(self) -> tuple:
+        form, at = self.cls.form, self.at
+        return (*form[:at], (self.member, self.cls.coef), *form[at:])
 
     @functools.cached_property
     def polynomial(self) -> Polynomial:
@@ -348,7 +362,8 @@ class Identity:
 
     @functools.cached_property
     def report(self) -> EvanescenceReport:
-        return _report([m for m, _ in self.terms], [n for _, n in self.terms], self.den)
+        terms = self.terms
+        return _report([m for m, _ in terms], [n for _, n in terms], self.den)
 
     def __eq__(self, other):
         return isinstance(other, Identity) and (self.den, self.terms) == (other.den, other.terms)
@@ -405,10 +420,9 @@ def placed(m: Monomial, cls: PeirceClass, at: int, ty, train: bool) -> Identity:
     den, form, coef, variables, bits, target = cls
     while at < len(form) and form[at][0] < m:
         at += 1
-    terms = (*form[:at], (m, coef), *form[at:])
     if _packed(m, variables, bits) != target:
-        raise _not_evanescent(den, terms)
-    return Identity(den, terms, ty, train)
+        raise _not_evanescent(den, (*form[:at], (m, coef), *form[at:]))
+    return Identity(cls, m, at, ty, train)
 
 
 def _not_evanescent(den: int, terms) -> EvanescenceError:

@@ -35,18 +35,24 @@ filled bottom-up with an explicit stack, so printing a deep monomial
 does not recurse.
 
 Sums are printed from int forms, sum(n m) / den with the terms (m, n)
-held in ascending canonical order, as an ``Identity`` keeps them:
-``format_form`` and ``form_to_json`` walk that order in reverse, so the
-printer never sorts.  ``format_form`` hands the int form and ``_TEXT``
-to ``rationals.format_sum``, the one renderer of signed sums, which
-builds the line in one loop and reduces n / den by a gcd only when den
-is not 1, printing it as ``str`` prints the ``Q``.
+held in ascending canonical order, as a ``PeirceClass`` keeps its shared
+terms: ``format_form`` and ``form_to_json`` walk that order in reverse,
+so the printer never sorts.  ``format_form`` hands the int form and
+``_TEXT`` to ``rationals.format_sum``, the one renderer of signed sums,
+which builds the line in one loop and reduces n / den by a gcd only when
+den is not 1, printing it as ``str`` prints the ``Q``.
 ``format_polynomial`` and ``polynomial_to_json`` print a ``Polynomial``
 from its ``int_form``.
+
+An identity is printed from its class: ``frame`` renders a class's
+shared terms once, as text or as JSON, with a mark where a member's
+text goes, and cuts the line there, so each member's line is its own
+text spliced into the frame.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import re
 
@@ -319,20 +325,49 @@ def format_monomial(m: Monomial) -> str:
     return _render(m)
 
 
-def format_form(den: int, terms) -> str:
+def format_form(den: int, terms, texts=None) -> str:
     """Canonical rendering of the int form sum(n m) / den, its terms in
-    ascending canonical order: printed in descending order."""
-    return format_sum(den, reversed(terms), _TEXT)
+    ascending canonical order: printed in descending order, each
+    monomial's text read from texts, ``_TEXT`` unless given."""
+    return format_sum(den, reversed(terms), _TEXT if texts is None else texts)
 
 
-def form_to_json(den: int, terms, ty=None) -> dict:
+def form_to_json(den: int, terms, ty=None, texts=None) -> dict:
     """JSON-lines payload of an int form: exact coefficients plus grammar
     monomials, in the order ``format_form`` prints them."""
+    texts = _TEXT if texts is None else texts
     out = []
     for m, n in reversed(terms):
         g = math.gcd(n, den)
-        out.append({"coeff": q_text(n // g, den // g), "monomial": _TEXT[m]})
+        out.append({"coeff": q_text(n // g, den // g), "monomial": texts[m]})
     return {"type": list(ty) if ty is not None else None, "terms": out}
+
+
+_MARK = "\0"  # a member's text in a frame: no printed text has it
+
+
+def frame(den: int, form, coef: int, at: int, fmt: str, ty=None) -> tuple[str, str]:
+    """(before, after) with before + ``member_text(fmt)(m)`` + after the
+    printed line of the int form whose terms are the shared terms ``form``,
+    in ascending order, and (m, coef) at index ``at`` among them.  The
+    line is rendered once for all such m, with a mark for m's text, and
+    cut at the mark."""
+    terms = (*form[:at], (None, coef), *form[at:])
+    texts = {m: _TEXT[m] for m, _ in form}
+    texts[None] = _MARK
+    if fmt == "jsonl":
+        line = json.dumps(form_to_json(den, terms, ty, texts), sort_keys=True)
+        before, after = line.split(json.dumps(_MARK))
+    else:
+        before, after = format_form(den, terms, texts).split(_MARK)
+    return before, after
+
+
+def member_text(fmt: str):
+    """The text of a monomial as a ``frame`` takes it."""
+    if fmt == "jsonl":
+        return lambda m: json.dumps(_TEXT[m])
+    return _TEXT.__getitem__
 
 
 def format_polynomial(f: Polynomial) -> str:

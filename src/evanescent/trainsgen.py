@@ -35,16 +35,19 @@ canonical order, P(w)'s terms ordered by their rank in the span basis
 put in the type's own letters.  Everything known of a type (shape,
 letters, span order, basis, span system) is one ``TypeRecord``.
 
-P(w) depends only on w's Peirce polynomials, so ``generate_train_basis``
-works once per Peirce class of its type (the monomials with one packed
-Peirce entry): it reduces and ranks one member, and takes -P(w)'s
-coefficient sum and packed Peirce sums, a ``peirce.PeirceClass`` whose
-shared terms are -P(w) and whose member coefficient is den.  Each
-member's w is placed into that form and checked on its own by
-``peirce.placed``, by its own packed Peirce entry against the class's
-sums; ``train_identity`` is a class of one.  The classes live for one
-call: ``_REDUCE_CACHE`` holds only forms the rewriting computed, so
-``reduce`` vs ``solve_Pw`` stays an independent check.
+P(w) depends only on w's Peirce polynomials, so ``iter_train_basis``
+works once per Peirce class of its type (``homgen.peirce_classes``: the
+monomials with one packed Peirce entry): it reduces and ranks the first
+non-basis member, and takes -P(w)'s coefficient sum and packed Peirce
+sums, a ``peirce.PeirceClass`` whose shared terms are -P(w) and whose
+member coefficient is den.  Each member's w is placed into that form and
+checked on its own by ``peirce.placed``, by its own packed Peirce entry
+against the class's sums, and yielded, in canonical order, as soon as it
+is checked; ``generate_train_basis`` is its list, and ``cmd_train``
+prints from it as it goes.  ``train_identity`` is a class of one.  The
+classes live for one call: ``_REDUCE_CACHE`` holds only forms the
+rewriting computed, so ``reduce`` vs ``solve_Pw`` stays an independent
+check.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .homgen import FactoredSystem, factor, peirce_column, solve_unique
+from .homgen import FactoredSystem, factor, peirce_classes, peirce_column, solve_unique
 from .magma import (
     Monomial,
     Variable,
@@ -65,13 +68,12 @@ from .magma import (
     leaf,
     leaves,
     left_iterate,
-    monomials_of_type,
     normalize_type,
     principal_power,
     product,
     type_vector,
 )
-from .peirce import Identity, _packed, peirce_class, placed
+from .peirce import Identity, peirce_class, placed
 from .poly import Polynomial
 from .rationals import Q
 
@@ -356,27 +358,37 @@ def admit(ty, max_degree: int = 10) -> tuple[int, ...]:
 
 
 def generate_train_basis(ty, max_degree: int = 10) -> list[Identity]:
-    """All train identities of a type, one per non-basis monomial.
+    """All train identities of a type, one per non-basis monomial, in
+    canonical order: the list of ``iter_train_basis``."""
+    return list(iter_train_basis(ty, max_degree))
+
+
+def iter_train_basis(ty, max_degree: int = 10):
+    """Each identity of ``generate_train_basis``, as soon as it is checked.
 
     P(w) depends only on w's Peirce polynomials, so once per Peirce class
-    (one packed entry at 64 bits, where each coefficient fits its slot)
-    it is reduced and ranked, and its sums are taken, by ``_ranked``.
-    Each member's identity is still built from its own w and checked on
-    its own, against its own packed Peirce entry, by ``peirce.placed``.
+    of the type (``homgen.peirce_classes``: one packed entry at 64 bits,
+    where each coefficient fits its slot) it is reduced and ranked, and
+    its sums are taken, by ``_ranked``, at the class's first non-basis
+    member.  Each member's identity is still built from its own w and
+    checked on its own, against its own packed Peirce entry, by
+    ``peirce.placed``.  Every class is ranked before the first member is
+    checked, so that printing each identity as it comes does not
+    interleave with the rewriting (which costs about 5 % more).
     """
     ty = admit(ty, max_degree)
     record = _record(ty)
-    classes = {}  # packed Peirce entry -> (the class, at), as ``_ranked`` gives them
-    identities = []
-    for w in monomials_of_type(ty):
-        if w in record.basis:
-            continue
-        key = _packed(w, record.variables, 64)
-        ranked = classes.get(key)
-        if ranked is None:
-            ranked = classes[key] = _ranked(relabel_monomial(w, record.moved), record)
-        identities.append(placed(w, *ranked, ty, True))
-    return identities
+    monomials, classes = peirce_classes(ty)
+    ranked = [None] * len(monomials)  # each non-basis monomial's (class, at), one per class
+    for members in classes.values():
+        own = [k for k in members if monomials[k] not in record.basis]
+        if own:
+            got = _ranked(relabel_monomial(monomials[own[0]], record.moved), record)
+            for k in own:
+                ranked[k] = got
+    for w, got in zip(monomials, ranked):
+        if got is not None:
+            yield placed(w, *got, ty, True)
 
 
 def rule_sources() -> dict:

@@ -111,6 +111,15 @@ def fraction_nullspace(rows):
     return [vec for _, vec in basis]
 
 
+def _dense_order(form, scale) -> list:
+    """Sort key of a form: the lead column, then each later entry, over the
+    denominator scale, as (0, j, n) if negative and (2, -j, n) if positive,
+    then (1,): a missing column, 0, sorts between a negative and a positive."""
+    den, terms = form
+    k = scale // den
+    return [terms[0][0], *((0, j, n * k) if n < 0 else (2, -j, n * k) for j, n in terms[1:]), (1,)]
+
+
 def fraction_format(f):
     """The reference rendering of a polynomial: terms in descending
     canonical order, each coefficient printed by Fraction arithmetic."""

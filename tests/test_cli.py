@@ -12,7 +12,8 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from evanescent.cli import build_parser, main
+from evanescent import syntax
+from evanescent.cli import _emit_identities, build_parser, main
 from evanescent.homgen import peirce_matrix
 from evanescent.peirce import is_evanescent
 from evanescent.poly import Polynomial
@@ -427,12 +428,15 @@ _MALFORMED_RATIONALS = [",", "1/0", "1e3", "a", "1//2"]
 @given(
     st.one_of(st.lists(_rationals(30), max_size=5), st.sampled_from(_MALFORMED_RATIONALS)),
     st.sampled_from(["text", "jsonl"]),
+    st.booleans(),
 )
-def test_spectrum_answers_or_exits_2_with_one_line(values, fmt):
+def test_spectrum_answers_or_exits_2_with_one_line(values, fmt, joined):
     # the Peirce spectrum of the built algebra is 1 and the given values;
-    # the list is joined to its flag, since argparse takes "-1/2" for an option
+    # the list is joined to its flag or given as the next argument, which
+    # may begin with "-"
     text = values if isinstance(values, str) else ",".join(values)
-    code, out = assert_answers_or_exits_2_with_one_line(["spectrum", f"--eigenvalues={text}", "--format", fmt])
+    flag = [f"--eigenvalues={text}"] if joined else ["--eigenvalues", text]
+    code, out = assert_answers_or_exits_2_with_one_line(["spectrum", *flag, "--format", fmt])
     assert code == (2 if isinstance(values, str) else 0)
     if code:
         return
@@ -572,6 +576,51 @@ def test_verify_rejects_zero_trials(capsys, tmp_path):
     assert (code, out, err) == (2, "", "error: trials must be >= 1\n")
 
 
+def test_values_that_begin_with_a_dash_are_values(capsys, tmp_path):
+    # "--flag value" reads as "--flag=value" when the value begins with "-"
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps(MUTATION_3), encoding="utf-8")
+    cases = [
+        (["spectrum", "--eigenvalues"], "-1/2"),
+        (["spectrum", "--eigenvalues"], "-1/2,-3"),
+        (["verify", "--algebra", str(path), "--identity"], "-x^2 + x^2"),
+        (["verify", "--algebra", str(path), "--identity"], "-x^2"),
+        (["train", "--of"], "-x"),
+        (["train", "--type"], "-1,2"),
+        (["spectrum", "--format"], "-x"),
+    ]
+    results = []
+    for argv, value in cases:
+        separate = run_cli(capsys, *argv, value)
+        assert separate == run_cli(capsys, *argv[:-1], f"{argv[-1]}={value}")
+        results.append(separate[0])
+    assert results == [0, 0, 0, 1, 2, 2, 2]
+    assert run_cli(capsys, "train", "--of", "-x")[2] == "error: expected a monomial with coefficient 1\n"
+    # a real usage error is still argparse's: a missing value, and an
+    # option after a value option is not taken for its value
+    for argv in (["spectrum", "--eigenvalues"], ["spectrum", "--eigenvalues", "--format", "text"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "") and err.startswith("usage: evanescent")
+
+
+def test_value_options_are_the_parsers():
+    import argparse
+
+    from evanescent.cli import _VALUE_OPTIONS
+
+    parser = build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    takes_value = {
+        flag
+        for command in commands.choices.values()
+        for action in command._actions
+        if action.option_strings and action.nargs is None and action.const is None
+        and not isinstance(action, argparse._HelpAction)
+        for flag in action.option_strings
+    }
+    assert _VALUE_OPTIONS == takes_value
+
+
 def test_main_calls_share_one_parser(capsys):
     calls = [
         ("wnumber", "--type", "4,1"),
@@ -675,6 +724,13 @@ STDOUT_DIGESTS = {
         "4fbd936ca1c5c55e6105eaf4e8081df2e0ed4c92db85fd2a23112caa1f65fabe",
     ("homog", "--type", "2,2,2", "--format", "jsonl"):
         "190b1217161bca1f0f266b432a23853fa6a08e9c05b95acba10e63e36684ff5f",
+    # recorded before homog and train were streamed by Peirce class, with
+    # each class's shared terms rendered once: the two larger outputs whose
+    # printing that reorders
+    ("homog", "--type", "9,1,1"):
+        "a9bfb7b2f4460d844cb996224676dbdf19d36946bb2750d3d34ff1a979f53437",
+    ("train", "--type", "9,1,1", "--max-degree", "11"):
+        "172eef827fa012877760c98dacda3d3c1e48d949696f8815fbcd8fa5ca2b824a",
     # spectra with repeated eigenvalues and the eigenvalue 1
     ("spectrum", "--eigenvalues", "1,1,1/2"):
         "6e7d580c2da4d15c9653dcf80c971f03f6eebd17f3c0a4898fa5c780e02bf807",
@@ -700,21 +756,44 @@ def test_stdout_is_byte_identical(capsys, argv):
     assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_DIGESTS[argv]
 
 
+def test_members_of_one_class_at_two_places_print_their_own_lines():
+    # b - a and b - c for three monomials a < b < c of one Peirce class:
+    # one class, shared term b, whose members go before and after b, so
+    # each place has a frame of its own
+    from evanescent import homgen, peirce
+
+    ty = (4, 2)
+    monomials, runs = homgen.homogeneous_classes(ty)
+    a, b, c = (monomials[k] for k in sorted(max(runs, key=lambda run: len(run[3]))[3])[:3])
+    cls = peirce.peirce_class(1, [(b, 1)], -1, a, (1, 2))
+    identities = [peirce.placed(m, cls, 0, ty, False) for m in (a, c)]
+    assert [i.at for i in identities] == [0, 1]
+    lines = {
+        "text": [syntax.format_form(i.den, i.terms) for i in identities],
+        "jsonl": [json.dumps(syntax.form_to_json(i.den, i.terms, ty), sort_keys=True) for i in identities],
+    }
+    for fmt, want in lines.items():
+        out = io.StringIO()
+        _emit_identities(identities, fmt, out)
+        assert out.getvalue().splitlines() == want
+
+
 def test_printing_builds_no_polynomial_and_no_report(capsys, monkeypatch):
-    # text output is printed from each identity's int form
+    # text output is printed from each identity's int form; the commands
+    # stream the identities from the generators, which are recorded
     from evanescent import homgen, trainsgen
 
     made = []
 
     def recorded(generate):
         def wrapper(*args, **kwargs):
-            identities = generate(*args, **kwargs)
-            made.extend(identities)
-            return identities
+            for identity in generate(*args, **kwargs):
+                made.append(identity)
+                yield identity
         return wrapper
 
-    monkeypatch.setattr(trainsgen, "generate_train_basis", recorded(trainsgen.generate_train_basis))
-    monkeypatch.setattr(homgen, "generate_homogeneous", recorded(homgen.generate_homogeneous))
+    monkeypatch.setattr(trainsgen, "iter_train_basis", recorded(trainsgen.iter_train_basis))
+    monkeypatch.setattr(homgen, "iter_homogeneous", recorded(homgen.iter_homogeneous))
     for argv in (("train", "--type", "5,1,1"), ("homog", "--type", "4,2")):
         code, out, err = run_cli(capsys, *argv)
         assert (code, err) == (0, "") and len(out.splitlines()) > 1

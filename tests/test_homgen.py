@@ -11,6 +11,7 @@ from evanescent.homgen import (
     FactoredSystem,
     factor,
     generate_homogeneous,
+    homogeneous_classes,
     homogeneous_dimension,
     homogeneous_nullspace,
     nullspace,
@@ -25,7 +26,7 @@ from evanescent.poly import Polynomial
 from evanescent.rationals import ONE, Q, ZERO
 from evanescent.syntax import parse
 
-from conftest import SpanChecker, dense, fraction_nullspace, fraction_rref
+from conftest import SpanChecker, _dense_order, dense, fraction_nullspace, fraction_rref
 
 # exact dimensions, frozen after a first run; the paper proves only the
 # lower bounds asserted in test_dimension_bounds
@@ -217,13 +218,103 @@ def test_dense_order_on_prefixes():
             den = math.lcm(*(c.denominator for c in vec)) * rng.choice([1, 2])
             forms.append((den, tuple((j, int(c * den)) for j, c in enumerate(vec) if c)))
         scale = math.lcm(*(den for den, _ in forms))
-        got = sorted(forms, key=lambda form: homgen._dense_order(form, scale))
+        got = sorted(forms, key=lambda form: _dense_order(form, scale))
         want = sorted(vectors, key=lambda v: (next(i for i, c in enumerate(v) if c), v))
         assert [dense(form, 6) for form in got] == want, vectors
         for a, b in zip(got, got[1:]):
             if a[1][0][0] == b[1][0][0] and dense(a, 6) != dense(b, 6):
                 tie_breaks[tie_break(a, b)] += 1
     assert min(tie_breaks.values()) >= 20, tie_breaks
+
+
+def _in_dense_order(forms) -> bool:
+    scale = math.lcm(*(den for den, _ in forms))
+    return forms == sorted(forms, key=lambda form: _dense_order(form, scale))
+
+
+def _shape_types(max_degree):
+    """Every type of the four shapes n, (n, 1), (n, 2) and (n, 1, 1) up to
+    the total degree."""
+    return [(n, *rest) for rest in [(), (1,), (2,), (1, 1)] for n in range(1, max_degree - sum(rest) + 1)]
+
+
+def test_nullspace_and_identities_keep_the_oracle_order():
+    # the forms are ordered per class, and the classes merged: the result
+    # is the per-form order of the oracle key, for nullspace and for
+    # generate_homogeneous, which prints the forms' identities in turn
+    for ty in _shape_types(9):
+        matrix = peirce_matrix(ty)
+        forms = nullspace(matrix)
+        assert _in_dense_order(forms), ty
+        monomials = matrix.col_labels
+        want = [(den, tuple((monomials[j], n) for j, n in terms)) for den, terms in forms]
+        assert [(i.den, i.terms) for i in generate_homogeneous(ty)] == want, ty
+
+
+def test_nullspace_of_repeated_columns_keeps_the_oracle_order():
+    # repeated and proportional columns: proportional ones are classes of
+    # their own whose forms can interleave, and do here
+    rng = random.Random(31)
+    interleaved = 0
+    for _ in range(300):
+        rows = random_rational_matrix(rng)
+        ncols = len(rows[0])
+        picks = [(rng.randrange(ncols), rng.choice([1, 1, -1, 2])) for _ in range(rng.randint(1, 10))]
+        rows = [[row[j] * s for j, s in picks] for row in rows]
+        forms = nullspace(rows)
+        assert _in_dense_order(forms), rows
+        runs = [(den, terms[:-1], terms[-1][1]) for den, terms in forms]
+        starts = [run for i, run in enumerate(runs) if not i or run != runs[i - 1]]
+        interleaved += len(starts) > len(set(starts))
+    assert interleaved >= 10
+
+
+def test_two_classes_that_interleave():
+    # columns 2 and 5 are one class and column 4 another, with column 1 a
+    # zero column: the forms of 2 and 5, with a positive member entry, go
+    # in descending column order, and the form of 4 falls between them
+    rows = [[1, 0, -1, 0, -1, -1], [0, 0, 0, 1, -1, 0]]
+    forms = nullspace(rows)
+    assert [dense(form, 6) for form in forms] == fraction_nullspace(rows)
+    assert [terms[-1][0] for _, terms in forms] == [5, 4, 2, 1]
+    # the runs split the class of 2 and 5 around the class of 4
+    class_forms = homgen._class_forms([[1, 0, -1, 0, -1], [0, 0, 0, 1, -1]], [[0], [1], [2, 5], [3], [4]])
+    runs = homgen._runs(class_forms)
+    assert [members for *_, members in runs] == [[5], [4], [2], [1]]
+    assert runs[0][:3] == runs[2][:3] == (1, ((0, 1),), 1)
+    assert homgen._forms(runs) == forms and _in_dense_order(forms)
+
+
+def test_runs_merge_a_chain_of_overlapping_classes():
+    # three classes with one shared term, 1 at column 0, over dens 1, 2
+    # and 3, and positive member coefficients: each sorts its members by
+    # descending column.  B starts inside A and ends after it, and C
+    # starts after A ends but inside B, so C overlaps the group only
+    # through B
+    forms = [(1, ((0, 1),), 1, [4, 20]), (2, ((0, 2),), 1, [2, 10]), (3, ((0, 3),), 1, [3])]
+    members = [(den, (*shared, (f, coef))) for den, shared, coef, free in forms for f in free]
+    scale = math.lcm(1, 2, 3)
+    want = sorted(members, key=lambda form: _dense_order(form, scale))
+    runs = homgen._runs(forms)
+    assert homgen._forms(runs) == want
+    assert [run[3] for run in runs] == [[20], [10], [4], [3], [2]]
+
+
+@pytest.mark.parametrize(
+    "ty, letters",
+    [((2, 0, 1), ["x", "z"]), ((0, 3, 1), ["y", "z"]), ((1, 0, 0, 2), ["x", "t4"])],
+)
+def test_peirce_matrix_names_the_letters_of_a_type_with_a_gap(ty, letters):
+    matrix = peirce_matrix(ty)
+    degree = sum(ty)
+    assert matrix.row_labels == [(v, p) for v in letters for p in range(1, degree)] + [("sum", 0)]
+    indices = [i + 1 for i, count in enumerate(ty) if count]
+    for (v, power), row in zip(matrix.row_labels, matrix.rows):
+        i = indices[letters.index(v)] if v != "sum" else None
+        want = [1] * len(row) if i is None else [
+            (height_counts(m, i) + [0] * degree)[power] for m in matrix.col_labels
+        ]
+        assert row == want
 
 
 def test_homogeneous_dimension_is_nullspace_size():
@@ -463,20 +554,21 @@ def test_generated_identities_verify():
 # Peirce classes: the nullspace forms of one group of equal free columns
 
 
-def _groups(basis):
-    """The indices of the forms of each class key: the denominator, every
-    term but the last, and the last coefficient."""
-    groups = {}
-    for i, (den, terms) in enumerate(basis):
-        groups.setdefault((den, terms[:-1], terms[-1][1]), []).append(i)
-    return list(groups.values())
+def _largest_run(runs):
+    """The index of the first run with the most members."""
+    return max(range(len(runs)), key=lambda c: len(runs[c][3]))
 
 
-def _raised_report(monkeypatch, ty, monomials, basis):
-    monkeypatch.setattr(homgen, "homogeneous_nullspace", lambda t: (monomials, basis))
+def _raised_report(monkeypatch, ty, monomials, runs):
+    """The report raised when the runs are injected where
+    ``iter_homogeneous`` reads the nullspace by class, and the
+    identities it yields before."""
+    monkeypatch.setattr(homgen, "homogeneous_classes", lambda t: (monomials, runs))
+    yielded = []
     with pytest.raises(EvanescenceError) as raised:
-        generate_homogeneous(ty)
-    return raised.value.report
+        for identity in homgen.iter_homogeneous(ty):
+            yielded.append(identity)
+    return raised.value.report, yielded
 
 
 def _assert_own_report(report, monomials, form):
@@ -487,46 +579,98 @@ def _assert_own_report(report, monomials, form):
     assert not report.is_evanescent_identity and not oracle.is_evanescent_identity
 
 
+def test_a_peirce_type_has_one_run_per_class():
+    for ty in [(4, 2), (6, 1, 1), (8,)]:
+        monomials, runs = homogeneous_classes(ty)
+        assert len({(den, shared, coef) for den, shared, coef, _ in runs}) == len(runs)
+        assert homogeneous_nullspace(ty)[1] == nullspace(peirce_matrix(ty))
+
+
 def test_a_wrong_shared_form_fails_every_member(monkeypatch):
-    # one unit moved between two shared coefficients of a group: the
+    # one unit moved between two shared coefficients of a class: the
     # coefficient sum stays 0, but the class's Peirce sums no longer match
     # any member's own entry, so each member raises with its own report
     ty = (4, 2)
-    monomials, basis = homogeneous_nullspace(ty)
-    members = max(_groups(basis), key=len)
-    den, terms = basis[members[0]]
-    shared = list(terms[:-1])
+    monomials, runs = homogeneous_classes(ty)
+    c = _largest_run(runs)
+    den, shared, coef, members = runs[c]
+    shared = list(shared)
     # a unit from the first coefficient that is not 1 to another one
     i = next(i for i, (_, n) in enumerate(shared) if n != 1)
     j = next(j for j, (_, n) in enumerate(shared) if j != i and n != -1)
     shared[i] = (shared[i][0], shared[i][1] - 1)
     shared[j] = (shared[j][0], shared[j][1] + 1)
-    wrong = [(den, (*shared, basis[i][1][-1])) for i in members]
-    for k in range(len(wrong)):
-        # the group's forms in their places, member k first
-        rotated = iter(wrong[k:] + wrong[:k])
-        corrupted = [next(rotated) if i in members else form for i, form in enumerate(basis)]
-        report = _raised_report(monkeypatch, ty, monomials, corrupted)
-        _assert_own_report(report, monomials, wrong[k])
+    shared = tuple(shared)
+    for k in range(len(members)):
+        # the class's members in their place, member k first
+        rotated = members[k:] + members[:k]
+        corrupted = [*runs[:c], (den, shared, coef, rotated), *runs[c + 1:]]
+        report, yielded = _raised_report(monkeypatch, ty, monomials, corrupted)
+        _assert_own_report(report, monomials, (den, (*shared, (members[k], coef))))
+        assert len(yielded) == sum(len(run[3]) for run in runs[:c])
     assert len(members) == 4
 
 
 def test_a_member_of_another_column_fails_its_own_check(monkeypatch):
-    # the second form of a group pointed at the last column of another
-    # group: it shares the class of the first form, which passes, and it
+    # the second member of a class replaced by the first member of another
+    # class: it shares the class of the first member, which passes, and it
     # raises on its own packed Peirce entry
     ty = (4, 2)
-    monomials, basis = homogeneous_nullspace(ty)
-    groups = _groups(basis)
-    members = max(groups, key=len)
-    other = basis[next(g for g in groups if g is not members)[0]][1][-1][0]
-    den, terms = basis[members[1]]
-    wrong = (den, (*terms[:-1], (other, terms[-1][1])))
-    corrupted = list(basis)
-    corrupted[members[1]] = wrong
-    report = _raised_report(monkeypatch, ty, monomials, corrupted)
-    _assert_own_report(report, monomials, wrong)
-    assert members[0] < members[1]
+    monomials, runs = homogeneous_classes(ty)
+    c = _largest_run(runs)
+    den, shared, coef, members = runs[c]
+    other = runs[c - 1 if c else 1][3][0]
+    corrupted = list(runs)
+    corrupted[c] = (den, shared, coef, [members[0], other, *members[2:]])
+    report, yielded = _raised_report(monkeypatch, ty, monomials, corrupted)
+    _assert_own_report(report, monomials, (den, (*shared, (other, coef))))
+    assert yielded[-1].member is monomials[members[0]]
+
+
+def test_a_fault_in_x_alone_fails_the_check(monkeypatch):
+    # the class form is moved by a - b, for two monomials a and b below
+    # every member with the same Peirce polynomial in y and different ones
+    # in x: the wrong form differs from a true identity in x's Peirce
+    # polynomial alone, so a check that read any other letters would pass
+    ty = (4, 2)
+    monomials, runs = homogeneous_classes(ty)
+    c = _largest_run(runs)
+    den, shared, coef, members = runs[c]
+    below = range(min(members))
+    a, b = next(
+        (a, b) for a in below for b in below
+        if height_counts(monomials[a], 2) == height_counts(monomials[b], 2)
+        and height_counts(monomials[a], 1) != height_counts(monomials[b], 1)
+    )
+    terms = dict(shared)
+    terms[a] = terms.get(a, 0) + den
+    terms[b] = terms.get(b, 0) - den
+    wrong = tuple(sorted((j, n) for j, n in terms.items() if n))
+    corrupted = [*runs[:c], (den, wrong, coef, members), *runs[c + 1:]]
+    report, _ = _raised_report(monkeypatch, ty, monomials, corrupted)
+    _assert_own_report(report, monomials, (den, (*wrong, (members[0], coef))))
+    x, y = sorted(report.peirce)
+    assert not report.peirce[x].is_zero and report.peirce[y].is_zero
+
+
+def test_a_failed_check_mid_stream_keeps_the_lines_before(monkeypatch, capsys):
+    # a re-check fails only on a program fault: the lines printed before
+    # it stay, then one error line, and the exit status is 2
+    from evanescent.cli import main
+
+    ty = (4, 2)
+    monomials, runs = homogeneous_classes(ty)
+    c = _largest_run(runs)
+    den, shared, coef, members = runs[c]
+    wrong = ((shared[0][0], shared[0][1] + den), *shared[1:])
+    corrupted = [*runs[:c], (den, wrong, coef, members), *runs[c + 1:]]
+    assert main(["homog", "--type", "4,2"]) == 0
+    lines = capsys.readouterr().out.splitlines(keepends=True)
+    monkeypatch.setattr(homgen, "homogeneous_classes", lambda t: (monomials, corrupted))
+    assert main(["homog", "--type", "4,2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "".join(lines[: sum(len(run[3]) for run in runs[:c])]) != ""
+    assert err == "error: polynomial is not an evanescent identity\n"
 
 
 def test_exact_dimensions_regression():

@@ -298,6 +298,14 @@ def test_int_form_renderer_matches_fraction_printing(den, chosen, ty):
             for m, c in sorted(f.terms.items(), key=lambda mc: mc[0], reverse=True)
         ],
     }
+    # each term as a class member: its text spliced into the frame of
+    # the other terms gives the same line, as text and as JSON
+    lines = {"text": text, "jsonl": json.dumps(obj, sort_keys=True)}
+    for at, (m, n) in enumerate(terms):
+        form = terms[:at] + terms[at + 1:]
+        for fmt, line in lines.items():
+            before, after = syntax.frame(den, form, n, at, fmt, ty)
+            assert before + syntax.member_text(fmt)(m) + after == line
 
 
 def test_json_roundtrip(rng):

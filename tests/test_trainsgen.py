@@ -678,7 +678,7 @@ def _classes(ty):
     classes = {}
     for w in monomials_of_type(ty):
         if not is_basis_monomial(w):
-            classes.setdefault(trainsgen._packed(w, variables, 64), []).append(w)
+            classes.setdefault(_packed(w, variables, 64), []).append(w)
     return list(classes.values())
 
 
@@ -720,9 +720,10 @@ def test_a_coarse_class_key_raises(monkeypatch):
     variables = trainsgen._record(ty).variables
     keys = [_packed(ws[0], variables, 64) for ws in _classes(ty)]
     assert len({key[:1] for key in keys}) < len(keys)
-    # the key is coarsened in trainsgen alone: the members' checks read
+    # the key is coarsened where the classes are found, in
+    # homgen.peirce_classes, alone: the members' checks read
     # peirce._packed, which still gives each one's full entry
-    monkeypatch.setattr(trainsgen, "_packed", lambda w, variables, bits: _packed(w, variables, bits)[:1])
+    monkeypatch.setattr(homgen, "_packed", lambda w, variables, bits: _packed(w, variables, bits)[:1])
     with pytest.raises(EvanescenceError) as raised:
         generate_train_basis(ty)
     assert not raised.value.report.is_evanescent_identity
