@@ -123,30 +123,6 @@ class BaricAlgebra:
     def omega(self, vec):
         return sum((w * c for w, c in zip(self.weight, vec)), ZERO)
 
-    def weight_one_anchor(self):
-        for i, w in enumerate(self.weight):
-            if w:
-                vec = [ZERO] * self.dim
-                vec[i] = ONE / w
-                return tuple(vec)
-        raise AlgebraError("weight must be nonzero")
-
-    def kernel_basis(self):
-        """Basis of ker(weight)."""
-        pivot = next(i for i, w in enumerate(self.weight) if w)
-        basis = []
-        for i in range(self.dim):
-            if i == pivot:
-                continue
-            vec = [ZERO] * self.dim
-            vec[i] = ONE
-            vec[pivot] = -self.weight[i] / self.weight[pivot]
-            basis.append(tuple(vec))
-        return basis
-
-    def zero_vector(self):
-        return (ZERO,) * self.dim
-
 
 @dataclass(frozen=True)
 class MutationSpec:
@@ -372,11 +348,6 @@ def _draw(rng, n):
     return 1, [t // 2 for t in twice]
 
 
-def _random_q(rng):
-    s, (n,) = _draw(rng, 1)
-    return Q(n, s)
-
-
 def verify_identity(
     f: Polynomial, algebra: BaricAlgebra, trials: int = 64, seed: int = 0
 ) -> VerificationResult:
@@ -465,21 +436,6 @@ def char_poly(matrix) -> PeircePolynomial:
     return PeircePolynomial([Q(c, den**k) for k, c in reversed(list(enumerate(coeffs)))])
 
 
-def apply_univariate(p: PeircePolynomial, matrix, vec):
-    """p(M) applied to a vector."""
-    d = len(matrix)
-    acc = [ZERO] * d
-    power = list(vec)
-    for c in p.coeffs:
-        if c:
-            for k in range(d):
-                acc[k] += c * power[k]
-        power = [
-            sum((matrix[i][j] * power[j] for j in range(d)), ZERO) for i in range(d)
-        ]
-    return tuple(acc)
-
-
 def rational_roots(p: PeircePolynomial):
     """Rational roots with multiplicities plus the unfactored remainder.
 
@@ -562,28 +518,6 @@ def _divisors(n: int) -> list:
     if n > 1:
         divisors += [e * n for e in divisors]
     return sorted(divisors)
-
-
-def random_mutation_algebra(rng: random.Random, dim: int) -> BaricAlgebra:
-    """Random mutation algebra with weight (1, 0, ..., 0); the first row
-    of M is pinned so the weight is fixed by M."""
-    matrix = [[_random_q(rng) for _ in range(dim)] for _ in range(dim)]
-    matrix[0] = [ONE] + [ZERO] * (dim - 1)
-    weight = [ONE] + [ZERO] * (dim - 1)
-    return make_mutation(MutationSpec.make(matrix, weight))
-
-
-def random_baric_algebra(rng: random.Random, dim: int) -> BaricAlgebra:
-    """Random commutative baric algebra with weight (1, 0, ..., 0); the
-    e_0 coordinates of products are pinned by the character condition."""
-    structure = [[None] * dim for _ in range(dim)]
-    for i in range(dim):
-        for j in range(i, dim):
-            column = [_random_q(rng) for _ in range(dim)]
-            column[0] = ONE if i == 0 and j == 0 else ZERO
-            structure[i][j] = structure[j][i] = column
-    weight = [ONE] + [ZERO] * (dim - 1)
-    return BaricAlgebra(dim, structure, weight)
 
 
 def _json_field(obj, key, where="algebra"):

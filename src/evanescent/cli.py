@@ -281,15 +281,21 @@ _VALUE_OPTIONS = frozenset({
 
 def _attached(argv) -> list:
     """argv with each value that begins with a single '-' attached to its
-    option, as --option=value: argparse would take "-1/2" after
-    --eigenvalues, or "-x^2" after --identity, for an unknown option."""
-    out = []
+    option, as --option=value, and for check and peirce each other such
+    argument but -h moved after a '--', as the EXPR: argparse would take
+    "-1/2" after --eigenvalues, "-x^2" after --identity, or the EXPR
+    "-x^2", for an unknown option.  A '--' in argv moves no EXPR."""
+    out, exprs = [], []
     for arg in argv:
-        if out and out[-1] in _VALUE_OPTIONS and arg[:1] == "-" and arg[:2] != "--":
-            out[-1] += "=" + arg
-        else:
-            out.append(arg)
-    return out
+        if arg[:1] == "-" and arg[:2] != "--" and out:
+            if out[-1] in _VALUE_OPTIONS:
+                out[-1] += "=" + arg
+                continue
+            if out[0] in ("check", "peirce") and arg != "-h" and "--" not in argv:
+                exprs.append(arg)
+                continue
+        out.append(arg)
+    return [*out, "--", *exprs] if exprs else out
 
 
 def main(argv=None) -> int:

@@ -9,22 +9,22 @@ The elimination is fraction-free: ``rref`` puts each row over the lcm of
 its denominators and eliminates in Python ints, keeping every row
 primitive (the gcd of its entries divided out).  It returns one int row
 per pivot, with no division; a row divided by its pivot entry is a row of
-the reduced row-echelon form over Q.  ``factor``, ``nullspace`` and
-``homogeneous_dimension`` read those int rows directly; ``nullspace``
-returns sparse int forms, which the evanescence check takes as they are.
-``factor`` keeps its reduced rows over one int denominator, column by
-column, so ``solve_unique`` sums in ints over the nonzero entries of the
-right-hand side alone, and returns its solution over one denominator
-too: no ``Q`` is built here.
+the reduced row-echelon form over Q.  ``factor`` and ``nullspace`` read
+those int rows directly; ``nullspace`` returns sparse int forms, which
+the evanescence check takes as they are.  ``factor`` keeps its reduced
+rows over one int denominator, column by column, so ``solve_unique``
+sums in ints over the nonzero entries of an int right-hand side alone,
+and returns its solution over one denominator too: no ``Q`` is built
+here.
 
 A type is worked by Peirce class.  Monomials with one packed 64-bit
 Peirce entry have one Peirce column, so ``peirce_classes`` maps each
 entry to its members, in canonical order of first occurrence, and the
 classes are the matrix's distinct columns.  ``peirce_matrix`` decodes
-one column per class, and ``homogeneous_dimension`` eliminates the
-classes' columns alone.  ``homogeneous_classes`` keeps the nullspace as
-one entry per class (``_class_forms``): den, the shared terms at the
-pivot columns, the member coefficient and the free members, whose forms
+one column per class, with ``peirce._digits``.  ``homogeneous_classes``
+eliminates the classes' columns alone and keeps the nullspace as one
+entry per class (``_class_forms``): den, the shared terms at the pivot
+columns, the member coefficient and the free members, whose forms
 differ only in their last term, the member's.  ``_runs`` orders the
 classes by one key each, the key of their first member, and merges
 classes whose members interleave, so the members come out in the order
@@ -42,11 +42,10 @@ it goes.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
-from .magma import Monomial, Variable, monomials_of_type, normalize_type
-from .peirce import Identity, _packed, peirce_class, placed
+from .magma import Monomial, letters, monomials_of_type, normalize_type
+from .peirce import Identity, _digits, _packed, peirce_class, placed
 from .rationals import as_ints
 
 
@@ -57,7 +56,6 @@ class LinearSolveError(ValueError):
 @dataclass
 class ExactMatrix:
     rows: list
-    row_labels: list
     col_labels: list
 
     @property
@@ -275,20 +273,14 @@ def factor(rows) -> FactoredSystem:
     return FactoredSystem(ncols, rank, den, tuple(map(tuple, columns)))
 
 
-def solve_unique(system, rhs) -> tuple:
-    """Solve A x = b requiring exactly one solution.
-
-    ``system`` is either the rows of A or ``factor(rows)``; pass the
-    factored form to reuse one elimination for many right-hand sides.
-    M b is summed in ints over the nonzero entries of b (a rational b is
-    first put over the lcm of its denominators).  Returns x in reduced
-    int form (den, nums): x = nums / den, den > 0 and gcd(den, *nums) = 1.
+def solve_unique(system: FactoredSystem, rhs) -> tuple:
+    """Solve A x = b requiring exactly one solution, for A factored once by
+    ``factor`` and an int column b: M b is summed in ints over the nonzero
+    entries of b.  Returns x in reduced int form (den, nums): x = nums /
+    den, den > 0 and gcd(den, *nums) = 1.
     """
-    if not isinstance(system, FactoredSystem):
-        system = factor(system)
-    bden, b = (1, rhs) if all(type(c) is int for c in rhs) else as_ints(rhs)
     acc = [0] * len(system.columns)
-    for c, column in zip(b, system.columns, strict=True):
+    for c, column in zip(rhs, system.columns, strict=True):
         if c:
             for i, n in column:
                 acc[i] += c * n
@@ -297,14 +289,8 @@ def solve_unique(system, rhs) -> tuple:
     if system.rank < system.ncols:
         raise LinearSolveError("underdetermined linear system")
     nums = acc[: system.ncols]
-    den = system.den * bden
-    g = math.gcd(den, *nums)
-    return den // g, tuple(n // g for n in nums)
-
-
-def _letters(ty) -> tuple:
-    """The indices of the letters of a type."""
-    return tuple(i + 1 for i, count in enumerate(ty) if count)
+    g = math.gcd(system.den, *nums)
+    return system.den // g, tuple(n // g for n in nums)
 
 
 def peirce_classes(ty) -> tuple:
@@ -315,14 +301,14 @@ def peirce_classes(ty) -> tuple:
     classes are the distinct columns of the Peirce matrix."""
     ty = normalize_type(ty)
     monomials = monomials_of_type(ty)
-    letters = _letters(ty)
-    return monomials, _classes(_packed(m, letters, 64) for m in monomials)
+    variables = letters(ty)
+    return monomials, _classes(_packed(m, variables, 64) for m in monomials)
 
 
 def peirce_column(m: Monomial, ty) -> list[int]:
     """Column of m in the Peirce matrix of type ty, as ints: ``_column``
     of m's packed Peirce entry."""
-    return _column(_packed(m, _letters(ty), 64), sum(ty))
+    return _column(_packed(m, letters(ty), 64), sum(ty))
 
 
 def _column(entry: tuple, degree: int) -> list[int]:
@@ -331,17 +317,15 @@ def _column(entry: tuple, degree: int) -> list[int]:
     t^(degree-1), then 1 for the coefficient sum.  The t^0 coefficient is
     zero for every monomial of degree >= 2, so it is left out.  Each
     coefficient counts leaves, so it is at most the degree and never
-    negative: the entry's slots are read as unsigned 64-bit words."""
-    column = []
-    for s in entry:
-        column += memoryview(s.to_bytes(8 * degree, sys.byteorder)).cast("Q").tolist()[1:]
+    negative: the entry's values, ``degree`` slots each, are put side by
+    side in one int, read by one ``_digits``."""
+    shift, packed = 64 * degree, 0
+    for s in reversed(entry):
+        packed = packed << shift | s
+    column = _digits(packed, 64, degree * len(entry))
+    del column[::degree]  # each letter's t^0 slot
     column.append(1)
     return column
-
-
-def _class_rows(entries, degree: int) -> list[list]:
-    """The rows of the classes' distinct columns, one column per entry."""
-    return [list(row) for row in zip(*(_column(entry, degree) for entry in entries))]
 
 
 def peirce_matrix(ty) -> ExactMatrix:
@@ -360,10 +344,7 @@ def peirce_matrix(ty) -> ExactMatrix:
         column = _column(entry, sum(ty))
         for k in members:
             columns[k] = column
-    rows = [list(row) for row in zip(*columns)]
-    active = [Variable(i).name for i in _letters(ty)]
-    row_labels = [(v, power) for v in active for power in range(1, sum(ty))] + [("sum", 0)]
-    return ExactMatrix(rows=rows, row_labels=row_labels, col_labels=list(monomials))
+    return ExactMatrix(rows=[list(row) for row in zip(*columns)], col_labels=list(monomials))
 
 
 def homogeneous_classes(ty) -> tuple:
@@ -373,15 +354,8 @@ def homogeneous_classes(ty) -> tuple:
     eliminated; no matrix is built."""
     ty = normalize_type(ty)
     monomials, classes = peirce_classes(ty)
-    rows = _class_rows(classes, sum(ty))
+    rows = [list(row) for row in zip(*(_column(entry, sum(ty)) for entry in classes))]
     return monomials, _runs(_class_forms(rows, list(classes.values())))
-
-
-def homogeneous_nullspace(ty) -> tuple:
-    """(monomials, nullspace forms over their columns) for a type: the
-    forms of ``homogeneous_classes``, which are ``nullspace(peirce_matrix(ty))``."""
-    monomials, runs = homogeneous_classes(ty)
-    return monomials, _forms(runs)
 
 
 def iter_homogeneous(ty):
@@ -397,11 +371,11 @@ def iter_homogeneous(ty):
     """
     ty = normalize_type(ty)
     monomials, runs = homogeneous_classes(ty)
-    letters = _letters(ty)
+    variables = letters(ty)
     classes = []
     for den, shared, coef, members in runs:
         form = [(monomials[j], n) for j, n in shared]
-        classes.append(peirce_class(den, form, coef, monomials[members[0]], letters))
+        classes.append(peirce_class(den, form, coef, monomials[members[0]], variables))
     for cls, (_, shared, _, members) in zip(classes, runs):
         for k in members:
             yield placed(monomials[k], cls, len(shared), ty, False)
@@ -411,12 +385,3 @@ def generate_homogeneous(ty) -> list[Identity]:
     """One verified Identity per nullspace basis vector, in the order of
     ``nullspace``: the list of ``iter_homogeneous``."""
     return list(iter_homogeneous(ty))
-
-
-def homogeneous_dimension(ty) -> int:
-    """Dimension of the homogeneous evanescent identities of a type: the
-    nullity of its Peirce matrix, read from the rank of its classes'
-    distinct columns alone."""
-    ty = normalize_type(ty)
-    monomials, classes = peirce_classes(ty)
-    return len(monomials) - len(rref(_class_rows(classes, sum(ty)))[1])

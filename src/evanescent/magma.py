@@ -250,6 +250,11 @@ def normalize_type(ty) -> tuple[int, ...]:
     return ty
 
 
+def letters(ty) -> tuple[int, ...]:
+    """The indices of the letters of a type: those with a nonzero count."""
+    return tuple(i + 1 for i, count in enumerate(ty) if count)
+
+
 def _splits(ty: tuple[int, ...]):
     """Each unordered split {a, b} of a type vector into two nonzero
     parts, once, as (a, b) with a the smaller part: of lower degree, or

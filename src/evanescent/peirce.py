@@ -13,9 +13,11 @@ polynomial, ``peirce_recursive`` and ``is_evanescent`` put the
 coefficients over one denominator (``rationals.as_ints``) and sum n
 times each variable's column of packed values in one pass, with b wide
 enough that every coefficient of the sum fits its slot.  A sum is zero
-exactly when that Peirce polynomial is; only a nonzero sum is decoded,
-with ``Q`` built per nonzero digit.  The coefficient sum is read from
-the same ints.
+exactly when that Peirce polynomial is, and it is decoded with ``Q``
+built per nonzero digit.  The coefficient sum is read from the same
+ints.  ``_digits`` is the one decoder of packed values, for a sum here
+and for a Peirce column in ``homgen``: it reads every slot as a
+balanced digit with one ``to_bytes``, in time linear in the slots.
 
 Every identity is checked, and built, by ``placed``, as a member of a
 ``PeirceClass``: the terms all members share, whose sums ``peirce_class``
@@ -33,6 +35,7 @@ for, or when a check fails.
 from __future__ import annotations
 
 import functools
+import sys
 from dataclasses import dataclass
 from operator import add, lshift, mul
 from typing import NamedTuple
@@ -52,12 +55,6 @@ class PeircePolynomial:
         while coeffs and not coeffs[-1]:
             coeffs.pop()
         self.coeffs = tuple(coeffs)
-
-    @classmethod
-    def _raw(cls, coeffs: tuple) -> "PeircePolynomial":
-        p = object.__new__(cls)
-        p.coeffs = coeffs
-        return p
 
     @property
     def is_zero(self) -> bool:
@@ -198,26 +195,28 @@ def _sums(monomials, nums, variables: tuple, bits: int) -> list[int]:
 
 
 def _decode(s: int, den: int, bits: int) -> PeircePolynomial:
-    """The Peirce polynomial whose value at t = 2^bits is s / den: only a
-    nonzero s is decoded, with ``Q`` built per nonzero digit."""
-    if not s:
-        return PeircePolynomial._raw(())
-    return PeircePolynomial._raw(tuple(Q(a, den) if a else ZERO for a in _digits(s, bits)))
+    """The Peirce polynomial whose value at t = 2^bits is s / den, with
+    ``Q`` built per nonzero digit of s.  Its balanced digits fill at most
+    (s.bit_length() + 1) // bits + 1 slots: the top one may need one slot
+    more than the bit length."""
+    digits = _digits(s, bits, (s.bit_length() + 1) // bits + 1)
+    return PeircePolynomial(Q(a, den) if a else ZERO for a in digits)
 
 
-def _digits(s: int, bits: int) -> list[int]:
-    """The balanced base-2^bits digits of s, least significant first:
-    the coefficients of the int polynomial whose value at 2^bits is s,
-    when each is below 2^(bits-1) in absolute value."""
-    mask, half = (1 << bits) - 1, 1 << (bits - 1)
-    digits = []
-    while s:
-        d = s & mask
-        if d >= half:
-            d -= 1 << bits
-        digits.append(d)
-        s = (s - d) >> bits
-    return digits
+def _digits(s: int, bits: int, n: int) -> list[int]:
+    """The n balanced base-2^bits digits of s, least significant first:
+    the coefficients of the int polynomial of degree below n whose value
+    at 2^bits is s, when each is below 2^(bits-1) in absolute value.
+    With 2^(bits-1) added to every slot, each slot holds its digit plus
+    2^(bits-1), an unsigned word; flipping the top bit of each makes it
+    the digit as a signed word, so one ``to_bytes`` reads them all, in
+    time linear in n."""
+    size = bits // 8
+    half = int.from_bytes((bytes(size - 1) + b"\x80") * n, "little")  # 2^(bits-1) in each slot
+    raw = ((s + half) ^ half).to_bytes(size * n, "little")
+    if size == 8 and sys.byteorder == "little":
+        return memoryview(raw).cast("q").tolist()
+    return [int.from_bytes(raw[i : i + size], "little", signed=True) for i in range(0, size * n, size)]
 
 
 def peirce_tree(w, v) -> PeircePolynomial:

@@ -41,8 +41,7 @@ so the printer never sorts.  ``format_form`` hands the int form and
 ``_TEXT`` to ``rationals.format_sum``, the one renderer of signed sums,
 which builds the line in one loop and reduces n / den by a gcd only when
 den is not 1, printing it as ``str`` prints the ``Q``.
-``format_polynomial`` and ``polynomial_to_json`` print a ``Polynomial``
-from its ``int_form``.
+``format_polynomial`` prints a ``Polynomial`` from its ``int_form``.
 
 An identity is printed from its class: ``frame`` renders a class's
 shared terms once, as text or as JSON, with a mark where a member's
@@ -373,16 +372,3 @@ def member_text(fmt: str):
 def format_polynomial(f: Polynomial) -> str:
     """Canonical rendering: terms in descending canonical monomial order."""
     return format_form(*f.int_form())
-
-
-def polynomial_to_json(f: Polynomial, ty=None) -> dict:
-    """JSON-lines payload: exact coefficients plus grammar monomials."""
-    return form_to_json(*f.int_form(), ty)
-
-
-def polynomial_from_json(obj) -> Polynomial:
-    total = Polynomial.zero()
-    for term in obj["terms"]:
-        m = parse_monomial(term["monomial"])
-        total = total + Polynomial.monomial(m, Q(term["coeff"]))
-    return total

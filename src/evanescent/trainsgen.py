@@ -68,6 +68,7 @@ from .magma import (
     leaf,
     leaves,
     left_iterate,
+    letters,
     normalize_type,
     principal_power,
     product,
@@ -149,23 +150,11 @@ def _record(ty) -> TypeRecord:
     rank = {m: r for r, m in enumerate(sorted(own))}
     order = {b: (rank[m], m) for b, m in zip(span, own)}
     basis = frozenset(m for m in own if type_vector(m) == ty)
-    variables = tuple(i + 1 for i, count in enumerate(ty) if count)
-    return TypeRecord(tag, moved, inverse, order, basis, ty, variables)
+    return TypeRecord(tag, moved, inverse, order, basis, ty, letters(ty))
 
 
 # ---------------------------------------------------------------------------
 # basis families
-
-
-def span_basis(ty) -> tuple[Monomial, ...]:
-    """Basis monomials spanning the P(w) candidates for this type, in its letters."""
-    return tuple(m for _, m in _record(normalize_type(ty)).order.values())
-
-
-def excluded_basis(ty) -> tuple[Monomial, ...]:
-    """The basis monomials of exactly this type, in span order."""
-    record = _record(normalize_type(ty))
-    return tuple(m for _, m in record.order.values() if m in record.basis)
 
 
 def is_basis_monomial(w: Monomial) -> bool:

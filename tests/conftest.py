@@ -3,9 +3,9 @@ import random
 
 import pytest
 
-from evanescent import magma, poly
+from evanescent import baric, homgen, magma, poly
 from evanescent.rationals import ONE, Q, ZERO
-from evanescent.syntax import format_monomial
+from evanescent.syntax import format_monomial, parse_monomial
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
@@ -162,3 +162,109 @@ class SpanChecker:
 
     def contains(self, vec) -> bool:
         return not any(self.residual(vec))
+
+
+# ---------------------------------------------------------------------------
+# Oracles that only the tests read, kept here as the library had them.
+
+
+def _random_q(rng):
+    s, (n,) = baric._draw(rng, 1)
+    return Q(n, s)
+
+
+def random_mutation_algebra(rng: random.Random, dim: int) -> baric.BaricAlgebra:
+    """Random mutation algebra with weight (1, 0, ..., 0); the first row
+    of M is pinned so the weight is fixed by M."""
+    matrix = [[_random_q(rng) for _ in range(dim)] for _ in range(dim)]
+    matrix[0] = [ONE] + [ZERO] * (dim - 1)
+    weight = [ONE] + [ZERO] * (dim - 1)
+    return baric.make_mutation(baric.MutationSpec.make(matrix, weight))
+
+
+def random_baric_algebra(rng: random.Random, dim: int) -> baric.BaricAlgebra:
+    """Random commutative baric algebra with weight (1, 0, ..., 0); the
+    e_0 coordinates of products are pinned by the character condition."""
+    structure = [[None] * dim for _ in range(dim)]
+    for i in range(dim):
+        for j in range(i, dim):
+            column = [_random_q(rng) for _ in range(dim)]
+            column[0] = ONE if i == 0 and j == 0 else ZERO
+            structure[i][j] = structure[j][i] = column
+    weight = [ONE] + [ZERO] * (dim - 1)
+    return baric.BaricAlgebra(dim, structure, weight)
+
+
+def weight_one_anchor(algebra):
+    for i, w in enumerate(algebra.weight):
+        if w:
+            vec = [ZERO] * algebra.dim
+            vec[i] = ONE / w
+            return tuple(vec)
+    raise baric.AlgebraError("weight must be nonzero")
+
+
+def kernel_basis(algebra):
+    """Basis of ker(weight)."""
+    pivot = next(i for i, w in enumerate(algebra.weight) if w)
+    basis = []
+    for i in range(algebra.dim):
+        if i == pivot:
+            continue
+        vec = [ZERO] * algebra.dim
+        vec[i] = ONE
+        vec[pivot] = -algebra.weight[i] / algebra.weight[pivot]
+        basis.append(tuple(vec))
+    return basis
+
+
+def zero_vector(algebra):
+    return (ZERO,) * algebra.dim
+
+
+def apply_univariate(p, matrix, vec):
+    """p(M) applied to a vector."""
+    d = len(matrix)
+    acc = [ZERO] * d
+    power = list(vec)
+    for c in p.coeffs:
+        if c:
+            for k in range(d):
+                acc[k] += c * power[k]
+        power = [
+            sum((matrix[i][j] * power[j] for j in range(d)), ZERO) for i in range(d)
+        ]
+    return tuple(acc)
+
+
+def polynomial_from_json(obj) -> poly.Polynomial:
+    total = poly.Polynomial.zero()
+    for term in obj["terms"]:
+        m = parse_monomial(term["monomial"])
+        total = total + poly.Polynomial.monomial(m, Q(term["coeff"]))
+    return total
+
+
+def homogeneous_dimension(ty) -> int:
+    """Dimension of the homogeneous evanescent identities of a type: the
+    nullity of its Peirce matrix, read from the rank of its classes'
+    distinct columns alone."""
+    ty = magma.normalize_type(ty)
+    monomials, classes = homgen.peirce_classes(ty)
+    rows = [list(row) for row in zip(*(homgen._column(entry, sum(ty)) for entry in classes))]
+    return len(monomials) - len(homgen.rref(rows)[1])
+
+
+def peeled_digits(s: int, bits: int) -> list[int]:
+    """The balanced base-2^bits digits of s, least significant first, up
+    to the last nonzero one, peeled one slot at a time off the whole
+    remaining int: the decoder that ``peirce._digits`` replaced."""
+    mask, half = (1 << bits) - 1, 1 << (bits - 1)
+    digits = []
+    while s:
+        d = s & mask
+        if d >= half:
+            d -= 1 << bits
+        digits.append(d)
+        s = (s - d) >> bits
+    return digits

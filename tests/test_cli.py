@@ -20,7 +20,7 @@ from evanescent.poly import Polynomial
 from evanescent.rationals import Q
 from evanescent.syntax import parse
 
-from conftest import fraction_format, fraction_nullspace
+from conftest import fraction_format, fraction_nullspace, polynomial_from_json
 
 
 def run_cli(capsys, *argv):
@@ -123,8 +123,6 @@ def test_train_type_over_the_cap_builds_no_family(capsys, monkeypatch):
 
 
 def test_homog_jsonl_reparses(capsys):
-    from evanescent.syntax import polynomial_from_json
-
     code, out, _ = run_cli(capsys, "homog", "--type", "6", "--format", "jsonl")
     assert code == 0
     json_lines = out.splitlines()
@@ -344,9 +342,20 @@ def _cli_expressions(draw):
 
 
 @settings(derandomize=True, max_examples=400, deadline=None)
-@given(st.sampled_from([("check",), ("peirce",), ("train", "--of")]), _cli_expressions())
-def test_cli_answers_any_expression_or_exits_2_with_one_line(command, expr):
-    assert_answers_or_exits_2_with_one_line([*command, expr])
+@given(
+    st.sampled_from([("check",), ("peirce",), ("train", "--of")]),
+    _cli_expressions(),
+    st.booleans(),
+)
+def test_cli_answers_any_expression_or_exits_2_with_one_line(command, expr, dash):
+    # with a "-" in front, the expression is still read as the expression:
+    # the exit status and stdout are those of the same text after a space
+    if dash and not expr.startswith("-"):
+        expr = "-" + expr
+        got = assert_answers_or_exits_2_with_one_line([*command, expr])
+        assert got == assert_answers_or_exits_2_with_one_line([*command, " " + expr])
+    else:
+        assert_answers_or_exits_2_with_one_line([*command, expr])
 
 
 def assert_answers_or_exits_2_with_one_line(argv):
@@ -599,6 +608,32 @@ def test_values_that_begin_with_a_dash_are_values(capsys, tmp_path):
     # a real usage error is still argparse's: a missing value, and an
     # option after a value option is not taken for its value
     for argv in (["spectrum", "--eigenvalues"], ["spectrum", "--eigenvalues", "--format", "text"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "") and err.startswith("usage: evanescent")
+
+
+def test_an_expression_that_begins_with_a_dash_is_the_expression(capsys):
+    # check and peirce read a positional EXPR that begins with "-" as the
+    # EXPR, wherever it stands among the options, with the stdout of the
+    # leading-space form
+    cases = [
+        (["check", "-x^2"], 0),
+        (["peirce", "-x"], 0),
+        (["check", "--format", "jsonl", "-x^2"], 0),
+        (["check", "-x^2", "--format", "jsonl"], 0),
+        (["peirce", "-x^2 y", "--var", "y"], 0),
+        (["check", "--expect-evanescent", "-x^2"], 1),
+    ]
+    for argv, code in cases:
+        spaced = [" " + arg if arg.startswith("-x") else arg for arg in argv]
+        got = run_cli(capsys, *argv)
+        assert got[:2] == run_cli(capsys, *spaced)[:2] and got[0] == code and got[1]
+    assert run_cli(capsys, "check", "-x^")[2] == "error: unexpected end of input (line 1, column 4)\n"
+    # -h still prints help, and a real usage error is still argparse's
+    for argv in (["check", "-h"], ["check", "-x^2", "-h"], ["peirce", "-h"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and out.startswith("usage: evanescent") and err == ""
+    for argv in (["check"], ["check", "-x", "-y"], ["check", "x", "--bogus"], ["homog", "-x"]):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "") and err.startswith("usage: evanescent")
 

@@ -67,7 +67,8 @@ def test_train_corpus_reproduced(key):
 def test_homog_corpus_in_nullspace(key):
     ty = HOMOG_FILES[key]
     lines = corpus_lines(*key)
-    monomials, basis = homgen.homogeneous_nullspace(ty)
+    matrix = homgen.peirce_matrix(ty)
+    monomials, basis = matrix.col_labels, homgen.nullspace(matrix)
     checker = SpanChecker([dense(form, len(monomials)) for form in basis])
     for line in lines:
         f = parse(line)

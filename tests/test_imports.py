@@ -3,7 +3,10 @@ import pathlib
 
 import pytest
 
-PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "evanescent"
+import evanescent
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "evanescent"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -36,9 +39,9 @@ def test_every_import_is_read(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-def private_definitions(source: str) -> list[str]:
-    """The module-level private names a module defines: functions,
-    classes and assignment targets that start with ``_``, dunders exempt."""
+def definitions(source: str) -> list[str]:
+    """The module-level names a module defines: functions, classes and
+    assignment targets."""
     names = []
     for node in ast.parse(source).body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -46,24 +49,49 @@ def private_definitions(source: str) -> list[str]:
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
-    return [n for n in names if n.startswith("_") and not (n.startswith("__") and n.endswith("__"))]
+    return names
 
 
-def unread_private_names(sources: dict) -> list[str]:
-    """``module.name`` for each module-level private name that no source
-    reads, as a name or as an attribute."""
+def private_definitions(source: str) -> list[str]:
+    """The module-level names that start with ``_``, dunders exempt."""
+    return [n for n in definitions(source) if n.startswith("_") and not (n.startswith("__") and n.endswith("__"))]
+
+
+def reads(sources) -> set:
+    """The names the sources read, as a name or as an attribute."""
     read = set()
-    for source in sources.values():
+    for source in sources:
         for node in ast.walk(ast.parse(source)):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 read.add(node.attr)
+    return read
+
+
+def unread_private_names(sources: dict) -> list[str]:
+    """``module.name`` for each module-level private name that no source
+    reads, as a name or as an attribute."""
+    read = reads(sources.values())
     return sorted(
         f"{module}.{name}"
         for module, source in sources.items()
         for name in private_definitions(source)
         if name not in read
+    )
+
+
+def unread_public_names(sources: dict, exported, readers=()) -> list[str]:
+    """``module.name`` for each module-level public name of the package
+    ``sources`` that is not ``exported`` and that neither a package source
+    nor one of the ``readers`` (as ``bench/`` reads the package) reads:
+    code that only tests would read."""
+    read = reads([*sources.values(), *readers])
+    return sorted(
+        f"{module}.{name}"
+        for module, source in sources.items()
+        for name in definitions(source)
+        if not name.startswith("_") and name not in exported and name not in read
     )
 
 
@@ -78,3 +106,24 @@ def test_the_guard_sees_an_unread_private_name():
 def test_every_private_name_is_read():
     sources = {path.stem: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
     assert unread_private_names(sources) == []
+
+
+def test_the_guard_sees_an_unread_public_name():
+    sources = {
+        "a": "def helper():\n    return 1\n\ndef gone():\n    pass\n\nclass Unread:\n    pass\n",
+        "b": "from .a import helper\n\ndef exported():\n    return helper()\n\ndef benched():\n    pass\n",
+    }
+    bench = ["import evanescent\nevanescent.b.benched()\n"]
+    assert unread_public_names(sources, {"exported"}, bench) == ["a.Unread", "a.gone"]
+    assert unread_public_names(sources, {"exported"}) == ["a.Unread", "a.gone", "b.benched"]
+    assert unread_public_names(sources, set(), bench) == ["a.Unread", "a.gone", "b.exported"]
+
+
+def test_every_public_name_is_exported_or_read():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
+    bench = [
+        path.read_text(encoding="utf-8")
+        for path in (ROOT / "bench").glob("*.py")
+        if not path.name.startswith("test_")
+    ]
+    assert unread_public_names(sources, set(evanescent.__all__), bench) == []

@@ -16,6 +16,7 @@ from evanescent.magma import (
     Z,
     leaf,
     left_iterate,
+    letters,
     monomials_of_type,
     principal_power,
     product,
@@ -39,7 +40,7 @@ from evanescent.poly import Polynomial
 from evanescent.rationals import Q
 from evanescent.syntax import parse, parse_monomial
 
-from conftest import corpus_lines, random_monomial, random_polynomial
+from conftest import corpus_lines, peeled_digits, random_monomial, random_polynomial
 
 
 def upoly(*coeffs):
@@ -465,6 +466,45 @@ def test_peirce_column_decodes_every_variable_from_one_entry(monkeypatch):
     assert set(peirce._PEIRCE_CACHE) == {((1,), 64), ((1, 2), 64), ((1, 2, 3), 64), ((1, 3), 64)}
 
 
+@pytest.mark.parametrize("bits", [64, 128])
+def test_digits_match_the_peeled_digits(bits):
+    # random signed sums of slots, among them the extreme digits and zero
+    # slots at the bottom and at the top, which the peel loop leaves out
+    rng = random.Random(bits)
+    half = 1 << (bits - 1)
+    pool = [-half, -half + 1, -1, 1, half - 1]
+    for _ in range(400):
+        digits = [rng.choice(pool) if rng.random() < 0.3 else rng.randint(-half, half - 1)
+                  for _ in range(rng.randint(0, 8))]
+        digits = [0] * rng.randint(0, 3) + digits + [0] * rng.randint(0, 3)
+        if not digits:
+            continue
+        s = sum(d << (bits * i) for i, d in enumerate(digits))
+        peeled = peeled_digits(s, bits)
+        assert peirce._digits(s, bits, len(digits)) == peeled + [0] * (len(digits) - len(peeled))
+        assert peirce._decode(s, 3, bits).coeffs == tuple(Q(d, 3) for d in peeled)
+    # sums next to a power of two, whose top balanced digit spills into
+    # one slot more than their bit length fills
+    for k in range(1, 4):
+        edge = 1 << (bits * k - 1)
+        for s in (edge - 1, edge, -edge, -edge - 1):
+            peeled = peeled_digits(s, bits)
+            assert peirce._digits(s, bits, len(peeled)) == peeled
+            assert peirce._decode(s, 3, bits).coeffs == tuple(Q(d, 3) for d in peeled)
+
+
+@pytest.mark.parametrize("bits", [64, 128])
+def test_digits_of_every_packed_entry_of_a_type(bits):
+    # each packed value of a monomial of degree d is d slots: its Peirce
+    # coefficients at t^0 .. t^(d-1)
+    for ty in [(6,), (4, 2), (3, 1, 1), (1, 0, 0, 2)]:
+        degree, variables = sum(ty), letters(ty)
+        for m in monomials_of_type(ty):
+            for s in peirce._packed(m, variables, bits):
+                peeled = peeled_digits(s, bits)
+                assert peirce._digits(s, bits, degree) == peeled + [0] * (degree - len(peeled))
+
+
 def test_packed_cache_of_a_deep_monomial_among_many_variables(monkeypatch):
     # x^{1500} y lacks twenty of the polynomial's 22 variables: each of its
     # nodes holds two wide ints and twenty zeros, where one int interleaving
@@ -492,7 +532,8 @@ def test_make_identity_checks_int_forms():
     # not an evanescent identity
     forms = []
     for ty in [(6,), (5, 1), (3, 2)]:
-        monomials, basis = homgen.homogeneous_nullspace(ty)
+        matrix = homgen.peirce_matrix(ty)
+        monomials, basis = matrix.col_labels, homgen.nullspace(matrix)
         forms += [(den, [(monomials[k], n) for k, n in terms], ty) for den, terms in basis]
     for ty in [(5, 1), (3, 2), (3, 1, 1)]:
         for w in monomials_of_type(ty):
@@ -589,7 +630,8 @@ def _small_forms():
     holds one ends in a monomial that lacks a variable of an earlier term."""
     forms = []
     for ty in [(2, 2), (2, 1, 1), (4, 1), (3, 2), (6,)]:
-        monomials, basis = homgen.homogeneous_nullspace(ty)
+        matrix = homgen.peirce_matrix(ty)
+        monomials, basis = matrix.col_labels, homgen.nullspace(matrix)
         forms += [_polynomial(den, [(monomials[k], n) for k, n in terms]) for den, terms in basis]
     return forms
 

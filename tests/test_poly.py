@@ -9,7 +9,7 @@ from evanescent.poly import Polynomial, UnboundVariableError, standard_baric_ide
 from evanescent.rationals import Q
 from evanescent.syntax import parse
 
-from conftest import random_polynomial
+from conftest import random_baric_algebra, random_polynomial
 
 
 def test_add_cancels():
@@ -107,10 +107,10 @@ def test_standard_identity_holds_on_random_baric_algebras():
     rng = random.Random(99)
     f = standard_baric_identity(2)
     for trial in range(5):
-        algebra = baric.random_baric_algebra(rng, 2)
+        algebra = random_baric_algebra(rng, 2)
         result = baric.verify_identity(f, algebra, trials=12, seed=trial)
         assert result.passed
-    algebra = baric.random_baric_algebra(rng, 3)
+    algebra = random_baric_algebra(rng, 3)
     assert not baric.verify_identity(f, algebra, trials=12, seed=0).passed
 
 

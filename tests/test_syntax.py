@@ -28,11 +28,16 @@ from evanescent.syntax import (
     format_polynomial,
     parse,
     parse_monomial,
-    polynomial_from_json,
-    polynomial_to_json,
 )
 
-from conftest import CORPUS, fraction_format, nested_key, random_monomial, random_polynomial
+from conftest import (
+    CORPUS,
+    fraction_format,
+    nested_key,
+    polynomial_from_json,
+    random_monomial,
+    random_polynomial,
+)
 
 
 def test_parse_backcrossing():
@@ -291,7 +296,7 @@ def test_int_form_renderer_matches_fraction_printing(den, chosen, ty):
     assert text == format_polynomial(f) == fraction_format(f)
     assert parse(text) == f
     obj = syntax.form_to_json(den, terms, ty)
-    assert obj == polynomial_to_json(f, ty) == {
+    assert obj == syntax.form_to_json(*f.int_form(), ty) == {
         "type": None if ty is None else list(ty),
         "terms": [
             {"coeff": str(c), "monomial": format_monomial(m)}
@@ -311,7 +316,7 @@ def test_int_form_renderer_matches_fraction_printing(den, chosen, ty):
 def test_json_roundtrip(rng):
     for _ in range(200):
         f = random_polynomial(rng)
-        obj = json.loads(json.dumps(polynomial_to_json(f, (1, 2))))
+        obj = json.loads(json.dumps(syntax.form_to_json(*f.int_form(), (1, 2))))
         assert polynomial_from_json(obj) == f
 
 
