@@ -61,8 +61,12 @@ class BaricAlgebra:
         for plane in planes:
             if len(plane) != d or any(len(row) != d for row in plane):
                 raise AlgebraError("dimension mismatch in structure")
-        den, flat = as_ints([c for plane in planes for row in plane for c in row])
-        self._setup(d, den, _cells(d, flat), weight)
+        entries = {
+            (i, j, k): c
+            for i, plane in enumerate(planes) for j, row in enumerate(plane) for k, c in enumerate(row)
+            if c
+        }
+        self._setup(d, *_cells(entries), weight)
 
     @classmethod
     def _from_ints(cls, dim, den, cells, weight):
@@ -168,14 +172,15 @@ def make_mutation(spec: MutationSpec) -> BaricAlgebra:
     return BaricAlgebra._from_ints(d, 2 * wden * mden, cells, w)
 
 
-def _cells(d, flat):
-    """{(i, j): ((k, n), ...)} over the nonzero n = flat[(i d + j) d + k]."""
+def _cells(entries):
+    """(den, {(i, j): ((k, n), ...)}) for the constants {(i, j, k): c}, over
+    the lcm den of their denominators: the nonzero n = c den, by ascending k."""
+    den, nums = as_ints(list(entries.values()))
     cells = {}
-    for ij in range(d * d):
-        row = tuple((k, n) for k, n in enumerate(flat[ij * d : ij * d + d]) if n)
-        if row:
-            cells[divmod(ij, d)] = row
-    return cells
+    for (i, j, k), n in sorted(zip(entries, nums)):
+        if n:
+            cells.setdefault((i, j), []).append((k, n))
+    return den, {ij: tuple(row) for ij, row in cells.items()}
 
 
 def spectrum_algebra(lambdas):
@@ -606,10 +611,4 @@ def load_algebra(source) -> BaricAlgebra:
         for a, b in ((i, j), (j, i)):
             if entries.setdefault((a, b, k), value) != value:
                 raise AlgebraError(f"inconsistent structure entries for ({a}, {b}, {k})")
-    den, nums = as_ints(list(entries.values()))
-    rows = {}
-    for (i, j, k), n in sorted(zip(entries, nums)):
-        if n:
-            rows.setdefault((i, j), []).append((k, n))
-    cells = {ij: tuple(row) for ij, row in rows.items()}
-    return BaricAlgebra._from_ints(dim, den, cells, tuple(weight))
+    return BaricAlgebra._from_ints(dim, *_cells(entries), tuple(weight))

@@ -23,8 +23,8 @@ import sys
 from . import baric, homgen, magma, syntax, trainsgen
 from .peirce import is_evanescent, peirce_recursive
 
-# each family's counts after the leading n
-_FAMILIES = {"n": (), "n,1": (1,), "n,2": (2,), "n,1,1": (1, 1)}
+# each train --type family, "n" then its shape's counts: {"n": (), "n,1": (1,), ...}
+_FAMILIES = {",".join(("n", *map(str, counts))): counts for counts in trainsgen.SHAPES}
 
 
 def _parse_type(text):
@@ -39,19 +39,21 @@ def _jsonl(out, obj):
 
 
 def _emit_identities(identities, fmt, out):
-    """Print each identity as soon as it is checked.  Its line is its
-    member's text spliced into the ``syntax.frame`` of its Peirce class
-    and its member's place, so the shared terms of a class are rendered
-    once: in ``homog`` the member is the largest term and goes first."""
-    frames = {}  # (id of a class, a place) -> (the class, kept so the id stays its own; the frame)
-    text = syntax.member_text(fmt)
+    """Print each identity as soon as it is checked, by the line function
+    (``syntax.frame``) of its Peirce class and its member's place, so the
+    shared terms of a class are rendered once: in ``homog`` the member is
+    the largest term and goes first."""
+    frames = {}  # (id of a class, a place) -> its line function
+    # each class is kept, so that its id stays its own, in one list: a
+    # (class, line) pair per entry would be one more object to collect
+    kept = []
     for identity in identities:
         cls, at = identity.cls, identity.at
-        got = frames.get((id(cls), at))
-        if got is None:
-            before, after = syntax.frame(cls.den, cls.form, cls.coef, at, fmt, identity.type)
-            got = frames[id(cls), at] = cls, before, after + "\n"
-        out.write(got[1] + text(identity.member) + got[2])
+        line = frames.get(key := (id(cls), at))
+        if line is None:
+            kept.append(cls)
+            line = frames[key] = syntax.frame(cls.den, cls.form, cls.coef, at, fmt, identity.type)
+        out.write(line(identity.member))
 
 
 def cmd_peirce(args, out) -> int:
@@ -236,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("train", parents=[common], help="train identities")
-    p.add_argument("--type", help="concrete type like 6 or 4,1, or family n|n,1|n,2|n,1,1")
+    p.add_argument("--type", help=f"concrete type like 6 or 4,1, or family {'|'.join(_FAMILIES)}")
     p.add_argument("--of", help="single monomial to reduce")
     p.add_argument("--all", type=int, help="max total degree when --type is a family")
     p.add_argument("--max-degree", type=int, default=10, help="generation degree cap")

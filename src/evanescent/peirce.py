@@ -71,11 +71,6 @@ class PeircePolynomial:
                 return i
         return -1
 
-    def coefficient(self, power: int):
-        if 0 <= power < len(self.coeffs):
-            return self.coeffs[power]
-        return ZERO
-
     def __eq__(self, other):
         return isinstance(other, PeircePolynomial) and self.coeffs == other.coeffs
 
@@ -378,7 +373,7 @@ def make_identity(f: Polynomial, *, train: bool = False, ty=None) -> Identity:
     if not terms:
         raise _not_evanescent(den, terms)
     *form, (m, n) = terms
-    variables = tuple(sorted({i for t, _ in terms for i, _ in t.counts}))
+    variables = tuple(v.index for v in f.variables())
     cls = peirce_class(den, form, n, m, variables)
     return placed(m, cls, len(form), None if ty is None else tuple(ty), train)
 

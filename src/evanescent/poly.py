@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from operator import itemgetter
 
-from .magma import Monomial, Variable, fold, leaf, product
+from .magma import Monomial, Variable, degree_in, fold, leaf, product, type_vector
 from .rationals import ZERO, as_ints, as_q
 
 
@@ -108,9 +108,6 @@ class Polynomial:
             return Polynomial.zero()
         return Polynomial._raw({m: c * v for m, v in self.terms.items()})
 
-    def coefficient(self, m: Monomial):
-        return self.terms.get(m, ZERO)
-
     def int_form(self) -> tuple:
         """(den, terms): the polynomial as sum(n m) / den over the lcm den
         of its denominators, its terms (m, n) sorted in ascending canonical
@@ -123,30 +120,16 @@ class Polynomial:
         return sum(self.terms.values(), ZERO)
 
     def degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(m.degree for m in self.terms)
+        return max((m.degree for m in self.terms), default=0)
 
     def degree_in(self, v) -> int:
-        idx = v.index if isinstance(v, Variable) else v
-        deg = 0
-        for m in self.terms:
-            for i, c in m.counts:
-                if i == idx and c > deg:
-                    deg = c
-        return deg
+        return max((degree_in(m, v) for m in self.terms), default=0)
 
     def variables(self) -> tuple[Variable, ...]:
-        seen = set()
-        for m in self.terms:
-            for i, _ in m.counts:
-                seen.add(i)
-        return tuple(Variable(i) for i in sorted(seen))
+        return tuple(Variable(i) for i in sorted({i for m in self.terms for i, _ in m.counts}))
 
     def homogeneous_type(self):
         """The common type vector, or None if mixed or zero."""
-        from .magma import type_vector
-
         types = {type_vector(m) for m in self.terms}
         if len(types) == 1:
             return types.pop()

@@ -45,8 +45,8 @@ den is not 1, printing it as ``str`` prints the ``Q``.
 
 An identity is printed from its class: ``frame`` renders a class's
 shared terms once, as text or as JSON, with a mark where a member's
-text goes, and cuts the line there, so each member's line is its own
-text spliced into the frame.
+text goes, and cuts the line there; the function it returns splices
+each member's text in.
 """
 
 from __future__ import annotations
@@ -345,28 +345,22 @@ def form_to_json(den: int, terms, ty=None, texts=None) -> dict:
 _MARK = "\0"  # a member's text in a frame: no printed text has it
 
 
-def frame(den: int, form, coef: int, at: int, fmt: str, ty=None) -> tuple[str, str]:
-    """(before, after) with before + ``member_text(fmt)(m)`` + after the
-    printed line of the int form whose terms are the shared terms ``form``,
-    in ascending order, and (m, coef) at index ``at`` among them.  The
-    line is rendered once for all such m, with a mark for m's text, and
-    cut at the mark."""
+def frame(den: int, form, coef: int, at: int, fmt: str, ty=None):
+    """The function m -> the printed line, newline included, of the int
+    form whose terms are the shared terms ``form``, in ascending order,
+    and (m, coef) at index ``at`` among them.  The line is rendered once
+    for all such m, with a mark for m's text, and cut at the mark."""
     terms = (*form[:at], (None, coef), *form[at:])
     texts = {m: _TEXT[m] for m, _ in form}
     texts[None] = _MARK
+    # the parts are bound as defaults: a closure's cells are more objects per
+    # class for the collector to track, enough to set off full collections
     if fmt == "jsonl":
         line = json.dumps(form_to_json(den, terms, ty, texts), sort_keys=True)
         before, after = line.split(json.dumps(_MARK))
-    else:
-        before, after = format_form(den, terms, texts).split(_MARK)
-    return before, after
-
-
-def member_text(fmt: str):
-    """The text of a monomial as a ``frame`` takes it."""
-    if fmt == "jsonl":
-        return lambda m: json.dumps(_TEXT[m])
-    return _TEXT.__getitem__
+        return lambda m, b=before, a=after + "\n": f"{b}{json.dumps(_TEXT[m])}{a}"
+    before, after = format_form(den, terms, texts).split(_MARK)
+    return lambda m, b=before, a=after + "\n": f"{b}{_TEXT[m]}{a}"
 
 
 def format_polynomial(f: Polynomial) -> str:

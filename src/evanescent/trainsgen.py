@@ -86,8 +86,9 @@ class BasisMonomialError(ValueError):
     pass
 
 
-# the shape of a type by its counts after the largest, each list largest first
-_SHAPES = {(): "n", (1,): "n1", (2,): "n2", (1, 1): "n11"}
+# the shape of a type by its counts after the largest, each list largest
+# first; ``cli`` reads its train --type families from this table
+SHAPES = {(): "n", (1,): "n1", (2,): "n2", (1, 1): "n11"}
 
 
 def classify_type(ty):
@@ -95,7 +96,7 @@ def classify_type(ty):
     ty = normalize_type(ty)
     active = [(Variable(i + 1), c) for i, c in enumerate(ty) if c]
     active.sort(key=lambda vc: (-vc[1], vc[0].index))
-    tag = _SHAPES.get(tuple(c for _, c in active[1:]))
+    tag = SHAPES.get(tuple(c for _, c in active[1:]))
     if tag is None:
         return None, None
     return tag, {v: t for (v, _), t in zip(active, (X, Y, Z))}

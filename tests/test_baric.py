@@ -672,11 +672,13 @@ def test_make_mutation_matches_the_dense_build(data):
     mden, entries = as_ints([c for row in matrix for c in row])
     m = [entries[k * dim : (k + 1) * dim] for k in range(dim)]
     wden, w = as_ints(weight)
-    flat = [
-        w[j] * m[k][i] + w[i] * m[k][j]
+    constants = {
+        (i, j, k): w[j] * m[k][i] + w[i] * m[k][j]
         for i in range(dim) for j in range(dim) for k in range(dim)
-    ]
-    dense = {ij: row for ij, row in baric._cells(dim, flat).items() if ij[0] <= ij[1]}
+    }
+    one, cells = baric._cells(constants)
+    dense = {ij: row for ij, row in cells.items() if ij[0] <= ij[1]}
+    assert one == 1
     assert algebra._den == 2 * wden * mden
     assert {(i, j): row for i, j, row in algebra._pairs} == dense
     assert algebra.structure == [
@@ -684,6 +686,49 @@ def test_make_mutation_matches_the_dense_build(data):
          for j in range(dim)]
         for i in range(dim)
     ]
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 1 << 16), st.booleans())
+def test_dense_and_sparse_constants_build_the_same_algebra(dim, seed, zeros):
+    # BaricAlgebra on the dense planes and load_algebra on the same
+    # constants as sparse entries, in any order and either (i, j), the
+    # zero ones listed or not, share one cell builder: the same den, cells
+    # and structure
+    rng = random.Random(seed)
+    planes = (random_baric_algebra if seed % 2 else random_mutation_algebra)(rng, dim).structure
+    weight = [ONE] + [ZERO] * (dim - 1)
+    dense = BaricAlgebra(dim, planes, weight)
+    entries = [
+        [*rng.sample((i, j), 2), k, str(planes[i][j][k])]
+        for i in range(dim) for j in range(i, dim) for k in range(dim)
+        if zeros or planes[i][j][k]
+    ]
+    rng.shuffle(entries)
+    sparse = load_algebra({"dim": dim, "weight": [str(c) for c in weight], "structure": entries})
+    assert (dense._den, dense._pairs) == (sparse._den, sparse._pairs)
+    assert dense.structure == sparse.structure == planes
+
+
+def test_all_zero_and_non_commutative_constants(monkeypatch):
+    # all-zero constants give both builders den 1 and no cells, and a
+    # nonzero weight is then no character, at the same first pair
+    built, cells = [], baric._cells
+    monkeypatch.setattr(baric, "_cells", lambda entries: built.append(cells(entries)) or built[-1])
+    builds = (
+        lambda: BaricAlgebra(2, [[[0, 0], [0, 0]], [[0, 0], [0, 0]]], [1, 0]),
+        lambda: load_algebra({"dim": 2, "weight": ["1", "0"], "structure": [[0, 1, 1, "0"]]}),
+        lambda: load_algebra({"dim": 2, "weight": ["1", "0"], "structure": []}),
+    )
+    for build in builds:
+        with pytest.raises(AlgebraError) as err:
+            build()
+        assert str(err.value) == "weight is not an algebra character at basis pair (0, 0)"
+    assert built == [(1, {})] * 3
+    # a dense input with c[0][1] != c[1][0] is refused with the same message
+    with pytest.raises(AlgebraError) as err:
+        BaricAlgebra(2, [[[0, 1], [1, 0]], [[0, 0], [0, 0]]], [1, 0])
+    assert str(err.value) == "structure constants are not commutative"
 
 
 def test_load_algebra_reads_each_text_once(monkeypatch):

@@ -813,6 +813,27 @@ def test_members_of_one_class_at_two_places_print_their_own_lines():
         assert out.getvalue().splitlines() == want
 
 
+def test_a_freed_class_lends_its_id_to_no_later_line():
+    # each identity gets a class object of its own, freed once its line is
+    # printed, so a later class can get a freed one's id: every line must
+    # still come from its own class
+    from evanescent import peirce, trainsgen
+
+    identities = [i for ty in ((4, 1), (3, 2), (2, 1, 1)) for i in trainsgen.iter_train_basis(ty, 10)]
+
+    def fresh():
+        for i in identities:
+            c = i.cls
+            cls = peirce.peirce_class(c.den, c.form, c.coef, i.member, c.variables)
+            yield peirce.placed(i.member, cls, i.at, i.type, i.train)
+
+    for fmt in ("text", "jsonl"):
+        got, want = io.StringIO(), io.StringIO()
+        _emit_identities(fresh(), fmt, got)
+        _emit_identities(identities, fmt, want)
+        assert got.getvalue() == want.getvalue()
+
+
 def test_printing_builds_no_polynomial_and_no_report(capsys, monkeypatch):
     # text output is printed from each identity's int form; the commands
     # stream the identities from the generators, which are recorded

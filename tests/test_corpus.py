@@ -7,6 +7,7 @@ import pytest
 from evanescent import homgen, trainsgen
 from evanescent.magma import monomials_of_type, type_vector, w_number
 from evanescent.peirce import is_evanescent, peirce_recursive
+from evanescent.rationals import ZERO
 from evanescent.syntax import parse
 
 from conftest import CORPUS, SpanChecker, dense, corpus_lines
@@ -75,7 +76,7 @@ def test_homog_corpus_in_nullspace(key):
         report = is_evanescent(f)
         assert report.is_evanescent_identity, line
         assert f.homogeneous_type() == ty, line
-        vec = [f.coefficient(m) for m in monomials]
+        vec = [f.terms.get(m, ZERO) for m in monomials]
         assert checker.contains(vec), line
     # every printed list reaches the proved lower bound exactly
     assert len(lines) == len(basis)

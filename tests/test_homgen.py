@@ -541,7 +541,7 @@ def test_type6_span_contains_paper_generator():
     matrix = peirce_matrix((6,))
     monomials, basis = matrix.col_labels, nullspace(matrix)
     g = parse("x^3 x^3 + ((x^2 x^2) x) x - x^4 x^2 - (x^3 x^2) x")
-    vec = [g.coefficient(m) for m in monomials]
+    vec = [g.terms.get(m, ZERO) for m in monomials]
     assert SpanChecker([dense(form, len(monomials)) for form in basis]).contains(vec)
 
 
@@ -549,7 +549,7 @@ def test_type22_span_contains_paper_generator():
     matrix = peirce_matrix((2, 2))
     monomials, basis = matrix.col_labels, nullspace(matrix)
     g = parse("x^2 y^2 - (x y)(x y)")
-    vec = [g.coefficient(m) for m in monomials]
+    vec = [g.terms.get(m, ZERO) for m in monomials]
     assert SpanChecker([dense(form, len(monomials)) for form in basis]).contains(vec)
 
 

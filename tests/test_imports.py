@@ -10,6 +10,20 @@ PACKAGE = ROOT / "src" / "evanescent"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
+def package_sources() -> dict:
+    return {path.stem: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
+
+
+def bench_sources() -> list:
+    """The sources of ``bench/``, its tests left out: they read the
+    package as library users do."""
+    return [
+        path.read_text(encoding="utf-8")
+        for path in (ROOT / "bench").glob("*.py")
+        if not path.name.startswith("test_")
+    ]
+
+
 def unused_imports(source: str) -> list[str]:
     """The names a module imports and never reads.  Scopes are not told
     apart: a name read anywhere in the module counts as used, and a read
@@ -104,8 +118,7 @@ def test_the_guard_sees_an_unread_private_name():
 
 
 def test_every_private_name_is_read():
-    sources = {path.stem: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
-    assert unread_private_names(sources) == []
+    assert unread_private_names(package_sources()) == []
 
 
 def test_the_guard_sees_an_unread_public_name():
@@ -120,10 +133,67 @@ def test_the_guard_sees_an_unread_public_name():
 
 
 def test_every_public_name_is_exported_or_read():
-    sources = {path.stem: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
-    bench = [
-        path.read_text(encoding="utf-8")
-        for path in (ROOT / "bench").glob("*.py")
-        if not path.name.startswith("test_")
-    ]
-    assert unread_public_names(sources, set(evanescent.__all__), bench) == []
+    assert unread_public_names(package_sources(), set(evanescent.__all__), bench_sources()) == []
+
+
+# Public members of exported classes that no source in src/ or bench/
+# reads, kept for library users, each with its reason.
+KEPT_MEMBERS = {
+    "poly.Polynomial.homogeneous_type": "the type of a homogeneous polynomial, as users check it",
+    "peirce.PeircePolynomial.shift": "multiplication by t^k, the one operation the ring lacks otherwise",
+    "baric.BaricAlgebra.structure": "the structure constants as rationals, the constructor's own input",
+    "baric.BaricAlgebra.omega": "the weight of a vector, the defining map of a baric algebra",
+    "peirce.Identity.polynomial": "an identity as a Polynomial, to evaluate or substitute it",
+}
+
+
+def attribute_reads(sources) -> set:
+    """The names the sources read as an attribute, ``a.name``."""
+    return {
+        node.attr
+        for source in sources
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def unread_members(sources: dict, kept, readers=()) -> list[str]:
+    """``module.Class.name`` for each public method or property of a
+    module-level class of the package ``sources`` that is not ``kept``
+    and that neither a package source nor one of the ``readers`` reads
+    as an attribute: code that only tests would read."""
+    read = attribute_reads([*sources.values(), *readers])
+    return sorted(
+        name
+        for module, source in sources.items()
+        for node in ast.parse(source).body
+        if isinstance(node, ast.ClassDef)
+        for member in node.body
+        if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not member.name.startswith("_")
+        and member.name not in read
+        and (name := f"{module}.{node.name}.{member.name}") not in kept
+    )
+
+
+def test_the_guard_sees_an_unread_member():
+    sources = {
+        "a": (
+            "class A:\n    def read(self):\n        return self.size\n\n"
+            "    @property\n    def size(self):\n        return 1\n\n"
+            "    def gone(self):\n        pass\n\n    def _private(self):\n        pass\n\n"
+            "    def kept(self):\n        pass\n\n    def benched(self):\n        pass\n"
+        ),
+        "b": "from .a import A\n\ndef read():\n    return A().read()\n\ndef gone():\n    pass\n",
+    }
+    bench = ["import evanescent\nevanescent.a.A().benched()\n"]
+    assert unread_members(sources, {"a.A.kept"}, bench) == ["a.A.gone"]
+    assert unread_members(sources, {"a.A.kept"}) == ["a.A.benched", "a.A.gone"]
+    assert unread_members(sources, set(), bench) == ["a.A.gone", "a.A.kept"]
+
+
+def test_every_public_member_is_read_or_kept():
+    sources, bench = package_sources(), bench_sources()
+    assert unread_members(sources, KEPT_MEMBERS, bench) == []
+    # a kept member that a source now reads, or that is gone, leaves the table
+    assert unread_members(sources, set(), bench) == sorted(KEPT_MEMBERS)

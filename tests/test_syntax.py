@@ -21,7 +21,7 @@ from evanescent.magma import (
     product,
 )
 from evanescent.poly import Polynomial
-from evanescent.rationals import Q
+from evanescent.rationals import Q, ZERO
 from evanescent.syntax import (
     ParseError,
     format_monomial,
@@ -84,9 +84,9 @@ def test_juxtaposed_letters():
 
 def test_rationals_in_terms():
     f = parse("1/2 x^2 + 3 y - x")
-    assert f.coefficient(product(leaf(X), leaf(X))) == Q(1, 2)
-    assert f.coefficient(leaf(Y)) == 3
-    assert f.coefficient(leaf(X)) == -1
+    assert f.terms.get(product(leaf(X), leaf(X)), ZERO) == Q(1, 2)
+    assert f.terms.get(leaf(Y), ZERO) == 3
+    assert f.terms.get(leaf(X), ZERO) == -1
 
 
 def test_leading_sign():
@@ -309,8 +309,22 @@ def test_int_form_renderer_matches_fraction_printing(den, chosen, ty):
     for at, (m, n) in enumerate(terms):
         form = terms[:at] + terms[at + 1:]
         for fmt, line in lines.items():
-            before, after = syntax.frame(den, form, n, at, fmt, ty)
-            assert before + syntax.member_text(fmt)(m) + after == line
+            assert syntax.frame(den, form, n, at, fmt, ty)(m) == line + "\n"
+
+
+def test_a_frame_prints_one_whole_line_per_member():
+    # each line function, text and jsonl, ends in exactly one newline,
+    # for every member of the class it is called on
+    den, terms = parse("1/2 x^2 y - (x y) x + 3 y^2 x - 1/3 (x y) y").int_form()
+    for at, (m, n) in enumerate(terms):
+        form = terms[:at] + terms[at + 1:]
+        for fmt in ("text", "jsonl"):
+            line = syntax.frame(den, form, n, at, fmt, (2, 1))
+            for member in (m, *(t for t, _ in form)):
+                printed = line(member)
+                assert printed.endswith("\n") and printed.count("\n") == 1, printed
+                if fmt == "jsonl":
+                    assert json.loads(printed)["terms"][-1 - at]["monomial"] == format_monomial(member)
 
 
 def test_json_roundtrip(rng):
