@@ -305,10 +305,10 @@ def peirce_classes(ty) -> tuple:
     return monomials, _classes(_packed(m, variables, 64) for m in monomials)
 
 
-def peirce_column(m: Monomial, ty) -> list[int]:
-    """Column of m in the Peirce matrix of type ty, as ints: ``_column``
-    of m's packed Peirce entry."""
-    return _column(_packed(m, letters(ty), 64), sum(ty))
+def peirce_column(m: Monomial, variables: tuple, degree: int) -> list[int]:
+    """Column of m, of the given degree, in the Peirce matrix of the type of
+    those letters, as ints: ``_column`` of m's packed Peirce entry."""
+    return _column(_packed(m, variables, 64), degree)
 
 
 def _column(entry: tuple, degree: int) -> list[int]:

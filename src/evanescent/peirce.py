@@ -154,7 +154,7 @@ def peirce_recursive(f, v) -> PeircePolynomial:
     if isinstance(f, Monomial):
         f = Polynomial.monomial(f)
     den, nums = as_ints(f.terms.values())
-    bits = _slot_bits(f.terms, nums)
+    bits = _slot_bits(nums, f.degree())
     return _decode(_sums(f.terms, nums, (idx,), bits)[0], den, bits)
 
 
@@ -172,11 +172,11 @@ def _packed(m: Monomial, variables: tuple, bits: int) -> tuple:
     return fold(m, cache, lambda a, b: tuple(map(lshift, map(add, a, b), shifts)))
 
 
-def _slot_bits(monomials, nums) -> int:
-    """The least multiple of 64, b, with 2 sum|n| max deg < 2^b: every
-    coefficient of a Peirce polynomial of sum(n m) is at most sum|n| max
-    deg in absolute value, so its packed sum has balanced digits."""
-    bound = 2 * sum(map(abs, nums)) * max((m.degree for m in monomials), default=0)
+def _slot_bits(nums, degree: int) -> int:
+    """The least multiple of 64, b, with 2 sum|n| degree < 2^b: every Peirce
+    coefficient of sum(n m), each m of at most that degree, is at most
+    sum|n| degree in absolute value, so its packed sum has balanced digits."""
+    bound = 2 * sum(map(abs, nums)) * degree
     return 64 * max(1, -(-bound.bit_length() // 64))
 
 
@@ -265,7 +265,7 @@ def is_evanescent(f: Polynomial) -> EvanescenceReport:
 def _report(monomials, nums, den) -> EvanescenceReport:
     """The report of sum(n m) / den, over distinct monomials m and ints n."""
     variables = tuple(sorted({i for m in monomials for i, _ in m.counts}))
-    bits = _slot_bits(monomials, nums)
+    bits = _slot_bits(nums, max((m.degree for m in monomials), default=0))
     sums = _sums(monomials, nums, variables, bits)
     ppolys = {leaf(i).var: _decode(s, den, bits) for i, s in zip(variables, sums)}
     total = Q(sum(nums), den)
@@ -392,14 +392,16 @@ class PeirceClass(NamedTuple):
 
 def peirce_class(den: int, form, coef: int, member: Monomial, variables: tuple) -> PeirceClass:
     """The class of the shared terms ``form`` and the member coefficient,
-    for members of ``member``'s degree, which fixes the slot width.  An
-    identity of the class is evanescent when its coefficient sum is 0 and
+    for members of ``member``'s degree, the top degree of any term (of
+    the span in ``trainsgen``, of the type in ``homgen``, of the last term
+    in canonical order in ``make_identity``), which fixes the slot width.
+    An identity of the class is evanescent when its coefficient sum is 0 and
     its packed Peirce sums, the form's plus coef times the member's entry,
     are 0: when the member's entry is the form's sums over -coef, the
     target.  Both sums are taken here, once per class."""
     monomials = [m for m, _ in form]
     nums = [n for _, n in form]
-    bits = _slot_bits([*monomials, member], [*nums, coef])
+    bits = _slot_bits([*nums, coef], member.degree)
     sums = _sums(monomials, nums, variables, bits)
     fails = coef + sum(nums) or any(s % coef for s in sums)
     target = None if fails else tuple(-s // coef for s in sums)

@@ -12,8 +12,11 @@ for every monomial.  Two routes use it:
   and each product m1 m2 of two basis monomials is rewritten by the
   rule m1 m2 -> P(m1 m2), which is the solve for that product in its
   own letters, done once and cached.  P is unique, so any letters give
-  it.  Only the fold runs in canonical letters, where every
-  sub-monomial's roles agree with w's (see ``_prepare``).
+  it.  Only the fold runs in canonical letters (``TypeRecord.moved``),
+  where each letter's index follows its count, so every sub-monomial's
+  roles agree with w's.  In w's own letters they need not: in (0,2,5),
+  z is w's x and y its y, but a sub-monomial of type (0,2,2) would take
+  y as its x, and the fold would leave terms outside w's span.
 
 On a product of two basis monomials the routes coincide; on deeper
 monomials ``reduce`` vs ``solve_Pw`` checks the rewriting.
@@ -29,7 +32,7 @@ over the product of the two children's denominators and that lcm, and
 the gcd is divided out once at the end.  The per-type solve sums in
 ints too, and ``solve_unique`` returns its solution as such a form;
 ``Q`` appears only in ``reduce`` and ``solve_Pw``, which turn a form
-into a ``Polynomial``.
+into a ``Polynomial`` with one ``Q`` per distinct coefficient.
 ``train_identity`` builds no ``Q``: it builds w - P(w) as an int form in
 canonical order, P(w)'s terms ordered by their rank in the span basis
 put in the type's own letters.  Everything known of a type (shape,
@@ -129,7 +132,8 @@ class TypeRecord:
         """The span's Peirce system in the type's letters, factored at the
         first solve, not when ``admit`` builds the record: column k is the
         Peirce column of span monomial k."""
-        return factor(list(zip(*(peirce_column(m, self.type) for _, m in self.order.values()))))
+        columns = [peirce_column(m, self.variables, sum(self.type)) for _, m in self.order.values()]
+        return factor(list(zip(*columns)))
 
 
 def _shape(ty):
@@ -188,10 +192,9 @@ def _family(tag: str, n: int) -> list[Monomial]:
 # exact linear solve over the span
 
 
-def _solve_in_span(w: Monomial) -> tuple:
-    """Form of the unique P in the span with w's Peirce polynomials and sum 1."""
-    record = _record(type_vector(w))
-    den, nums = solve_unique(record.system, peirce_column(w, record.type))
+def _solve_in_span(w: Monomial, record: TypeRecord) -> tuple:
+    """Form of the unique P in the span of w's record with w's Peirce polynomials and sum 1."""
+    den, nums = solve_unique(record.system, peirce_column(w, record.variables, sum(record.type)))
     return den, tuple((m, n) for (_, m), n in zip(record.order.values(), nums) if n)
 
 
@@ -207,14 +210,21 @@ def _rule(m1: Monomial, m2: Monomial) -> tuple:
     pattern = product(m1, m2)
     got = _RULES.get(pattern)
     if got is None:
-        got = _RULES[pattern] = _solve_in_span(pattern)
+        got = _RULES[pattern] = _solve_in_span(pattern, _record(type_vector(pattern)))
     return got
 
 
 def _polynomial(form, inverse) -> Polynomial:
-    """The polynomial of an int form, relabelled by inverse."""
+    """The polynomial of an int form, relabelled by inverse if that moves
+    letters, with one ``Q`` per distinct coefficient, shared by its terms."""
     den, terms = form
-    return Polynomial._raw({relabel_monomial(m, inverse): Q(n, den) for m, n in terms})
+    values, out = {}, {}  # each coefficient's Q; the polynomial's terms
+    for m, n in terms:
+        c = values.get(n)
+        if c is None:
+            c = values[n] = Q(n, den)
+        out[relabel_monomial(m, inverse) if inverse else m] = c
+    return Polynomial._raw(out)
 
 
 # monomial -> the form of its normal form
@@ -271,26 +281,14 @@ def _checked(w: Monomial, shape=None, *, allow_basis=False) -> TypeRecord:
     return record
 
 
-def _prepare(w: Monomial, shape=None, *, allow_basis=False):
-    """(w in canonical letters, the record of w's type, w's type), for the
-    fold.  The fold runs in canonical letters, where each letter's index
-    follows its count, so a tie between equal counts, broken by letter
-    index, falls the same way in every sub-monomial as in w, and every
-    sub-monomial's roles agree with w's.  In w's own letters they need not:
-    in (0,2,5), z is w's x and y its y, but a sub-monomial of type (0,2,2)
-    would take y as its x, and the fold would leave terms outside w's span."""
-    record = _checked(w, shape, allow_basis=allow_basis)
-    return relabel_monomial(w, record.moved), record, record.type
-
-
 def reduce(w: Monomial, shape=None) -> Polynomial:
     """Normal form P(w): the image of w in the span of the basis family.
 
     A basis monomial is already in the span, so its normal form is the
     monomial itself (in its own variable names).
     """
-    wc, record, _ = _prepare(w, shape, allow_basis=True)
-    return _polynomial(_reduce(wc), record.inverse)
+    record = _checked(w, shape, allow_basis=True)
+    return _polynomial(_reduce(relabel_monomial(w, record.moved)), record.inverse)
 
 
 def solve_Pw(w: Monomial, shape=None) -> Polynomial:
@@ -303,8 +301,7 @@ def solve_Pw(w: Monomial, shape=None) -> Polynomial:
     independent cross-check of ``reduce`` on the monomials that have a
     train identity; a basis monomial raises BasisMonomialError.
     """
-    _checked(w, shape)
-    return _polynomial(_solve_in_span(w), {})
+    return _polynomial(_solve_in_span(w, _checked(w, shape)), {})
 
 
 def train_identity(w: Monomial, shape=None) -> Identity:
@@ -313,8 +310,8 @@ def train_identity(w: Monomial, shape=None) -> Identity:
     A basis monomial raises BasisMonomialError: there w - P(w) = 0,
     which is not an identity.
     """
-    wc, record, ty = _prepare(w, shape)
-    return placed(w, *_ranked(wc, record), ty, True)
+    record = _checked(w, shape)
+    return placed(w, *_ranked(relabel_monomial(w, record.moved), record), record.type, True)
 
 
 def _ranked(wc: Monomial, record: TypeRecord) -> tuple:

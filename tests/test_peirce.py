@@ -1,3 +1,4 @@
+import contextlib
 import functools
 import math
 import random
@@ -40,7 +41,7 @@ from evanescent.poly import Polynomial
 from evanescent.rationals import Q
 from evanescent.syntax import parse, parse_monomial
 
-from conftest import corpus_lines, peeled_digits, random_monomial, random_polynomial
+from conftest import CORPUS, corpus_lines, peeled_digits, random_monomial, random_polynomial
 
 
 def upoly(*coeffs):
@@ -461,8 +462,8 @@ def test_peirce_column_decodes_every_variable_from_one_entry(monkeypatch):
                     counts = height_counts(m, i + 1) + [0] * degree
                     want += counts[1:degree]
             want.append(1)
-            assert homgen.peirce_column(m, ty) == want
-            assert homgen.peirce_column(m, ty) == want
+            assert homgen.peirce_column(m, letters(ty), degree) == want
+            assert homgen.peirce_column(m, letters(ty), degree) == want
     assert set(peirce._PEIRCE_CACHE) == {((1,), 64), ((1, 2), 64), ((1, 2, 3), 64), ((1, 3), 64)}
 
 
@@ -709,3 +710,39 @@ def test_walks_on_a_monomial_deeper_than_the_recursion_limit():
     algebra, e = spectrum_algebra([lam])
     z = (Q(0), Q(1))
     assert evaluate(f, algebra, {X: e, Y: e, Z: z}) == (0, Q(2, 3) * lam**1501)
+
+
+def test_slot_width_from_the_member_degree(monkeypatch):
+    # in each caller the member has the top degree of its class, so the
+    # width from the member's degree is the one from every term's degree:
+    # on every class of the train and homog bench types and on
+    # make_identity over the corpus identities, and on a class whose
+    # width is 128 bits only by its member's degree and coefficient
+    built = peirce.peirce_class
+    widths = []
+
+    def peirce_class(den, form, coef, member, variables):
+        cls = built(den, form, coef, member, variables)
+        degree = max(m.degree for m in [*(m for m, _ in form), member])
+        widths.append((cls.bits, peirce._slot_bits([*(n for _, n in form), coef], degree)))
+        return cls
+
+    for module in (trainsgen, homgen, peirce):
+        monkeypatch.setattr(module, "peirce_class", peirce_class)
+    suffixes = [(), (1,), (2,), (1, 1)]
+    for ty in [(n,) + suffix for suffix in suffixes for n in range(1, 10 - sum(suffix))]:
+        trainsgen.generate_train_basis(ty)
+    for ty in [(8,), (5, 1), (4, 2), (3, 1, 1), (8, 1), (6, 2), (6, 1, 1)]:
+        homgen.generate_homogeneous(ty)
+    paths = sorted(CORPUS.glob("*/*.txt"))
+    lines = [line for path in paths for line in corpus_lines(path.parent.name, path.stem)]
+    for line in lines:
+        with contextlib.suppress(EvanescenceError):
+            make_identity(parse(line))
+    with pytest.raises(EvanescenceError):
+        # 2 sum|n| degree is 2^64, so 128 bits; without the member's
+        # coefficient it would be 2^64 - 8, at the form's degree 3 * 2^62
+        make_identity(parse(f"{2 ** 61 - 1} x^2 x - x^2 x^2"))
+    assert len(lines) == 250 and len(widths) == 1781 + 523 + 250 + 1
+    assert all(got == want for got, want in widths)
+    assert {got for got, _ in widths} == {64, 128}

@@ -145,7 +145,7 @@ def test_basis_of_type_matches_canonical_membership():
                       ((0, 2, 3), 2), ((3, 1, 1), 3), ((1, 3, 1), 3), ((1, 1, 3), 3)]:
         want = set()
         for w in monomials_of_type(ty):
-            wc, _, _ = trainsgen._prepare(w, allow_basis=True)
+            wc = trainsgen.relabel_monomial(w, trainsgen._record(ty).moved)
             if wc in trainsgen._record(type_vector(wc)).basis:
                 want.add(w)
         assert trainsgen._record(ty).basis == want and len(want) == count, ty
@@ -760,6 +760,61 @@ def test_rules_are_pinned(monkeypatch):
     assert len(trainsgen._RULES) == 363
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == "f7ddc71ea3a637173c429946037c579397ba7c957b91d49a8b7d6a1173e7f175"
+
+
+def _crosscheck_words() -> list:
+    """The crosscheck workload's words: every non-basis monomial of the
+    families n, n,1, n,2 and n,1,1 up to total degree 7, in canonical order."""
+    types = ([(k,) for k in range(2, 8)] + [(k, 1) for k in range(1, 7)]
+             + [(k, 2) for k in range(2, 6)] + [(k, 1, 1) for k in range(1, 6)])
+    return [w for ty in types for w in monomials_of_type(ty) if not is_basis_monomial(w)]
+
+
+def test_reduce_and_solve_are_printed_as_pinned(monkeypatch):
+    # from cold caches, the 526 crosscheck words and every non-basis
+    # monomial of three types whose letters move, so that the forms are
+    # relabelled: both routes' P(w) as printed, and each term with its
+    # exact coefficient in the polynomial's own order
+    monkeypatch.setattr(trainsgen, "_record", functools.cache(trainsgen._record.__wrapped__))
+    monkeypatch.setattr(trainsgen, "_RULES", {})
+    monkeypatch.setattr(trainsgen, "_REDUCE_CACHE", {})
+    words = _crosscheck_words()
+    assert len(words) == 526
+    for ty in [(1, 5), (0, 2, 4), (1, 0, 1, 3)]:
+        assert trainsgen._record(ty).moved
+        words += [w for w in monomials_of_type(ty) if not is_basis_monomial(w)]
+    lines = []
+    for w in words:
+        for p in (reduce(w), solve_Pw(w)):
+            terms = [(format_monomial(m), c.numerator, c.denominator) for m, c in p.terms.items()]
+            lines.append(repr((format_monomial(w), format_polynomial(p), terms)))
+    assert len(lines) == 2 * (526 + 18 + 39 + 22)
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "c49e494c9dacdf4ffb969edf0d285561acfeb4cded9494fc29b287ae950da325"
+
+
+def test_a_warm_word_finds_its_record_once_and_one_q_per_value(monkeypatch):
+    # once w's rules and normal form are cached, each route looks w's
+    # record up once, and the polynomial of its form builds one Q per
+    # distinct coefficient, relabelled or not
+    record = trainsgen._record
+    lookups, built = [], []
+    monkeypatch.setattr(trainsgen, "_record", lambda ty: lookups.append(ty) or record(ty))
+    monkeypatch.setattr(trainsgen, "Q", lambda n, den: built.append(n) or Q(n, den))
+    terms = values = 0
+    for ty in [(5, 1, 1), (1, 0, 1, 3)]:
+        for w in monomials_of_type(ty):
+            if is_basis_monomial(w):
+                continue
+            reduce(w), solve_Pw(w)
+            for route in (reduce, solve_Pw):
+                del lookups[:], built[:]
+                got = route(w)
+                assert lookups == [type_vector(w)], (route, w)
+                assert len(built) == len(set(got.terms.values())), (route, w)
+                terms += len(got.terms)
+                values += len(built)
+    assert values < terms
 
 
 def test_classify_type_is_pinned():
