@@ -354,11 +354,6 @@ class Identity:
         den = self.den
         return Polynomial._raw({m: Q(n, den) for m, n in self.terms})
 
-    @functools.cached_property
-    def report(self) -> EvanescenceReport:
-        terms = self.terms
-        return _report([m for m, _ in terms], [n for _, n in terms], self.den)
-
     def __eq__(self, other):
         return isinstance(other, Identity) and (self.den, self.terms) == (other.den, other.terms)
 

@@ -4,9 +4,11 @@ P(w) is the unique element of the span of the shape's basis family
 whose Peirce polynomials match those of w and whose coefficient sum is
 1.  It is found by an exact linear solve: the system depends only on the
 type, so it is factored once, on the type's ``TypeRecord``, and reused
-for every monomial.  Two routes use it:
+for every monomial.  Everything known of a type (shape, letters, span
+order, basis, span system) is one ``TypeRecord``.  Two routes give P(w):
 
-* ``solve_Pw``: the solve for w itself, in w's own letters.
+* the solve for w itself, in w's own letters: ``solve_Pw`` and the
+  generator.
 
 * ``reduce``: bottom-up normalization; the two children are normalized
   and each product m1 m2 of two basis monomials is rewritten by the
@@ -19,7 +21,10 @@ for every monomial.  Two routes use it:
   y as its x, and the fold would leave terms outside w's span.
 
 On a product of two basis monomials the routes coincide; on deeper
-monomials ``reduce`` vs ``solve_Pw`` checks the rewriting.
+monomials ``reduce`` vs ``solve_Pw`` checks the rewriting, which serves
+that check alone: only ``reduce`` reads ``_RULES``, ``_REDUCE_CACHE``,
+``_rule``, ``_rewrite``, ``_basis_form`` and a built record's letter
+maps ``moved`` and ``inverse``.
 
 The rewriting runs in Python ints.  Each cached rule (``_RULES``) and
 each cached normal form (``_REDUCE_CACHE``) is a form (den, ((m, n),
@@ -35,22 +40,19 @@ ints too, and ``solve_unique`` returns its solution as such a form;
 into a ``Polynomial`` with one ``Q`` per distinct coefficient.
 ``train_identity`` builds no ``Q``: it builds w - P(w) as an int form in
 canonical order, P(w)'s terms ordered by their rank in the span basis
-put in the type's own letters.  Everything known of a type (shape,
-letters, span order, basis, span system) is one ``TypeRecord``.
+put in the type's own letters.
 
 P(w) depends only on w's Peirce polynomials, so ``iter_train_basis``
 works once per Peirce class of its type (``homgen.peirce_classes``: the
-monomials with one packed Peirce entry): it reduces and ranks the first
-non-basis member, and takes -P(w)'s coefficient sum and packed Peirce
-sums, a ``peirce.PeirceClass`` whose shared terms are -P(w) and whose
-member coefficient is den.  Each member's w is placed into that form and
-checked on its own by ``peirce.placed``, by its own packed Peirce entry
-against the class's sums, and yielded, in canonical order, as soon as it
-is checked; ``generate_train_basis`` is its list, and ``cmd_train``
-prints from it as it goes.  ``train_identity`` is a class of one.  The
-classes live for one call: ``_REDUCE_CACHE`` holds only forms the
-rewriting computed, so ``reduce`` vs ``solve_Pw`` stays an independent
-check.
+monomials with one packed Peirce entry): it solves for and ranks the
+first non-basis member, and takes -P(w)'s coefficient sum and packed
+Peirce sums, a ``peirce.PeirceClass`` whose shared terms are -P(w) and
+whose member coefficient is den.  Each member's w is placed into that
+form and checked on its own by ``peirce.placed``, by its own packed
+Peirce entry against the class's sums, and yielded, in canonical order,
+as soon as it is checked; ``generate_train_basis`` is its list, and
+``cmd_train`` prints from it as it goes.  ``train_identity`` is a class
+of one.  The classes live for one call.
 """
 
 from __future__ import annotations
@@ -114,15 +116,14 @@ def relabel_monomial(m: Monomial, mapping: dict) -> Monomial:
 
 @dataclass(frozen=True, eq=False)
 class TypeRecord:
-    """What the rewriting knows of one type, found once per type."""
+    """Everything known of one type, found once per type."""
 
     tag: str  # the shape
     moved: dict  # each letter that is not its canonical letter -> that letter
     inverse: dict  # and back; both are empty for a type in canonical letters
-    # each span monomial of the canonical type (the type's nonzero counts,
-    # largest first) -> (its rank in canonical order in the type's own
-    # letters, that monomial in those letters), in span order
-    order: dict
+    # for each span monomial, in span order: (its rank in canonical order,
+    # that monomial in the type's own letters)
+    order: tuple
     basis: frozenset  # the span monomials in own letters that have this type
     type: tuple  # the type itself
     variables: tuple  # the indices of the type's letters
@@ -132,7 +133,7 @@ class TypeRecord:
         """The span's Peirce system in the type's letters, factored at the
         first solve, not when ``admit`` builds the record: column k is the
         Peirce column of span monomial k."""
-        columns = [peirce_column(m, self.variables, sum(self.type)) for _, m in self.order.values()]
+        columns = [peirce_column(m, self.variables, sum(self.type)) for _, m in self.order]
         return factor(list(zip(*columns)))
 
 
@@ -153,7 +154,7 @@ def _record(ty) -> TypeRecord:
     span = _family(tag, max(ty))
     own = [relabel_monomial(b, inverse) for b in span]
     rank = {m: r for r, m in enumerate(sorted(own))}
-    order = {b: (rank[m], m) for b, m in zip(span, own)}
+    order = tuple((rank[m], m) for m in own)
     basis = frozenset(m for m in own if type_vector(m) == ty)
     return TypeRecord(tag, moved, inverse, order, basis, ty, letters(ty))
 
@@ -195,7 +196,7 @@ def _family(tag: str, n: int) -> list[Monomial]:
 def _solve_in_span(w: Monomial, record: TypeRecord) -> tuple:
     """Form of the unique P in the span of w's record with w's Peirce polynomials and sum 1."""
     den, nums = solve_unique(record.system, peirce_column(w, record.variables, sum(record.type)))
-    return den, tuple((m, n) for (_, m), n in zip(record.order.values(), nums) if n)
+    return den, tuple((m, n) for (_, m), n in zip(record.order, nums) if n)
 
 
 # ---------------------------------------------------------------------------
@@ -311,22 +312,22 @@ def train_identity(w: Monomial, shape=None) -> Identity:
     which is not an identity.
     """
     record = _checked(w, shape)
-    return placed(w, *_ranked(relabel_monomial(w, record.moved), record), record.type, True)
+    return placed(w, *_ranked(w, record), record.type, True)
 
 
-def _ranked(wc: Monomial, record: TypeRecord) -> tuple:
-    """(the Peirce class of w, at), for w in canonical letters: the form
-    -P(w) over den, in w's letters and canonical order, and the member
-    coefficient den.  P(w) lies in the span of the basis and w does not,
-    so w goes in between its terms.  The span's monomials of w's degree
-    are the basis monomials of w's type and rank last: w goes after every
-    term ranked below them, ``at``, and after each of them below w."""
-    den, terms = _reduce(wc)
-    order = record.order
-    ranked = sorted((order[m], n) for m, n in terms)
-    at = bisect.bisect_left(ranked, len(order) - len(record.basis), key=lambda item: item[0][0])
-    form = [(m, -n) for (_, m), n in ranked]
-    return peirce_class(den, form, den, wc, record.variables), at
+def _ranked(w: Monomial, record: TypeRecord) -> tuple:
+    """(the Peirce class of w, at): the form -P(w) over den, from the span
+    solve in w's letters, its terms in canonical order by their ranks in
+    the span, and the member coefficient den.  P(w) lies in the span of
+    the basis and w does not, so w goes in between its terms.  The span's
+    monomials of w's degree are the basis monomials of w's type and rank
+    last: w goes after every term ranked below them, ``at``, and after
+    each of them below w."""
+    den, nums = solve_unique(record.system, peirce_column(w, record.variables, sum(record.type)))
+    ranked = sorted((entry, -n) for entry, n in zip(record.order, nums) if n)
+    at = bisect.bisect_left(ranked, len(record.order) - len(record.basis), key=lambda item: item[0][0])
+    form = [(m, n) for (_, m), n in ranked]
+    return peirce_class(den, form, den, w, record.variables), at
 
 
 def admit(ty, max_degree: int = 10) -> tuple[int, ...]:
@@ -355,13 +356,13 @@ def iter_train_basis(ty, max_degree: int = 10):
 
     P(w) depends only on w's Peirce polynomials, so once per Peirce class
     of the type (``homgen.peirce_classes``: one packed entry at 64 bits,
-    where each coefficient fits its slot) it is reduced and ranked, and
-    its sums are taken, by ``_ranked``, at the class's first non-basis
-    member.  Each member's identity is still built from its own w and
-    checked on its own, against its own packed Peirce entry, by
+    where each coefficient fits its slot) it is solved for and ranked,
+    and its sums are taken, by ``_ranked``, at the class's first
+    non-basis member.  Each member's identity is still built from its own
+    w and checked on its own, against its own packed Peirce entry, by
     ``peirce.placed``.  Every class is ranked before the first member is
     checked, so that printing each identity as it comes does not
-    interleave with the rewriting (which costs about 5 % more).
+    interleave with the solves (10 % slower on the ``train`` bench types).
     """
     ty = admit(ty, max_degree)
     record = _record(ty)
@@ -370,7 +371,7 @@ def iter_train_basis(ty, max_degree: int = 10):
     for members in classes.values():
         own = [k for k in members if monomials[k] not in record.basis]
         if own:
-            got = _ranked(relabel_monomial(monomials[own[0]], record.moved), record)
+            got = _ranked(monomials[own[0]], record)
             for k in own:
                 ranked[k] = got
     for w, got in zip(monomials, ranked):

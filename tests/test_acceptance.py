@@ -158,7 +158,7 @@ def test_criterion_5_dimension_theorems():
             ids = trainsgen.generate_train_basis(ty)
             expected = max(0, w_number(ty) - deficits[tag])
             assert len(ids) == expected, ty
-            assert all(i.report.is_evanescent_identity for i in ids)
+            assert all(is_evanescent(i.polynomial).is_evanescent_identity for i in ids)
             checked += len(ids)
     # homogeneous dimensions reach the stated lower bounds
     bounds = []

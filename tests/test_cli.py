@@ -781,6 +781,16 @@ STDOUT_DIGESTS = {
         "5cb85fbacc991c94082d98dea729ba2fa55be8aeba1b4522b69de9512d677eff",
     ("spectrum", "--eigenvalues", "1/2,-3/4,5/6,5/6,7/9,-11/13,2", "--format", "jsonl"):
         "6965400b021fbdc79de2f3c4739bc7a0c474b4a1c2d5ef52bc51d99213bbb0a6",
+    # recorded before train took P(w) from the span solve in w's own
+    # letters: types and a word whose letters are not the canonical ones
+    ("train", "--type", "1,8"):
+        "9afbf0ff19a5049e2057ec0bb47fc577d0bf483b84d628166b92ac6221feef35",
+    ("train", "--type", "0,2,7", "--format", "jsonl"):
+        "0a910f2d32682d582583ba43bdf6900aff2a55071dc97a0137bd76787dc6d3f0",
+    ("train", "--type", "1,0,1,6"):
+        "003a1f7468691dbf627d1ac33d9ed1633a09092c8aa63c2fd32f35c89f95581e",
+    ("train", "--of", "(y^{12}x)(yy)"):
+        "98858a56d73df17b8061dc4ccbe8f871c1e1bc79ba2f5558b44bdfbf5f5ebf53",
 }
 
 

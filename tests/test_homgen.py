@@ -556,7 +556,7 @@ def test_type22_span_contains_paper_generator():
 def test_generated_identities_verify():
     for ty in [(6,), (4, 1), (2, 2), (2, 1, 1)]:
         for ident in generate_homogeneous(ty):
-            assert ident.report.is_evanescent_identity
+            assert is_evanescent(ident.polynomial).is_evanescent_identity
             assert ident.polynomial.homogeneous_type() == ty
             assert not ident.train
 

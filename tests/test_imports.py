@@ -161,7 +161,9 @@ def unread_members(sources: dict, kept, readers=()) -> list[str]:
     """``module.Class.name`` for each public method or property of a
     module-level class of the package ``sources`` that is not ``kept``
     and that neither a package source nor one of the ``readers`` reads
-    as an attribute: code that only tests would read."""
+    as an attribute: code that only tests would read.  Reads are matched
+    by name alone, so a reader's attribute of the same name, such as the
+    bench tracer's ``report()``, hides a member that nothing reads."""
     read = attribute_reads([*sources.values(), *readers])
     return sorted(
         name

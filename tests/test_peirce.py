@@ -547,7 +547,7 @@ def test_make_identity_checks_int_forms():
         identity = make_identity(f, train=False, ty=ty)
         assert identity.polynomial == f and identity.type == ty
         assert all(type(c) is Q for c in identity.polynomial.terms.values())
-        assert identity.report.is_evanescent_identity
+        assert is_evanescent(identity.polynomial).is_evanescent_identity
         # one coefficient moved: the coefficient sum is no longer zero
         bumped = [(terms[0][0], terms[0][1] + 1)] + terms[1:]
         with pytest.raises(EvanescenceError):
@@ -574,8 +574,8 @@ _HOMOG_TYPES = [(8,), (5, 1), (4, 2), (3, 1, 1), (8, 1), (6, 2), (6, 1, 1)]
 
 def test_identity_is_its_checked_int_form():
     # the generators hand over canonical int forms: terms in ascending
-    # order, den > 0, no common factor; the Q polynomial and the report
-    # built from a form are those of make_identity and is_evanescent
+    # order, den > 0, no common factor; the Q polynomial built from a form
+    # is make_identity's, and is_evanescent finds it an evanescent identity
     identities = [i for ty in _HOMOG_TYPES for i in homgen.generate_homogeneous(ty)]
     for ty in [(6,), (4, 1), (3, 2), (3, 1, 1), (0, 3, 2), (1, 0, 4), (1, 3, 0, 1)]:
         identities += trainsgen.generate_train_basis(ty)
@@ -588,9 +588,8 @@ def test_identity_is_its_checked_int_form():
         again = make_identity(f, train=ident.train, ty=ident.type)
         assert (again.den, again.terms, again.type) == (ident.den, ident.terms, ident.type)
         assert again == ident and hash(again) == hash(ident)
-        report, expected = ident.report, is_evanescent(ident.polynomial)
-        assert report.peirce == expected.peirce and report.at_ones == expected.at_ones == 0
-        assert report.is_peirce_evanescent and report.is_evanescent_identity
+        expected = is_evanescent(ident.polynomial)
+        assert expected.at_ones == 0
         assert expected.is_peirce_evanescent and expected.is_evanescent_identity
     assert len(identities) > 300
 
@@ -677,7 +676,7 @@ def test_make_identity_agrees_with_is_evanescent(picks, changes):
     expected = is_evanescent(f)
     if expected.is_evanescent_identity:
         identity = make_identity(f)
-        assert identity.polynomial == f and identity.report.peirce == expected.peirce
+        assert identity.polynomial == f and is_evanescent(identity.polynomial).peirce == expected.peirce
     else:
         with pytest.raises(EvanescenceError) as raised:
             make_identity(f)

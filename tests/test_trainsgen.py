@@ -41,7 +41,7 @@ from conftest import nested_key
 
 def span(ty) -> tuple:
     """The span monomials of a type, in its letters and span order."""
-    return tuple(m for _, m in trainsgen._record(ty).order.values())
+    return tuple(m for _, m in trainsgen._record(ty).order)
 
 
 def excluded(ty) -> tuple:
@@ -193,23 +193,34 @@ def test_unsupported_shape_and_identity_maps():
 
 
 def test_every_generated_identity_is_checked(monkeypatch):
-    # a wrong rule gives a wrong P(w): the evanescence check of the identity
-    # rejects it, so every identity is still checked, rules cached or not
-    monkeypatch.setattr(trainsgen, "_RULES", {})
-    monkeypatch.setattr(trainsgen, "_REDUCE_CACHE", {})
+    # a wrong span solve gives a wrong P(w): the evanescence check of the
+    # identity rejects it, so every identity the generator yields is checked
     ty = (4, 1)
     want = generate_train_basis(ty)
+    solve = trainsgen.solve_unique
+
+    def bumped(system, column):
+        den, nums = solve(system, column)
+        k = next(k for k, n in enumerate(nums) if n)
+        return den, (*nums[:k], nums[k] + (1 if nums[k] > 0 else -1), *nums[k + 1 :])
+
+    with monkeypatch.context() as patch:
+        patch.setattr(trainsgen, "solve_unique", bumped)
+        with pytest.raises(EvanescenceError) as raised:
+            generate_train_basis(ty)
+        assert not raised.value.report.is_evanescent_identity
+    assert generate_train_basis(ty) == want
+    # a wrong rule gives a wrong normal form: reduce vs solve_Pw shows it on
+    # a deeper monomial, and the generator, which reads no rule, is unmoved
+    monkeypatch.setattr(trainsgen, "_RULES", {})
+    monkeypatch.setattr(trainsgen, "_REDUCE_CACHE", {})
+    words = [w for w in monomials_of_type(ty) if not is_basis_monomial(w)]
+    assert all(reduce(w) == solve_Pw(w) for w in words)
     pattern, (den, terms) = next(iter(trainsgen._RULES.items()))
     (m, n), *rest = terms
     trainsgen._RULES[pattern] = (den, ((m, n + (1 if n > 0 else -1)), *rest))
     monkeypatch.setattr(trainsgen, "_REDUCE_CACHE", {})
-    try:
-        with pytest.raises(EvanescenceError) as raised:
-            generate_train_basis(ty)
-        assert not raised.value.report.is_evanescent_identity
-    finally:
-        trainsgen._RULES[pattern] = (den, terms)
-    monkeypatch.setattr(trainsgen, "_REDUCE_CACHE", {})
+    assert any(reduce(w) != solve_Pw(w) for w in words if w != pattern)
     assert generate_train_basis(ty) == want
 
 def test_classify_type_roles():
@@ -249,7 +260,7 @@ def test_generate_counts_match_dimension_corollaries():
 
 def test_generated_are_verified_and_ordered():
     ids = generate_train_basis((6,))
-    assert all(i.report.is_evanescent_identity for i in ids)
+    assert all(is_evanescent(i.polynomial).is_evanescent_identity for i in ids)
     assert all(i.train and i.type == (6,) for i in ids)
 
 
@@ -659,9 +670,9 @@ def test_a_peirce_class_has_one_normal_form(monkeypatch):
 
 
 def test_generation_reduces_once_per_class(monkeypatch):
-    # per class one reduction and one pass over -P(w)'s terms; per member
+    # per class one span solve and one pass over -P(w)'s terms; per member
     # one check of its own Peirce entry, and no pass over its terms
-    counts = {"_reduce": 0, "peirce_class": 0, "_sums": 0, "placed": 0, "_report": 0}
+    counts = {"solve_unique": 0, "peirce_class": 0, "_sums": 0, "placed": 0, "_report": 0}
 
     def counted(module, name):
         real = getattr(module, name)
@@ -672,13 +683,50 @@ def test_generation_reduces_once_per_class(monkeypatch):
 
         monkeypatch.setattr(module, name, wrapper)
 
-    for name in ("_reduce", "peirce_class", "placed"):
+    for name in ("solve_unique", "peirce_class", "placed"):
         counted(trainsgen, name)
     for name in ("_sums", "_report"):
         counted(peirce, name)
     identities = generate_train_basis((6, 1, 1))
-    assert counts == {"_reduce": 243, "peirce_class": 243, "_sums": 243, "placed": 494, "_report": 0}
+    assert counts == {"solve_unique": 243, "peirce_class": 243, "_sums": 243, "placed": 494, "_report": 0}
     assert len(identities) == len(set(identities)) == 494
+
+
+def test_generation_reads_no_rewriting(monkeypatch):
+    # from cold caches, the train workload's 31 types build one record
+    # each, the rewriting's caches stay empty, and letters are relabelled
+    # and types taken only while a record is built
+    built, outside, building = [], [], []
+    build = trainsgen._record.__wrapped__
+
+    def record(ty):
+        built.append(ty)
+        building.append(ty)
+        try:
+            return build(ty)
+        finally:
+            building.pop()
+
+    def watched(name):
+        real = getattr(trainsgen, name)
+
+        def wrapper(*args):
+            if not building:
+                outside.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(trainsgen, name, wrapper)
+
+    monkeypatch.setattr(trainsgen, "_record", functools.cache(record))
+    monkeypatch.setattr(trainsgen, "_RULES", {})
+    monkeypatch.setattr(trainsgen, "_REDUCE_CACHE", {})
+    watched("relabel_monomial")
+    watched("type_vector")
+    types = _train_types()
+    assert sum(len(generate_train_basis(ty)) for ty in types) == 3750
+    assert len(types) == 31 and built == types
+    assert trainsgen._RULES == {} and trainsgen._REDUCE_CACHE == {}
+    assert outside == []
 
 
 def _classes(ty):
@@ -697,17 +745,16 @@ def test_a_wrong_class_form_fails_every_member(monkeypatch):
     # member's own entry, so every member raises with its own report
     ty = (1, 4, 1)
     record = trainsgen._record(ty)
-    reduce_form = trainsgen._reduce
+    solve = trainsgen.solve_unique
     want = len(generate_train_basis(ty))
     members = 0
     for ws in _classes(ty):
-        wc = trainsgen.relabel_monomial(ws[0], record.moved)
-        den, terms = reduce_form(wc)
-        (m1, n1), (m2, n2), *rest = terms
-        moved = tuple((m, n) for m, n in ((m1, n1 + 1), (m2, n2 - 1), *rest) if n)
-        monkeypatch.setattr(trainsgen, "_reduce", lambda w, form=(den, moved): form)
-        cls, at = trainsgen._ranked(wc, record)
-        wrong = trainsgen._polynomial((den, moved), record.inverse)
+        den, nums = solve(record.system, homgen.peirce_column(ws[0], record.variables, sum(ty)))
+        k1, k2, *_ = (k for k, n in enumerate(nums) if n)
+        moved = [n + (k == k1) - (k == k2) for k, n in enumerate(nums)]
+        monkeypatch.setattr(trainsgen, "solve_unique", lambda system, column, got=(den, moved): got)
+        cls, at = trainsgen._ranked(ws[0], record)
+        wrong = Polynomial({m: Q(n, den) for (_, m), n in zip(record.order, moved) if n})
         for w in ws:
             with pytest.raises(EvanescenceError) as raised:
                 peirce.placed(w, cls, at, ty, True)
@@ -730,9 +777,10 @@ def test_a_coarse_class_key_raises(monkeypatch):
     keys = [_packed(ws[0], variables, 64) for ws in _classes(ty)]
     assert len({key[:1] for key in keys}) < len(keys)
     # the key is coarsened where the classes are found, in
-    # homgen.peirce_classes, alone: the members' checks read
-    # peirce._packed, which still gives each one's full entry
-    monkeypatch.setattr(homgen, "_packed", lambda w, variables, bits: _packed(w, variables, bits)[:1])
+    # homgen.peirce_classes, alone: the span solve and the members' checks
+    # still read each monomial's full entry
+    classes = homgen._classes
+    monkeypatch.setattr(homgen, "_classes", lambda keys: classes(key[:1] for key in keys))
     with pytest.raises(EvanescenceError) as raised:
         generate_train_basis(ty)
     assert not raised.value.report.is_evanescent_identity
