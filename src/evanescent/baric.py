@@ -33,8 +33,8 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
 from math import gcd, lcm
+from typing import NamedTuple
 
 from .magma import Variable, fold, leaf
 from .peirce import PeircePolynomial
@@ -128,8 +128,7 @@ class BaricAlgebra:
         return sum((w * c for w, c in zip(self.weight, vec)), ZERO)
 
 
-@dataclass(frozen=True)
-class MutationSpec:
+class MutationSpec(NamedTuple):
     """Linear map rows (M applied to e_j is the j-th column) plus weight."""
 
     dim: int
@@ -316,8 +315,7 @@ def weighted_evaluate(f: Polynomial, algebra: BaricAlgebra, bindings: dict):
     return _evaluate(f, algebra, bindings, True)
 
 
-@dataclass(frozen=True)
-class VerificationResult:
+class VerificationResult(NamedTuple):
     passed: bool
     trials: int
     seed: int
@@ -542,6 +540,8 @@ def _json_list(value, what):
 def read_q(c):
     """A rational from its text (or a JSON number): an int, a decimal or
     "p/q" with q != 0, without exponent notation; AlgebraError otherwise."""
+    if not isinstance(c, (str, int, float)) or isinstance(c, bool):  # JSON true, false, null, [...], {...}
+        raise AlgebraError(f"{c!r} is not a rational p/q")
     text = str(c)
     if "e" in text or "E" in text:  # "1e2000000" would build a 2,000,001-digit int
         raise AlgebraError(f"{c!r} is not a rational p/q: no exponent notation")
@@ -567,13 +567,22 @@ def _reader():
     return read
 
 
+def _weight(values, dim: int, read) -> list:
+    """The weight of a file of dimension ``dim``, in either form."""
+    weight = [read(c) for c in _json_list(values, "weight")]
+    if len(weight) != dim:
+        raise AlgebraError(f"weight has {len(weight)} entries, expected dim = {dim}")
+    return weight
+
+
 def load_algebra(source) -> BaricAlgebra:
     """Load an algebra from JSON: {"dim": d, "weight": [...],
     "structure": [[i, j, k, "p/q"], ...]} or {"dim": d,
     "mutation": {"matrix": [[...]], "weight": [...]}}.  Indices are
     0-based; rationals are "p/q" strings.  A missing key, a value of the
-    wrong type, an index out of range, an exponent or a zero denominator
-    raises AlgebraError."""
+    wrong type, a dim that is not an integer or not the weight's length,
+    an index out of range, an exponent or a zero denominator raises
+    AlgebraError."""
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
@@ -583,6 +592,8 @@ def load_algebra(source) -> BaricAlgebra:
         obj = source
     dim = _json_field(obj, "dim")
     try:
+        if isinstance(dim, bool) or (isinstance(dim, float) and not dim.is_integer()):
+            raise ValueError  # int() would take true as 1 and 2.9 as 2
         dim = int(dim)
     except (TypeError, ValueError, OverflowError):
         raise AlgebraError(f"dim must be an integer, not {dim!r}") from None
@@ -591,11 +602,9 @@ def load_algebra(source) -> BaricAlgebra:
         mut = obj["mutation"]
         rows = _json_list(_json_field(mut, "matrix", "mutation"), "matrix")
         matrix = [[read(c) for c in _json_list(row, "matrix row")] for row in rows]
-        weight = [read(c) for c in _json_list(_json_field(mut, "weight", "mutation"), "weight")]
+        weight = _weight(_json_field(mut, "weight", "mutation"), dim, read)
         return make_mutation(MutationSpec.make(matrix, weight))
-    weight = [read(c) for c in _json_list(_json_field(obj, "weight"), "weight")]
-    if len(weight) != dim:
-        raise AlgebraError(f"weight has {len(weight)} entries, expected dim = {dim}")
+    weight = _weight(_json_field(obj, "weight"), dim, read)
     entries = {}
     for entry in _json_list(_json_field(obj, "structure"), "structure"):
         if not (

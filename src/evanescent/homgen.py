@@ -42,7 +42,7 @@ it goes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .magma import Monomial, letters, monomials_of_type, normalize_type
 from .peirce import Identity, _digits, _packed, peirce_class, placed
@@ -53,8 +53,7 @@ class LinearSolveError(ValueError):
     pass
 
 
-@dataclass
-class ExactMatrix:
+class ExactMatrix(NamedTuple):
     rows: list
     col_labels: list
 
@@ -238,8 +237,7 @@ def _key(prefix: tuple, v: int, f: int) -> tuple:
     return (*prefix, _tag(f, v)) if prefix else (f,)
 
 
-@dataclass(frozen=True)
-class FactoredSystem:
+class FactoredSystem(NamedTuple):
     """A matrix A reduced once, to solve A x = b for many right-hand sides.
 
     E [A | I] is the reduced row-echelon form of [A | I].  Its first

@@ -23,18 +23,38 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 
 
-@dataclass(frozen=True, order=True)
+@functools.total_ordering
 class Variable:
-    """Generator symbol.  Index 0 is reserved for linearization."""
+    """Generator symbol.  Index 0 is reserved for linearization.  A value:
+    immutable, and equal, ordered and hashed as the tuple ``(index,)``,
+    against another Variable only."""
 
-    index: int
+    __slots__ = ("index",)
 
-    def __post_init__(self):
-        if self.index < 0:
+    def __init__(self, index: int):
+        if index < 0:
             raise ValueError("variable index must be >= 0")
+        object.__setattr__(self, "index", index)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return Variable, (self.index,)
+
+    def __eq__(self, other):
+        return self.index == other.index if other.__class__ is Variable else NotImplemented
+
+    def __lt__(self, other):
+        return self.index < other.index if other.__class__ is Variable else NotImplemented
+
+    def __hash__(self):
+        return hash((self.index,))
 
     @property
     def name(self) -> str:

@@ -34,9 +34,7 @@ for, or when a check fails.
 
 from __future__ import annotations
 
-import functools
 import sys
-from dataclasses import dataclass
 from operator import add, lshift, mul
 from typing import NamedTuple
 
@@ -244,12 +242,17 @@ def height_counts(w: Monomial, idx: int) -> list[int]:
     return counts
 
 
-@dataclass(frozen=True, eq=False)
 class EvanescenceReport:
-    peirce: dict
-    at_ones: object
-    is_peirce_evanescent: bool
-    is_evanescent_identity: bool
+    """The Peirce polynomial of each letter, the value at all ones, and
+    the two verdicts of ``is_evanescent``."""
+
+    def __init__(
+        self, peirce: dict, at_ones, is_peirce_evanescent: bool, is_evanescent_identity: bool
+    ):
+        self.peirce = peirce
+        self.at_ones = at_ones
+        self.is_peirce_evanescent = is_peirce_evanescent
+        self.is_evanescent_identity = is_evanescent_identity
 
 
 def is_evanescent(f: Polynomial) -> EvanescenceReport:
@@ -323,7 +326,6 @@ class EvanescenceError(ValueError):
         self.report = report
 
 
-@dataclass(frozen=True, eq=False)
 class Identity:
     """A verified evanescent identity sum(n m) / den: the member ``member``
     of the Peirce class ``cls``, its own term (member, cls.coef) placed
@@ -331,28 +333,38 @@ class Identity:
     int form is ``den`` > 0 and ``terms``, its (m, n) pairs with n a
     nonzero int, in ascending canonical monomial order, with gcd(den, n,
     ...) = 1; ``terms`` is built when first asked for, and the form is
-    canonical, so equality and hashing read it.  The ``Q`` polynomial and
-    the report are built when first asked for too."""
+    canonical, so equality and hashing read it.  The ``Q`` polynomial is
+    built when first asked for too.  Both lazy values are slots: a
+    generator makes thousands of identities, and a slot is filled and read
+    faster than a ``functools.cached_property``."""
 
-    cls: PeirceClass
-    member: Monomial
-    at: int
-    type: tuple | None
-    train: bool
+    __slots__ = ("cls", "member", "at", "type", "train", "_terms", "_polynomial")
+
+    def __init__(self, cls: PeirceClass, member: Monomial, at: int, type: tuple | None, train: bool):
+        self.cls = cls
+        self.member = member
+        self.at = at
+        self.type = type
+        self.train = train
+        self._terms = self._polynomial = None
 
     @property
     def den(self) -> int:
         return self.cls.den
 
-    @functools.cached_property
+    @property
     def terms(self) -> tuple:
-        form, at = self.cls.form, self.at
-        return (*form[:at], (self.member, self.cls.coef), *form[at:])
+        if self._terms is None:
+            form, at = self.cls.form, self.at
+            self._terms = (*form[:at], (self.member, self.cls.coef), *form[at:])
+        return self._terms
 
-    @functools.cached_property
+    @property
     def polynomial(self) -> Polynomial:
-        den = self.den
-        return Polynomial._raw({m: Q(n, den) for m, n in self.terms})
+        if self._polynomial is None:
+            den = self.den
+            self._polynomial = Polynomial._raw({m: Q(n, den) for m, n in self.terms})
+        return self._polynomial
 
     def __eq__(self, other):
         return isinstance(other, Identity) and (self.den, self.terms) == (other.den, other.terms)

@@ -60,7 +60,6 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-from dataclasses import dataclass
 
 from .homgen import FactoredSystem, factor, peirce_classes, peirce_column, solve_unique
 from .magma import (
@@ -114,19 +113,21 @@ def relabel_monomial(m: Monomial, mapping: dict) -> Monomial:
     return fold(m, cache, product)
 
 
-@dataclass(frozen=True, eq=False)
 class TypeRecord:
     """Everything known of one type, found once per type."""
 
-    tag: str  # the shape
-    moved: dict  # each letter that is not its canonical letter -> that letter
-    inverse: dict  # and back; both are empty for a type in canonical letters
-    # for each span monomial, in span order: (its rank in canonical order,
-    # that monomial in the type's own letters)
-    order: tuple
-    basis: frozenset  # the span monomials in own letters that have this type
-    type: tuple  # the type itself
-    variables: tuple  # the indices of the type's letters
+    def __init__(
+        self, tag: str, moved: dict, inverse: dict, order: tuple, basis: frozenset, type: tuple, variables: tuple
+    ):
+        self.tag = tag  # the shape
+        self.moved = moved  # each letter that is not its canonical letter -> that letter
+        self.inverse = inverse  # and back; both are empty for a type in canonical letters
+        # for each span monomial, in span order: (its rank in canonical
+        # order, that monomial in the type's own letters)
+        self.order = order
+        self.basis = basis  # the span monomials in own letters that have this type
+        self.type = type  # the type itself
+        self.variables = variables  # the indices of the type's letters
 
     @functools.cached_property
     def system(self) -> FactoredSystem:

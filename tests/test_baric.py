@@ -1,3 +1,4 @@
+import inspect
 import json
 import random
 import tracemalloc
@@ -290,6 +291,9 @@ def test_random_baric_algebra_is_valid():
         assert algebra.dim == dim  # constructor validation already ran
 
 
+_MUTATION_2 = {"matrix": [["1", "0"], ["0", "3"]], "weight": ["1", "0"]}
+
+
 def test_load_algebra_mutation(tmp_path):
     spec = {
         "dim": 2,
@@ -299,6 +303,14 @@ def test_load_algebra_mutation(tmp_path):
     path.write_text(json.dumps(spec), encoding="utf-8")
     algebra = load_algebra(str(path))
     assert algebra.mul((ONE, ZERO), (ZERO, ONE)) == (ZERO, Q(3, 2))
+
+
+def test_mutation_spec_make_reads_rationals():
+    spec = MutationSpec.make([[1, "0"], ["1/2", Q(3)]], ["1", 0])
+    assert spec == MutationSpec(dim=2, matrix=((Q(1), Q(0)), (Q(1, 2), Q(3))), weight=(Q(1), Q(0)))
+    assert spec == MutationSpec(2, spec.matrix, spec.weight)
+    assert {type(c) for c in (*spec.matrix[0], *spec.matrix[1], *spec.weight)} == {Q}
+    assert type(spec.matrix) is type(spec.weight) is tuple
 
 
 def test_load_algebra_structure():
@@ -326,11 +338,36 @@ def test_load_algebra_structure():
         {"dim": 1, "mutation": {"weight": ["1"]}},
         {"dim": 1, "weight": ["1e2000000"], "structure": []},  # rejected before Fraction runs
         {"dim": 1, "weight": ["1e3"], "structure": [[0, 0, 0, "1E3"]]},  # valid, but in exponents
+        *({"dim": d, "mutation": _MUTATION_2} for d in (7, 0, -1, 2.9, True)),  # dim read in this form too
+        {"dim": 2.9, "weight": ["1", "0"], "structure": [[0, 0, 0, "1"]]},  # not 2
+        {"dim": True, "weight": ["1"], "structure": [[0, 0, 0, "1"]]},  # not 1
+        *({"dim": 1, "weight": [c], "structure": []} for c in (True, False, None, ["1"])),
     ],
 )
 def test_load_algebra_rejects_malformed(obj):
     with pytest.raises(AlgebraError):
         load_algebra(obj)
+
+
+def test_load_algebra_names_the_fault():
+    faults = {
+        "weight has 2 entries, expected dim = 7": {"dim": 7, "mutation": _MUTATION_2},
+        "weight has 2 entries, expected dim = 0": {"dim": 0, "mutation": _MUTATION_2},
+        "dim must be an integer, not 2.9": {"dim": 2.9, "mutation": _MUTATION_2},
+        "dim must be an integer, not True": {"dim": True, "weight": ["1"], "structure": [[0, 0, 0, "1"]]},
+        "True is not a rational p/q": {"dim": 1, "weight": [True], "structure": []},
+        "None is not a rational p/q": {"dim": 1, "weight": ["1"], "structure": [[0, 0, 0, None]]},
+        "False is not a rational p/q": {"dim": 2, "mutation": {**_MUTATION_2, "weight": ["1", False]}},
+        "'1e3' is not a rational p/q: no exponent notation": {"dim": 1, "weight": ["1e3"], "structure": []},
+    }
+    for message, obj in faults.items():
+        with pytest.raises(AlgebraError) as raised:
+            load_algebra(obj)
+        assert str(raised.value) == message
+    # an integral dim loads whatever its JSON type, in either form
+    for dim in (2, 2.0, "2"):
+        assert load_algebra({"dim": dim, "mutation": _MUTATION_2}).dim == 2
+        assert load_algebra({"dim": dim, "weight": ["1", "0"], "structure": [[0, 0, 0, "1"]]}).dim == 2
 
 
 def test_load_algebra_keeps_structure_sparse():
@@ -624,6 +661,28 @@ def test_verify_refutations_are_pinned():
         assert verify_identity(f, algebra, trials=16, seed=seed) == VerificationResult(
             False, 16, seed, 0, "weight-1", point
         )
+
+
+def test_verification_result_fields_defaults_and_truth():
+    # the verdict is a value: its fields in order with their defaults, built
+    # by position or keyword, and true exactly when the check passed
+    params = inspect.signature(VerificationResult).parameters
+    assert [(p.name, p.default) for p in params.values()] == [
+        ("passed", inspect.Parameter.empty),
+        ("trials", inspect.Parameter.empty),
+        ("seed", inspect.Parameter.empty),
+        ("failed_trial", None),
+        ("mode", None),
+        ("counterexample", None),
+    ]
+    passed = VerificationResult(passed=True, trials=3, seed=7)
+    assert (passed.passed, passed.trials, passed.seed) == (True, 3, 7)
+    assert (passed.failed_trial, passed.mode, passed.counterexample) == (None, None, None)
+    assert passed == VerificationResult(True, 3, 7) and bool(passed)
+    point = {"x": (Q(1), Q(3))}
+    failed = VerificationResult(False, 16, 0, failed_trial=2, mode="weighted", counterexample=point)
+    assert failed == VerificationResult(False, 16, 0, 2, "weighted", point) != passed
+    assert not failed and (failed.failed_trial, failed.mode, failed.counterexample) == (2, "weighted", point)
 
 
 def _mutation_json(rng, weight):

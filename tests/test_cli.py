@@ -846,10 +846,13 @@ def test_a_freed_class_lends_its_id_to_no_later_line():
 
 def test_printing_builds_no_polynomial_and_no_report(capsys, monkeypatch):
     # text output is printed from each identity's int form; the commands
-    # stream the identities from the generators, which are recorded
-    from evanescent import homgen, trainsgen
+    # stream the identities from the generators, which are recorded, and
+    # each read of a polynomial or build of a report is recorded too
+    from evanescent import homgen, peirce, trainsgen
 
-    made = []
+    made, built = [], []
+    monkeypatch.setattr(peirce.Identity, "polynomial", property(lambda identity: built.append(identity)))
+    monkeypatch.setattr(peirce, "_report", lambda *args: built.append(args))
 
     def recorded(generate):
         def wrapper(*args, **kwargs):
@@ -864,7 +867,7 @@ def test_printing_builds_no_polynomial_and_no_report(capsys, monkeypatch):
         code, out, err = run_cli(capsys, *argv)
         assert (code, err) == (0, "") and len(out.splitlines()) > 1
     assert len(made) > 50 and {i.type for i in made} == {(5, 1, 1), (4, 2)}
-    assert not [i for i in made if {"polynomial", "report"} & set(vars(i))]
+    assert built == []
 
 
 MUTATION_3 = {
@@ -942,17 +945,27 @@ def test_verify_stdout_is_byte_identical(capsys, tmp_path, case):
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == VERIFY_STDOUT_DIGESTS[case]
 
 
+_MUTATION_2 = {"matrix": [["1", "0"], ["0", "3"]], "weight": ["1", "0"]}
+
+
 @pytest.mark.parametrize(
-    "spec",
+    "spec, message",
     [
-        {"weight": ["1"]},  # no dim
-        [{"dim": 1, "weight": ["1"], "structure": [[0, 0, 0, "1"]]}],  # not an object
-        {"dim": 2, "weight": ["1", "0"], "structure": [[0, 0, 5, "1"]]},  # k out of range
-        {"dim": 1, "weight": ["1/0"], "structure": [[0, 0, 0, "1"]]},  # zero denominator
+        ({"weight": ["1"]}, "algebra has no key 'dim'"),
+        ([{"dim": 1, "weight": ["1"], "structure": [[0, 0, 0, "1"]]}], "algebra must be a JSON object"),
+        ({"dim": 2, "weight": ["1", "0"], "structure": [[0, 0, 5, "1"]]}, "structure entry [0, 0, 5, '1']"),
+        ({"dim": 1, "weight": ["1/0"], "structure": [[0, 0, 0, "1"]]}, "'1/0' is not a rational p/q"),
+        ({"dim": 7, "mutation": _MUTATION_2}, "weight has 2 entries, expected dim = 7"),
+        ({"dim": 2.9, "mutation": _MUTATION_2}, "dim must be an integer, not 2.9"),
+        ({"dim": True, "weight": ["1"], "structure": [[0, 0, 0, "1"]]}, "dim must be an integer, not True"),
+        ({"dim": 1, "weight": [None], "structure": [[0, 0, 0, "1"]]}, "None is not a rational p/q\n"),
     ],
-    ids=["missing-key", "wrong-type", "index-out-of-range", "zero-denominator"],
+    ids=[
+        "missing-key", "wrong-type", "index-out-of-range", "zero-denominator",
+        "mutation-dim", "fractional-dim", "bool-dim", "literal-entry",
+    ],
 )
-def test_verify_malformed_algebra_exits_2_with_one_line(capsys, tmp_path, spec):
+def test_verify_malformed_algebra_exits_2_with_one_line(capsys, tmp_path, spec, message):
     path = tmp_path / "algebra.json"
     path.write_text(json.dumps(spec), encoding="utf-8")
     code, out, err = run_cli(
@@ -960,4 +973,4 @@ def test_verify_malformed_algebra_exits_2_with_one_line(capsys, tmp_path, spec):
     )
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert "Traceback" not in err
+    assert "Traceback" not in err and message in err

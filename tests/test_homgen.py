@@ -1,4 +1,5 @@
 import functools
+import inspect
 import math
 import random
 
@@ -371,6 +372,22 @@ def test_solve_unique():
     for rhs in ([1], [1, 1, 1]):  # one entry per row of A
         with pytest.raises(ValueError):
             solve_unique(factor([[1], [1]]), rhs)
+
+
+def test_factored_system_and_exact_matrix_fields():
+    # A = [[1, 2], [2, 4], [0, 1]]: rank 2; E = M / 2 has rows (0, 1/2, -2),
+    # (0, 0, 1) and (1, -1/2, 0), the last on the left nullspace of A
+    system = factor([[1, 2], [2, 4], [0, 1]])
+    assert [p for p in inspect.signature(FactoredSystem).parameters] == ["ncols", "rank", "den", "columns"]
+    assert (system.ncols, system.rank, system.den) == (2, 2, 2)
+    assert system.columns == (((2, 2),), ((0, 1), (2, -1)), ((0, -4), (1, 2)))
+    assert system == FactoredSystem(2, 2, 2, system.columns) == FactoredSystem(
+        ncols=2, rank=2, den=2, columns=system.columns
+    )
+    for rows, labels, shape in [([[1, 0, 2], [0, 1, 1]], ["a", "b", "c"], (2, 3)), ([], [], (0, 0))]:
+        matrix = homgen.ExactMatrix(rows=rows, col_labels=labels)
+        assert (matrix.rows, matrix.col_labels, matrix.shape) == (rows, labels, shape)
+        assert homgen.ExactMatrix(rows, labels).shape == shape
 
 
 def test_factored_system_answers_many_right_hand_sides():

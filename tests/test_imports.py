@@ -1,5 +1,8 @@
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -22,6 +25,20 @@ def bench_sources() -> list:
         for path in (ROOT / "bench").glob("*.py")
         if not path.name.startswith("test_")
     ]
+
+
+# modules a CLI process must not load: ``dataclasses`` pulls in the other
+# three, and each costs start-up time in every fresh process
+COLD_START_UNLOADED = ("dataclasses", "inspect", "ast", "dis")
+
+
+def test_a_cold_start_loads_no_dataclasses():
+    # in a fresh interpreter: pytest itself has loaded all four here
+    code = "import evanescent, evanescent.cli, sys; print(*sorted(set(sys.argv[1:]) & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-c", code, *COLD_START_UNLOADED], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr, done.stdout) == (0, "", "\n")
 
 
 def unused_imports(source: str) -> list[str]:

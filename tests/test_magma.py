@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 import sys
 import time
@@ -84,6 +86,28 @@ def test_variable_validation():
         Variable(-1)
     assert Variable(1).name == "x"
     assert Variable(4).name == "t4"
+
+
+def test_variable_is_an_immutable_value_ordered_by_index():
+    # equal, ordered and hashed as the tuple (index,) is, and only against
+    # another Variable: its hash fixes the iteration order of sets of them
+    assert repr(Variable(1)) == "Variable(1)"
+    assert Variable(2) == Variable(2) and Variable(2) != Variable(3)
+    assert Variable(1) < Variable(2) <= Variable(2) and Variable(3) > Variable(2) >= Variable(2)
+    assert not Variable(2) < Variable(2) and not Variable(3) <= Variable(2)
+    assert sorted([Variable(3), Variable(0), Variable(2)]) == [Variable(0), Variable(2), Variable(3)]
+    for i in (0, 1, 7, 2**70):
+        assert hash(Variable(i)) == hash((i,))
+        assert Variable(i) != (i,) and Variable(i) != i and not Variable(i) == (i,)
+    with pytest.raises(TypeError):
+        Variable(1) < (2,)
+    v = Variable(1)
+    with pytest.raises(AttributeError):
+        v.index = 2
+    with pytest.raises(AttributeError):
+        del v.index
+    assert v.index == 1 and v == X
+    assert copy.deepcopy(v) == pickle.loads(pickle.dumps(v)) == v
 
 
 def test_product_is_commutative_and_interned():

@@ -594,6 +594,31 @@ def test_identity_is_its_checked_int_form():
     assert len(identities) > 300
 
 
+def test_identity_is_equal_by_its_int_form_and_builds_its_terms_lazily():
+    # equal and hashed by the int form alone, not by type or train
+    f = parse("x^2x^2-2x^3+x^2")
+    plain, tagged = make_identity(f), make_identity(f, train=True, ty=(4,))
+    assert plain == tagged and hash(plain) == hash(tagged) == hash((plain.den, plain.terms))
+    assert plain != f and plain != make_identity(parse("x^2 y^2 - (x y)(x y)"))
+    cls = plain.cls
+
+    class Watched:  # the class of ``plain``, counting reads of its shared terms
+        reads = 0
+        den, coef = cls.den, cls.coef
+
+        @property
+        def form(self):
+            Watched.reads += 1
+            return cls.form
+
+    # the terms and the polynomial are built at their first read, once
+    ident = peirce.Identity(Watched(), plain.member, plain.at, None, False)
+    assert Watched.reads == 0
+    assert ident.terms == plain.terms and Watched.reads == 1
+    assert ident.terms is ident.terms and ident.polynomial is ident.polynomial
+    assert Watched.reads == 1 and ident.polynomial == f and ident == plain
+
+
 def _raised_report(den, terms):
     with pytest.raises(EvanescenceError) as raised:
         make_identity(_polynomial(den, terms))
